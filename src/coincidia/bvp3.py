@@ -37,13 +37,14 @@ import numpy as np
 
 from . import engine
 from .engine import OperatorHandle, SolveReport
-from .errors import ConfigurationError, DomainError, NumericError
+from .errors import ConfigurationError, DomainError
 from .numerics import (
     MIDPOINTS,
     Grid,
     GridFunction,
     cell_edge_cumulative,
     cumulative_integral,
+    evaluate,
 )
 from .reports import HypothesisReport
 
@@ -121,16 +122,6 @@ class Bvp3Problem:
             raise ConfigurationError(f"eta must lie in (0, 1), got {self.eta}")
 
 
-def _sample_finite(h: Callable, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(h(pts), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(pts.shape, float(vals))
-    if not np.all(np.isfinite(vals)):
-        bad = pts[~np.isfinite(vals)][0]
-        raise NumericError(f"h evaluated to a non-finite value at t = {bad}")
-    return vals
-
-
 def check_z_membership(h: Callable, ell: float, probe_grid: Grid) -> HypothesisReport:
     """Check ``int_t^1 h(s) ds <= ell / t`` on every probe point.
 
@@ -146,8 +137,8 @@ def check_z_membership(h: Callable, ell: float, probe_grid: Grid) -> HypothesisR
         raise DomainError("ell must be nonnegative")
     pts = probe_grid.points()
     step = probe_grid.spacing
-    cells = step * _sample_finite(h, pts)
-    half = 0.5 * step * _sample_finite(h, pts + 0.25 * step)
+    cells = step * evaluate(h, pts, name="h")
+    half = 0.5 * step * evaluate(h, pts + 0.25 * step, name="h")
     suffix = np.concatenate((np.cumsum(cells[::-1])[::-1][1:], [0.0]))
     tails = half + suffix
     margins = ell / pts + _Z_SLACK - tails
@@ -168,10 +159,6 @@ def check_z_membership(h: Callable, ell: float, probe_grid: Grid) -> HypothesisR
         margins={"worst_tail_margin": worst},
         witnesses=witnesses,
     )
-
-
-def _eval_g(g: Callable, t, u1, u2, u3) -> float:
-    return float(g(t, u1, u2, u3))
 
 
 def check_h1(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> HypothesisReport:
@@ -196,7 +183,7 @@ def check_h1(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> Hypo
         t = float(rng.uniform(1e-9, 1.0))
         u = rng.uniform(-5.0, 5.0, 3)
         v = rng.uniform(-5.0, 5.0, 3)
-        lhs = abs(_eval_g(p.g, t, u[0], u[1], u[2]) - _eval_g(p.g, t, v[0], v[1], v[2]))
+        lhs = abs(float(p.g(t, *u)) - float(p.g(t, *v)))
         rhs = (
             float(d.k1(t)) * abs(u[0] - v[0])
             + d.K2 * abs(u[1] - v[1])
@@ -245,7 +232,7 @@ def check_h2(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> Hypo
     for _ in range(sample_count):
         t = float(rng.uniform(1e-9, 1.0))
         u = rng.uniform(-5.0, 5.0, 3)
-        lhs = abs(_eval_g(p.g, t, u[0], u[1], u[2]))
+        lhs = abs(float(p.g(t, *u)))
         rhs = (
             float(d.a1(t)) * abs(u[0])
             + d.A2 * abs(u[1])
@@ -320,13 +307,7 @@ def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = Non
 
     def apply(y: GridFunction) -> GridFunction:
         v, v_prime = apply_T_inverse(y, p.delta, p.eta)
-        out = np.asarray(p.g(pts, v.values, v_prime.values, y.values), dtype=float)
-        if out.ndim == 0:
-            out = np.full(pts.shape, float(out))
-        if not np.all(np.isfinite(out)):
-            bad = pts[~np.isfinite(out)][0]
-            raise NumericError(f"g evaluated to a non-finite value at t = {bad}")
-        return GridFunction(grid, out)
+        return GridFunction(grid, evaluate(p.g, pts, v.values, v_prime.values, y.values, name="g"))
 
     return OperatorHandle(apply=apply, norm_kind="l2", modulus=modulus)
 
@@ -398,3 +379,18 @@ def solve(
     if certificate is not None:
         report.extras["hypothesis_check"] = certificate
     return report
+
+
+def defect_oracle(p: Bvp3Problem, grid: Grid, scheme: str, tol: float, max_iter: int) -> dict:
+    """Oracle: the pointwise equation defect of the solve's returned iterate."""
+    report = solve(p, grid, scheme=scheme, tol=tol, max_iter=max_iter)
+    return {"reference": "pointwise equation defect of the returned iterate",
+            "max_error": ode_defect(p, report.solution), "tolerance": 10.0 * tol}
+
+
+PROBLEM_CLASS = engine.ProblemClass(
+    grid=lambda p, n: Grid(0.0, 1.0, n, MIDPOINTS),
+    check=lambda p, seed: [check_h1(p, rng_seed=seed), check_h2(p, rng_seed=seed)],
+    solve=lambda p, grid, scheme, tol, max_iter: solve(p, grid, scheme, tol, max_iter),
+    columns=engine.solution_columns,
+)

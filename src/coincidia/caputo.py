@@ -34,8 +34,8 @@ import numpy as np
 
 from . import engine
 from .engine import OperatorHandle, SolveReport
-from .errors import CertificateError, ConfigurationError, DomainError, NumericError
-from .numerics import NODES, Grid, GridFunction, gamma
+from .errors import CertificateError, ConfigurationError, DomainError
+from .numerics import NODES, Grid, GridFunction, evaluate, gamma
 from .reports import HypothesisReport
 
 
@@ -142,16 +142,6 @@ def snap_nonlocal_points(p: CaputoProblem, grid: Grid) -> list[tuple[int, float]
     return out
 
 
-def _eval_f(p: CaputoProblem, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    vals = np.asarray(p.f(t, x), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(t.shape, float(vals))
-    if not np.all(np.isfinite(vals)):
-        bad = t[~np.isfinite(vals)][0]
-        raise NumericError(f"f evaluated to a non-finite value at t = {bad}")
-    return vals
-
-
 def picard_step(p: CaputoProblem, x: GridFunction, weights) -> GridFunction:
     """One Volterra iteration
     x+(t_j) = x0 + sum_i g_i(x(t_i)) + (1/Gamma(q)) sum_i w_{j,i} f(t_i, x(t_i)).
@@ -170,7 +160,7 @@ def picard_step(p: CaputoProblem, x: GridFunction, weights) -> GridFunction:
     if W.shape != (grid.n + 1, grid.n + 1):
         raise ConfigurationError("weights do not match the grid")
     t = grid.points()
-    fv = _eval_f(p, t, x.values)
+    fv = evaluate(p.f, t, x.values, name="f")
     nonlocal_sum = 0.0
     for (idx, _), term in zip(snap_nonlocal_points(p, grid), p.nonlocal_terms):
         nonlocal_sum += float(term.g(float(x.values[idx])))
@@ -281,6 +271,22 @@ def solve(
         report.extras["posterior_weighted_error_bound"] = bound
         report.stability_radius = bound  # in the weighted sup norm
     return report
+
+
+def _solve_picard_only(p: CaputoProblem, grid: Grid, scheme: str, tol: float,
+                       max_iter: int) -> SolveReport:
+    if scheme not in ("auto", engine.PICARD):
+        raise ConfigurationError("Volterra solves support only the picard scheme")
+    return solve(p, grid, tol=tol, max_iter=max_iter)
+
+
+PROBLEM_CLASS = engine.ProblemClass(
+    grid=lambda p, n: Grid(0.0, p.horizon, n, NODES),
+    check=lambda p, seed: [contraction_certificate(p)],
+    solve=_solve_picard_only,
+    columns=lambda report: {"t": report.solution.grid.points(), "u": report.solution.values,
+                            "y": report.solution.values},
+)
 
 
 def brute_force_kernel_integral(

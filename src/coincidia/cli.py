@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -24,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bvp3, caputo, pendulum, registry
-from .engine import SolveReport
+from . import registry
 from .errors import (
     BracketingError,
     CertificateError,
@@ -34,7 +32,6 @@ from .errors import (
     NumericError,
     RangeError,
 )
-from .numerics import MIDPOINTS, NODES, Grid, mittag_leffler
 
 SCHEMA_VERSION = 1
 
@@ -96,220 +93,90 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """One column per header entry: a list of strings, written as they are,
+    or an array of numbers, written with 17 significant digits."""
+    cells = [col if isinstance(col, list) else [f"{v:.17g}" for v in np.asarray(col).tolist()]
+             for col in columns]
+    lines = [",".join(header), *(",".join(row) for row in zip(*cells))]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _write_report(out_dir: Path, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
+def _finish(config: RunConfig, out_dir: Path, result: dict | None, code: int = EXIT_OK,
+            error_type: str = "", message: str = "") -> int:
+    """Write the run's ``report.json`` and return its exit code; a nonzero
+    code adds the error block."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": config.command,
+               "problem": config.problem, "config": config.to_json_dict()}
+    if result is not None:
+        payload["result"] = result
+    if code != EXIT_OK:
+        payload["error"] = {"type": error_type, "message": message, "exit_code": code}
     _write_atomic(out_dir / "report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _solution_csv_rows(kind: str, report: SolveReport) -> tuple[list[str], list[list[float]]]:
-    t = report.solution.grid.points()
-    y = report.solution.values
-    if kind == "caputo":
-        return ["t", "u", "y"], [[t[i], y[i], y[i]] for i in range(t.size)]
-    u = report.extras["u"].values
-    u_prime = report.extras["u_prime"].values
-    return ["t", "u", "u_prime", "y"], [[t[i], u[i], u_prime[i], y[i]] for i in range(t.size)]
-
-
-def _problem_grid(kind: str, problem, grid_n: int) -> Grid:
-    if kind == "bvp3":
-        return Grid(0.0, 1.0, grid_n, MIDPOINTS)
-    if kind == "pendulum":
-        return Grid(0.0, 1.0, grid_n, NODES)
-    return Grid(0.0, problem.horizon, grid_n, NODES)
+    return code
 
 
 def _run_check(config: RunConfig, entry, problem, out_dir: Path) -> int:
-    reports = []
-    if entry.kind == "bvp3":
-        reports.append(bvp3.check_h1(problem, rng_seed=config.seed))
-        reports.append(bvp3.check_h2(problem, rng_seed=config.seed))
-    elif entry.kind == "caputo":
-        reports.append(caputo.contraction_certificate(problem))
-    else:
-        reports.append(_check_pendulum(problem, config.seed))
+    reports = entry.problem_class.check(problem, config.seed)
     all_pass = all(r.passed for r in reports)
-    payload = {
-        "command": "check",
-        "problem": config.problem,
-        "config": config.to_json_dict(),
-        "result": {"passed": all_pass, "checks": [r.to_dict() for r in reports]},
-    }
-    if not all_pass:
-        failed = ", ".join(r.condition for r in reports if not r.passed)
-        payload["error"] = {
-            "type": "HypothesisFailure",
-            "message": f"failed checks: {failed}",
-            "exit_code": EXIT_CERTIFICATE,
-        }
-    _write_report(out_dir, payload)
-    return EXIT_OK if all_pass else EXIT_CERTIFICATE
-
-
-def _check_pendulum(problem, seed: int):
-    from .reports import HypothesisReport
-
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-5.0, 5.0, 500)
-    y = rng.uniform(-5.0, 5.0, 500)
-    ax = pendulum._eval_map(problem.A, x)
-    ay = pendulum._eval_map(problem.A, y)
-    expansive = float(np.min(np.abs(ax - ay) - np.abs(x - y)))
-    margins = {"expansiveness_margin": expansive + 1e-9}
-    if problem.f_lower is not None:
-        lower = np.array([float(problem.f_lower.eval(v)) for v in np.abs(ax - ay)])
-        margins["lower_bound_margin"] = float(np.min(np.abs(x - y) - lower)) + 1e-9
-    passed = all(m >= 0.0 for m in margins.values())
-    return HypothesisReport(
-        condition="A2 (expansive nonlinearity with lower comparison bound)",
-        passed=passed,
-        constants={"probe_pairs": 500},
-        margins=margins,
-        witnesses=[],
-    )
+    failed = ", ".join(r.condition for r in reports if not r.passed)
+    return _finish(config, out_dir, {"passed": all_pass, "checks": [r.to_dict() for r in reports]},
+                   EXIT_OK if all_pass else EXIT_CERTIFICATE,
+                   "HypothesisFailure", f"failed checks: {failed}")
 
 
 def _run_solve(config: RunConfig, entry, problem, out_dir: Path) -> int:
-    grid = _problem_grid(entry.kind, problem, config.grid_n)
-    if entry.kind == "bvp3":
-        report = bvp3.solve(problem, grid, scheme=config.scheme,
-                            tol=config.tol, max_iter=config.max_iter)
-    elif entry.kind == "pendulum":
-        if config.scheme not in ("auto", "picard"):
-            raise ConfigurationError("pendulum solves support only the picard scheme")
-        report = pendulum.solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
-    else:
-        if config.scheme not in ("auto", "picard"):
-            raise ConfigurationError("Volterra solves support only the picard scheme")
-        report = caputo.solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
-    header, rows = _solution_csv_rows(entry.kind, report)
-    _write_csv(out_dir / "solution.csv", header, rows)
-    _write_report(out_dir, {
-        "command": "solve",
-        "problem": config.problem,
-        "config": config.to_json_dict(),
-        "result": report.to_dict(),
-    })
-    return EXIT_OK
+    family = entry.problem_class
+    grid = family.grid(problem, config.grid_n)
+    report = family.solve(problem, grid, config.scheme, config.tol, config.max_iter)
+    columns = family.columns(report)
+    _write_csv(out_dir / "solution.csv", list(columns), list(columns.values()))
+    return _finish(config, out_dir, report.to_dict())
 
 
 def _run_stability(config: RunConfig, entry, problem, out_dir: Path) -> int:
-    if entry.kind != "pendulum":
+    family = entry.problem_class
+    if family.stability is None:
         raise ConfigurationError("stability tables are defined for the pendulum problem class")
     if config.candidates != "table1":
         raise ConfigurationError(f"unknown candidate set {config.candidates!r}")
-    grid = _problem_grid(entry.kind, problem, config.grid_n)
-    named = pendulum.table1_candidates(grid)
-    solve_report = pendulum.solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
-    u_star = solve_report.extras["u"]
-    rows = pendulum.stability_table(problem, [(w, w2) for _, w, w2 in named], u_star=u_star)
-
-    table_lines = ["name,epsilon,psi,sup_distance_to_solution"]
-    table_lines.extend(
-        f"{name},{_fmt(r.epsilon)},{_fmt(r.psi)},{_fmt(r.sup_distance)}"
-        for (name, _, _), r in zip(named, rows)
-    )
-    _write_atomic(out_dir / "table.csv", "\n".join(table_lines) + "\n")
+    grid = family.grid(problem, config.grid_n)
+    named, rows, solve_report = family.stability(problem, grid, config.tol, config.max_iter)
+    names = [name for name, _, _ in named]
+    _write_csv(out_dir / "table.csv", ["name", "epsilon", "psi", "sup_distance_to_solution"],
+               [names, *np.array([(r.epsilon, r.psi, r.sup_distance) for r in rows]).T])
     t = grid.points()
-    loc_lines = ["name,t,w,u_star,band"]
-    for (name, w, _), row in zip(named, rows):
-        for i in range(t.size):
-            loc_lines.append(
-                f"{name},{_fmt(t[i])},{_fmt(w.values[i])},{_fmt(u_star.values[i])},{_fmt(row.psi)}"
-            )
-    _write_atomic(out_dir / "localization.csv", "\n".join(loc_lines) + "\n")
-
-    _write_report(out_dir, {
-        "command": "stability",
-        "problem": config.problem,
-        "config": config.to_json_dict(),
-        "result": {
-            "rows": [
-                {"name": name, "epsilon": r.epsilon, "psi": r.psi,
-                 "sup_distance_to_solution": r.sup_distance,
-                 "localized": r.sup_distance <= r.psi}
-                for (name, _, _), r in zip(named, rows)
-            ],
-            "solver": solve_report.to_dict(),
-        },
+    _write_csv(out_dir / "localization.csv", ["name", "t", "w", "u_star", "band"], [
+        [name for name in names for _ in t],
+        np.tile(t, len(named)),
+        np.concatenate([w.values for _, w, _ in named]),
+        np.tile(solve_report.extras["u"].values, len(named)),
+        np.repeat([r.psi for r in rows], t.size),
+    ])
+    return _finish(config, out_dir, {
+        "rows": [
+            {"name": name, "epsilon": r.epsilon, "psi": r.psi,
+             "sup_distance_to_solution": r.sup_distance,
+             "localized": r.sup_distance <= r.psi}
+            for (name, _, _), r in zip(named, rows)
+        ],
+        "solver": solve_report.to_dict(),
     })
-    return EXIT_OK
 
 
 def _run_oracle(config: RunConfig, entry, problem, out_dir: Path) -> int:
-    """Compare a solve against an independent reference for this problem."""
-    grid = _problem_grid(entry.kind, problem, config.grid_n)
-    result: dict = {"problem": config.problem}
-    if config.problem == "caputo-constant":
-        report = caputo.solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
-        t = grid.points()
-        q = problem.q
-        exact = problem.x0 + t ** q / math.gamma(q + 1.0)
-        err = float(np.max(np.abs(report.solution.values - exact)))
-        result.update({"reference": "closed form x0 + t^q/Gamma(q+1)",
-                       "max_error": err, "tolerance": 1e-8, "ok": err <= 1e-8})
-    elif config.problem == "caputo-linear":
-        report = caputo.solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
-        t = grid.points()
-        exact = np.array([problem.x0 * mittag_leffler(problem.q, ti ** problem.q, 1e-14)
-                          for ti in t])
-        err = float(np.max(np.abs(report.solution.values - exact)))
-        tol = 5e-4 if config.grid_n >= 1024 else None
-        result.update({"reference": "Mittag-Leffler series x0 E_q(t^q)",
-                       "max_error": err, "tolerance": tol,
-                       "ok": err <= tol if tol is not None else True})
-    elif config.problem == "caputo-nonlocal":
-        report = caputo.solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
-        exact = 2.0 * problem.x0
-        err = float(np.max(np.abs(report.solution.values - exact)))
-        result.update({"reference": "scalar fixed point 2 x0",
-                       "max_error": err, "tolerance": 10.0 * config.tol,
-                       "ok": err <= 10.0 * config.tol})
-    elif entry.kind == "pendulum":
-        coarse_n = config.grid_n // 2
-        if coarse_n % 2 or coarse_n < 8:
-            raise ConfigurationError("oracle refinement needs grid_n divisible by 4 and >= 16")
-        fine = pendulum.solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
-        coarse = pendulum.solve(problem, Grid(0.0, 1.0, coarse_n, NODES),
-                                tol=config.tol, max_iter=config.max_iter)
-        diff = float(np.max(np.abs(
-            fine.extras["u"].values[::2] - coarse.extras["u"].values
-        )))
-        result.update({"reference": f"cross-grid refinement n={coarse_n} vs n={config.grid_n}",
-                       "max_error": diff, "tolerance": 1e-5, "ok": diff <= 1e-5})
-        report = fine
-    else:
-        report = bvp3.solve(problem, grid, scheme=config.scheme,
-                            tol=config.tol, max_iter=config.max_iter)
-        defect = bvp3.ode_defect(problem, report.solution)
-        result.update({"reference": "pointwise equation defect of the returned iterate",
-                       "max_error": defect, "tolerance": 10.0 * config.tol,
-                       "ok": defect <= 10.0 * config.tol})
-    payload = {
-        "command": "oracle",
-        "problem": config.problem,
-        "config": config.to_json_dict(),
-        "result": result,
-    }
-    if not result["ok"]:
-        payload["error"] = {
-            "type": "OracleMismatch",
-            "message": f"max error {result['max_error']:.6g} exceeds "
-                       f"tolerance {result['tolerance']:.6g}",
-            "exit_code": EXIT_NUMERIC,
-        }
-    _write_report(out_dir, payload)
-    return EXIT_OK if result["ok"] else EXIT_NUMERIC
+    """Compare a solve against the problem's independent reference."""
+    grid = entry.problem_class.grid(problem, config.grid_n)
+    result = {"problem": config.problem,
+              **entry.oracle(problem, grid, config.scheme, config.tol, config.max_iter)}
+    result["ok"] = result["max_error"] <= result["tolerance"]
+    return _finish(config, out_dir, result, EXIT_OK if result["ok"] else EXIT_NUMERIC,
+                   "OracleMismatch", f"max error {result['max_error']:.6g} exceeds "
+                                     f"tolerance {result['tolerance']:.6g}")
+
+
+_RUNNERS = {"check": _run_check, "solve": _run_solve,
+            "stability": _run_stability, "oracle": _run_oracle}
 
 
 def run(config: RunConfig) -> int:
@@ -319,30 +186,14 @@ def run(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def fail(exc: Exception, code: int) -> int:
-        _write_report(out_dir, {
-            "command": config.command,
-            "problem": config.problem,
-            "config": config.to_json_dict(),
-            "error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code},
-        })
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return _finish(config, out_dir, None, code, type(exc).__name__, str(exc))
 
     try:
         config.validate()
-        entry = registry.REGISTRY.get(config.problem)
-        if entry is None:
-            raise ConfigurationError(
-                f"unknown problem {config.problem!r}; available: {sorted(registry.REGISTRY)}"
-            )
+        entry = registry.lookup(config.problem)
         problem = entry.make(**config.params)
-        if config.command == "check":
-            return _run_check(config, entry, problem, out_dir)
-        if config.command == "solve":
-            return _run_solve(config, entry, problem, out_dir)
-        if config.command == "stability":
-            return _run_stability(config, entry, problem, out_dir)
-        return _run_oracle(config, entry, problem, out_dir)
+        return _RUNNERS[config.command](config, entry, problem, out_dir)
     except (ConfigurationError, DomainError) as exc:
         return fail(exc, EXIT_CONFIG)
     except CertificateError as exc:

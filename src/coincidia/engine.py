@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .numerics import GridFunction, l2_norm, sup_norm
+from .numerics import Grid, GridFunction, l2_norm, sup_norm
+from .reports import HypothesisReport
 from .stability import PhiFunction, invert
 
 PICARD = "picard"
@@ -110,6 +111,38 @@ class SolveReport:
             else:
                 payload[key] = value
         return payload
+
+
+@dataclass(frozen=True)
+class ProblemClass:
+    """What a front end needs of one family of coincidence problems.
+
+    * ``grid(problem, n)``: the grid with ``n`` cells that iterates live on.
+    * ``check(problem, seed)``: the family's hypothesis reports.
+    * ``solve(problem, grid, scheme, tol, max_iter)``: a solve with the
+      requested scheme; a family that supports only some schemes raises
+      :class:`ConfigurationError` for the others.
+    * ``columns(report)``: the named columns of the solution table.
+    * ``stability(problem, grid, tol, max_iter)``: the built-in candidates
+      ``(name, w, w'')``, their stability rows and the solve they were
+      measured against; ``None`` for a family without stability tables.
+    """
+
+    grid: Callable[[object, int], Grid]
+    check: Callable[[object, int], list[HypothesisReport]]
+    solve: Callable[[object, Grid, str, float, int], SolveReport]
+    columns: Callable[[SolveReport], dict]
+    stability: Callable | None = None
+
+
+def solution_columns(report: SolveReport) -> dict:
+    """Columns t, u, u', y of a solve that reconstructs u from y = T(u)."""
+    return {
+        "t": report.solution.grid.points(),
+        "u": report.extras["u"].values,
+        "u_prime": report.extras["u_prime"].values,
+        "y": report.solution.values,
+    }
 
 
 def _apply(h: OperatorHandle, y: GridFunction) -> GridFunction:

@@ -63,6 +63,24 @@ class Grid:
         return self.a + (np.arange(self.n) + 0.5) * self.spacing
 
 
+def evaluate(fn: Callable, x: np.ndarray, *args: np.ndarray, name: str = "function") -> np.ndarray:
+    """Evaluate a user callable on the sample array ``x`` (and on equally
+    shaped ``args``), returning one finite value per sample.
+
+    A scalar result is broadcast.  A map that only accepts scalars (it
+    raises TypeError/ValueError on arrays, or returns a shape that does not
+    broadcast to ``x``) is applied element by element.
+    """
+    try:
+        vals = np.broadcast_to(np.asarray(fn(x, *args), dtype=float), x.shape)
+    except (TypeError, ValueError):
+        vals = np.array([float(fn(*map(float, point))) for point in zip(x, *args)])
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise NumericError(f"{name} evaluated to a non-finite value at {x[~finite][0]}")
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real function sampled on a :class:`Grid`.
@@ -87,11 +105,7 @@ class GridFunction:
 
     @classmethod
     def sample(cls, grid: Grid, fn: Callable) -> "GridFunction":
-        pts = grid.points()
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(pts.shape, float(vals))
-        return cls(grid, vals)
+        return cls(grid, evaluate(fn, grid.points()))
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "GridFunction":
@@ -201,7 +215,9 @@ def bracket_root(
     Requires ``g(lo) <= target <= g(hi)``.  Bisection runs until both the
     bracket width and the value defect ``|g(r) - target|`` drop to ``tol``,
     so the returned ``r`` is accurate in the argument even where ``g`` is
-    flat and in the value even where ``g`` is steep.
+    flat and in the value even where ``g`` is steep.  Where the spacing of
+    doubles near the root exceeds ``tol``, the bracket stops at two adjacent
+    doubles and the end with the smaller defect is returned if it meets ``tol``.
     """
     if tol <= 0.0:
         raise ConfigurationError("bisection tolerance must be positive")
@@ -218,15 +234,20 @@ def bracket_root(
         return float(lo)
     for _ in range(_BISECTION_CAP):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            r, gr = (lo, glo) if abs(glo - target) <= abs(ghi - target) else (hi, ghi)
+            if abs(gr - target) <= tol:
+                return float(r)
+            break
         gm = float(g(mid))
         if not math.isfinite(gm):
             raise NumericError(f"function evaluated to a non-finite value at {mid}")
         if abs(gm - target) <= tol and hi - lo <= 2.0 * tol:
             return float(mid)
         if gm < target:
-            lo = mid
+            lo, glo = mid, gm
         else:
-            hi = mid
+            hi, ghi = mid, gm
     raise NumericError(
         f"bisection did not reach |g(r) - target| <= {tol}; is g discontinuous at the root?"
     )

@@ -30,25 +30,25 @@ import numpy as np
 
 from . import engine
 from .engine import OperatorHandle, SolveReport
-from .errors import ConfigurationError, NumericError, RangeError
-from .numerics import NODES, Grid, GridFunction, cumulative_integral, sup_norm
+from .errors import ConfigurationError, RangeError
+from .numerics import (NODES, Grid, GridFunction, bracket_root, cumulative_integral, evaluate,
+                       sup_norm)
+from .reports import HypothesisReport
 from .stability import PhiFunction
 
 GREEN_MODULUS = 0.125
 
 _EXPANSIVE_PROBE_SEED = 74207
 _EXPANSIVE_PROBE_PAIRS = 200
+_CHECK_PROBE_PAIRS = 500
 
 
-def _eval_map(fn: Callable, arr: np.ndarray) -> np.ndarray:
-    """Apply a scalar-or-vector real map to an array."""
-    try:
-        out = np.asarray(fn(arr), dtype=float)
-        if out.shape == arr.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(float(x))) for x in arr])
+def _probe_pairs(A: Callable, seed: int, pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random pairs x, y in [-5, 5] with their image distances |A(x) - A(y)|."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-5.0, 5.0, pairs)
+    y = rng.uniform(-5.0, 5.0, pairs)
+    return x, y, np.abs(evaluate(A, x, name="A") - evaluate(A, y, name="A"))
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,8 @@ class PendulumProblem:
 
     def __post_init__(self) -> None:
         # expansiveness |A(x) - A(y)| >= |x - y| is spot-checked, not proved
-        rng = np.random.default_rng(_EXPANSIVE_PROBE_SEED)
-        x = rng.uniform(-5.0, 5.0, _EXPANSIVE_PROBE_PAIRS)
-        y = rng.uniform(-5.0, 5.0, _EXPANSIVE_PROBE_PAIRS)
-        ax, ay = _eval_map(self.A, x), _eval_map(self.A, y)
-        gap = np.abs(ax - ay) - np.abs(x - y)
+        x, y, spread = _probe_pairs(self.A, _EXPANSIVE_PROBE_SEED, _EXPANSIVE_PROBE_PAIRS)
+        gap = spread - np.abs(x - y)
         if np.any(gap < -1e-9):
             bad = int(np.argmin(gap))
             raise ConfigurationError(
@@ -80,7 +77,7 @@ def invert_A(p: PendulumProblem, y: float, tol: float) -> float:
 
     Uses the supplied closed-form inverse when available; otherwise the
     bracket [-1, 1] is expanded by doubling (at most 60 times) and the
-    monotone branch is bisected.
+    monotone branch is bisected with :func:`bracket_root`.
     """
     if tol <= 0.0:
         raise ConfigurationError("inversion tolerance must be positive")
@@ -105,21 +102,12 @@ def invert_A(p: PendulumProblem, y: float, tol: float) -> float:
         lo, hi = lo * 2.0, lo
     else:
         raise RangeError(f"A does not appear to reach {y} below the start bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = oriented(mid)
-        if abs(val - target) <= tol:
-            return mid
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericError(f"bisection stalled inverting A at y = {y}; is A discontinuous there?")
+    return bracket_root(oriented, target, lo, hi, tol)
 
 
 def _invert_values(p: PendulumProblem, values: np.ndarray, tol: float) -> np.ndarray:
     if p.A_inverse is not None:
-        return _eval_map(p.A_inverse, values)
+        return evaluate(p.A_inverse, values, name="A_inverse")
     return np.array([invert_A(p, float(v), tol) for v in values])
 
 
@@ -153,7 +141,7 @@ def green_apply(w: GridFunction) -> GridFunction:
 def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 1e-12) -> OperatorHandle:
     """The sup-norm map h(y) = sin(Green(A^{-1} y)) + g with modulus 1/8."""
     _require_green_grid(grid)
-    g_vals = _eval_map(p.driving, grid.points())
+    g_vals = evaluate(p.driving, grid.points(), name="driving")
 
     def apply(y: GridFunction) -> GridFunction:
         u_dd = _invert_values(p, y.values, inversion_tol)
@@ -180,7 +168,7 @@ def solve(
     _require_green_grid(grid)
     itol = inversion_tol if inversion_tol is not None else max(1e-14, min(1e-12, 1e-3 * tol))
     handle = coincidence_operator(p, grid, itol)
-    start = y0 if y0 is not None else GridFunction(grid, _eval_map(p.driving, grid.points()))
+    start = y0 if y0 is not None else GridFunction.sample(grid, p.driving)
     report = engine.solve_picard(handle, start, tol, max_iter)
     u, u_prime = green_apply_with_derivative(
         GridFunction(grid, _invert_values(p, report.solution.values, itol))
@@ -197,6 +185,24 @@ def solve(
     return report
 
 
+def check_expansive(p: PendulumProblem, seed: int) -> HypothesisReport:
+    """Sampled check of A2: |A(x) - A(y)| >= |x - y| and, when the problem
+    carries one, the lower comparison bound f(|A(x) - A(y)|) <= |x - y|.
+    A falsifier on random pairs, not a proof."""
+    x, y, spread = _probe_pairs(p.A, seed, _CHECK_PROBE_PAIRS)
+    dist = np.abs(x - y)
+    margins = {"expansiveness_margin": float(np.min(spread - dist)) + 1e-9}
+    if p.f_lower is not None:
+        lower = np.array([float(p.f_lower.eval(v)) for v in spread])
+        margins["lower_bound_margin"] = float(np.min(dist - lower)) + 1e-9
+    return HypothesisReport(
+        condition="A2 (expansive nonlinearity with lower comparison bound)",
+        passed=all(m >= 0.0 for m in margins.values()),
+        constants={"probe_pairs": _CHECK_PROBE_PAIRS},
+        margins=margins,
+    )
+
+
 def epsilon_defect(p: PendulumProblem, w: GridFunction, w_second: GridFunction) -> float:
     """Approximate-solution defect eps = sup_t |A(w''(t)) - sin(w(t)) - g(t)|.
 
@@ -206,7 +212,8 @@ def epsilon_defect(p: PendulumProblem, w: GridFunction, w_second: GridFunction) 
     if w.grid != w_second.grid:
         raise ConfigurationError("w and w'' must share a grid")
     t = w.grid.points()
-    vals = _eval_map(p.A, w_second.values) - np.sin(w.values) - _eval_map(p.driving, t)
+    vals = (evaluate(p.A, w_second.values, name="A") - np.sin(w.values)
+            - evaluate(p.driving, t, name="driving"))
     return float(np.max(np.abs(vals)))
 
 
@@ -269,6 +276,17 @@ def stability_table(
             sup_distance=sup_norm(w - u_star),
         ))
     return rows
+
+
+def table1_stability(
+    p: PendulumProblem, grid: Grid, tol: float, max_iter: int,
+) -> tuple[list[tuple[str, GridFunction, GridFunction]], list[StabilityRow], SolveReport]:
+    """The stability rows of :func:`table1_candidates`, measured against
+    the solve on ``grid`` that is returned with them."""
+    named = table1_candidates(grid)
+    report = solve(p, grid, tol=tol, max_iter=max_iter)
+    rows = stability_table(p, [(w, w2) for _, w, w2 in named], u_star=report.extras["u"])
+    return named, rows, report
 
 
 def table1_candidates(grid: Grid) -> list[tuple[str, GridFunction, GridFunction]]:
@@ -340,3 +358,33 @@ def sqrt_linear_inverse(k: float = 2.0) -> Callable:
         return out if isinstance(y, np.ndarray) else float(out)
 
     return A_inv
+
+
+def refinement_oracle(p: PendulumProblem, grid: Grid, scheme: str, tol: float,
+                      max_iter: int) -> dict:
+    """Oracle: the solution u on ``grid`` against the solve on half as many
+    cells, compared at the shared nodes."""
+    coarse_n = grid.n // 2
+    if coarse_n % 2 or coarse_n < 8:
+        raise ConfigurationError("oracle refinement needs grid_n divisible by 4 and >= 16")
+    fine = solve(p, grid, tol=tol, max_iter=max_iter)
+    coarse = solve(p, Grid(0.0, 1.0, coarse_n, NODES), tol=tol, max_iter=max_iter)
+    diff = float(np.max(np.abs(fine.extras["u"].values[::2] - coarse.extras["u"].values)))
+    return {"reference": f"cross-grid refinement n={coarse_n} vs n={grid.n}",
+            "max_error": diff, "tolerance": 1e-5}
+
+
+def _solve_picard_only(p: PendulumProblem, grid: Grid, scheme: str, tol: float,
+                       max_iter: int) -> SolveReport:
+    if scheme not in ("auto", engine.PICARD):
+        raise ConfigurationError("pendulum solves support only the picard scheme")
+    return solve(p, grid, tol=tol, max_iter=max_iter)
+
+
+PROBLEM_CLASS = engine.ProblemClass(
+    grid=lambda p, n: Grid(0.0, 1.0, n, NODES),
+    check=lambda p, seed: [check_expansive(p, seed)],
+    solve=_solve_picard_only,
+    columns=engine.solution_columns,
+    stability=table1_stability,
+)

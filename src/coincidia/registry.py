@@ -1,8 +1,10 @@
 """Built-in problems with their default parameters.
 
-Each entry names the parameters a caller may override and builds a fully
-wired problem object.  Nonlinearities beyond these built-ins are a library
-concern: plain-text configuration cannot safely encode functions.
+Each entry names the parameters a caller may override, builds a fully
+wired problem object, points at the problem class that grids, checks and
+solves it, and carries an oracle that compares a solve against an
+independent reference.  Nonlinearities beyond these built-ins are a
+library concern: plain-text configuration cannot safely encode functions.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import bvp3, caputo, pendulum
 from .bvp3 import Bvp3Problem, H1Data, H2Data
 from .caputo import CaputoProblem, NonlocalTerm
+from .engine import ProblemClass
 from .errors import ConfigurationError
+from .numerics import Grid, mittag_leffler
 from .pendulum import PendulumProblem, sqrt_linear_A, sqrt_linear_inverse
 from .stability import PhiFunction
 
@@ -70,10 +75,6 @@ def pendulum_pa(a: float = 1.0) -> PendulumProblem:
     if not 0.0 < abs(a) <= 1.0:
         raise ConfigurationError("the pendulum parameter needs 0 < |a| <= 1")
     a2 = a * a
-
-    def f_lower(t):
-        return a2 * np.asarray(t, dtype=float)
-
     return PendulumProblem(
         A=lambda r: np.asarray(r, dtype=float) / a2,
         A_inverse=lambda y: np.asarray(y, dtype=float) * a2,
@@ -135,12 +136,30 @@ def caputo_nonlocal(x0: float = 1.0) -> CaputoProblem:
     )
 
 
+def _exact_oracle(reference: str, exact: Callable, tolerance: Callable) -> Callable:
+    """Oracle comparing a Volterra solve with the known solution
+    ``exact(problem, t)`` to within ``tolerance(grid_n, tol)``."""
+
+    def oracle(p: CaputoProblem, grid: Grid, scheme: str, tol: float, max_iter: int) -> dict:
+        report = caputo.solve(p, grid, tol=tol, max_iter=max_iter)
+        err = float(np.max(np.abs(report.solution.values - exact(p, grid.points()))))
+        return {"reference": reference, "max_error": err, "tolerance": tolerance(grid.n, tol)}
+
+    return oracle
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
+    """A built-in problem: its class, builder, default parameters and
+    oracle ``oracle(problem, grid, scheme, tol, max_iter)``, which returns
+    the ``reference`` it compares with, the ``max_error`` and the
+    ``tolerance``."""
+
     name: str
-    kind: str
+    problem_class: ProblemClass
     description: str
     build: Callable
+    oracle: Callable
     defaults: dict = field(default_factory=dict)
 
     def make(self, **params):
@@ -150,43 +169,62 @@ class RegistryEntry:
                 f"problem {self.name!r} does not take parameters {sorted(unknown)}; "
                 f"allowed: {sorted(self.defaults)}"
             )
-        return self.build(**{**self.defaults, **params})
+        merged = {**self.defaults, **params}
+        try:
+            bad = sorted(k for k, v in merged.items() if not math.isfinite(float(v)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"problem parameters must be numbers: {exc}") from None
+        if bad:
+            raise ConfigurationError(f"problem parameters {bad} must be finite")
+        return self.build(**merged)
 
 
 _ENTRIES = [
     RegistryEntry(
         name="bvp3-example",
-        kind="bvp3",
+        problem_class=bvp3.PROBLEM_CLASS,
         description="three-point BVP with rational/log nonlinearity; delta=-1/10, eta=1/2",
         build=bvp3_example,
+        oracle=bvp3.defect_oracle,
         defaults={"kappa": 0.4},
     ),
     RegistryEntry(
         name="pendulum-Pa",
-        kind="pendulum",
+        problem_class=pendulum.PROBLEM_CLASS,
         description="forced pendulum u'' - a^2 sin(u) = sin(pi t), Dirichlet conditions",
         build=pendulum_pa,
+        oracle=pendulum.refinement_oracle,
         defaults={"a": 1.0},
     ),
     RegistryEntry(
         name="caputo-constant",
-        kind="caputo",
+        problem_class=caputo.PROBLEM_CLASS,
         description="D^q x = 1, x(0) = x0; analytic solution x0 + t^q/Gamma(q+1)",
         build=caputo_constant,
+        oracle=_exact_oracle("closed form x0 + t^q/Gamma(q+1)",
+                             lambda p, t: p.x0 + t ** p.q / math.gamma(p.q + 1.0),
+                             lambda n, tol: 1e-8),
         defaults={"q": 0.5, "x0": 0.0},
     ),
     RegistryEntry(
         name="caputo-linear",
-        kind="caputo",
+        problem_class=caputo.PROBLEM_CLASS,
         description="D^q x = x, x(0) = x0; Mittag-Leffler solution x0 E_q(t^q)",
         build=caputo_linear,
+        # the product-trapezoid error is first order, 0.15 / n to 0.2 / n
+        oracle=_exact_oracle("Mittag-Leffler series x0 E_q(t^q)",
+                             lambda p, t: np.array([p.x0 * mittag_leffler(p.q, ti ** p.q, 1e-14)
+                                                    for ti in t]),
+                             lambda n, tol: max(5e-4, 0.5 / n)),
         defaults={"q": 0.5, "x0": 1.0, "lf": 1.0},
     ),
     RegistryEntry(
         name="caputo-nonlocal",
-        kind="caputo",
+        problem_class=caputo.PROBLEM_CLASS,
         description="D^q x = 0 with x(0) = x0 + x(1/2)/2; constant solution 2 x0",
         build=caputo_nonlocal,
+        oracle=_exact_oracle("scalar fixed point 2 x0", lambda p, t: 2.0 * p.x0,
+                             lambda n, tol: 10.0 * tol),
         defaults={"x0": 1.0},
     ),
 ]
@@ -198,9 +236,13 @@ def available_problems() -> list[RegistryEntry]:
     return list(_ENTRIES)
 
 
-def build_problem(name: str, **params):
+def lookup(name: str) -> RegistryEntry:
     if name not in REGISTRY:
         raise ConfigurationError(
             f"unknown problem {name!r}; available: {sorted(REGISTRY)}"
         )
-    return REGISTRY[name].make(**params)
+    return REGISTRY[name]
+
+
+def build_problem(name: str, **params):
+    return lookup(name).make(**params)

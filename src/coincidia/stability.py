@@ -54,14 +54,13 @@ class PhiFunction:
         return float(self.eval(r))
 
 
-def geraghty_phi(alpha: Callable[[float], float], decreasing: bool) -> PhiFunction:
+def geraghty_phi(alpha: Callable[[float], float]) -> PhiFunction:
     """Comparison function ``phi(t) = (1 - alpha(t)) t`` from a Geraghty modulus.
 
     ``alpha`` must map into ``[0, 1)`` and be decreasing, which makes
     ``phi`` strictly increasing with ``phi(t) >= (1 - alpha(0)) t``.
+    Monotonicity is spot-checked on probe points.
     """
-    if not decreasing:
-        raise ConfigurationError("the Geraghty modulus must be decreasing")
     alpha0 = float(alpha(0.0))
     # alpha(0) = 1 is tolerated (the constant-modulus convention pins the
     # value 1 at t = 0 only); away from 0 the modulus must stay below 1
@@ -73,7 +72,7 @@ def geraghty_phi(alpha: Callable[[float], float], decreasing: bool) -> PhiFuncti
     if np.any(avals < 0.0) or np.any(avals >= 1.0):
         raise ConfigurationError("alpha must map into [0, 1) away from 0")
     if np.any(np.diff(avals) > 1e-12):
-        raise ConfigurationError("alpha was declared decreasing but increases on probe points")
+        raise ConfigurationError("alpha must be decreasing but increases on probe points")
     slope = 1.0 - float(alpha(1.0))
     if slope <= 0.0:
         raise ConfigurationError("alpha(1) must be strictly below 1")

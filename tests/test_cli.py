@@ -5,6 +5,7 @@ import pytest
 from coincidia.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     RunConfig,
     main,
@@ -56,6 +57,21 @@ class TestRegistry:
     def test_unknown_parameter(self):
         with pytest.raises(ConfigurationError):
             build_problem("pendulum-Pa", kappa=0.3)
+
+    def test_non_numeric_parameter(self):
+        with pytest.raises(ConfigurationError):
+            build_problem("bvp3-example", kappa="abc")
+
+    @pytest.mark.parametrize("problem, flag, value", [
+        ("caputo-linear", "--lf", "nan"),
+        ("bvp3-example", "--kappa", "nan"),
+        ("bvp3-example", "--kappa", "inf"),
+        ("caputo-linear", "--x0", "nan"),
+    ])
+    def test_non_finite_parameter_exits_2(self, tmp_path, problem, flag, value):
+        code = main(["check", "--problem", problem, flag, value, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert read_report(tmp_path)["error"]["type"] == "ConfigurationError"
 
 
 class TestRunConfig:
@@ -183,6 +199,15 @@ class TestOracleCommand:
         report = read_report(tmp_path)
         assert report["result"]["ok"] is True
         assert report["result"]["max_error"] <= 1e-8
+
+    def test_caputo_linear_unconverged_exits_4(self, tmp_path):
+        # two iterations leave an error of order 1, far above the grid bound
+        code = main(["oracle", "--problem", "caputo-linear", "--grid-n", "512",
+                     "--max-iter", "2", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        result = read_report(tmp_path)["result"]
+        assert result["ok"] is False
+        assert result["tolerance"] == pytest.approx(0.5 / 512)
 
     def test_pendulum_refinement(self, tmp_path):
         code = run(RunConfig(command="oracle", problem="pendulum-Pa", grid_n=400,

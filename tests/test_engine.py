@@ -216,8 +216,8 @@ class TestErrorBound:
 
         phis = [
             phi_pendulum(),
-            geraghty_phi(lambda t: 0.5, decreasing=True),
-            geraghty_phi(lambda t: 1.0 / (1.0 + t), decreasing=True),
+            geraghty_phi(lambda t: 0.5),
+            geraghty_phi(lambda t: 1.0 / (1.0 + t)),
         ]
         rng = np.random.default_rng(5)
         for phi in phis:

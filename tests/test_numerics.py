@@ -175,6 +175,10 @@ class TestBracketRoot:
     def test_cube_root(self):
         assert bracket_root(lambda r: r**3, 8.0, 0.0, 3.0, 1e-10) == pytest.approx(2.0, abs=1e-9)
 
+    def test_root_where_doubles_are_coarser_than_tol(self):
+        # near 1e5 adjacent doubles are 1.5e-11 apart, wider than 2 tol
+        assert bracket_root(lambda r: 3.0 * r, 3e5, 0.0, 2e5, 1e-12) == 1e5
+
     def test_bad_bracket(self):
         with pytest.raises(BracketingError):
             bracket_root(lambda r: r, 5.0, 0.0, 1.0, 1e-9)

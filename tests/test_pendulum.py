@@ -69,6 +69,10 @@ class TestInvertA:
         p = PendulumProblem(A=sqrt_linear_A(2.0), driving=lambda t: 0.0 * t)
         assert invert_A(p, 4.0, 1e-12) == pytest.approx(2.0, abs=1e-11)
 
+    def test_large_value_without_closed_form(self):
+        p = PendulumProblem(A=lambda x: np.asarray(x, dtype=float), driving=lambda t: 0.0 * t)
+        assert invert_A(p, 123456.789, 1e-12) == 123456.789
+
     def test_random_roundtrip_both_families(self, pa):
         numeric = PendulumProblem(A=sqrt_linear_A(2.0), driving=lambda t: 0.0 * t)
         closed = pendulum_sqrt_linear(2.0)
@@ -172,6 +176,19 @@ class TestSolve:
         rep = pendulum.solve(pendulum_sqrt_linear(2.0), GRID, tol=1e-12)
         assert rep.converged
         assert sup_norm(rep.extras["u"]) <= 1e-12
+
+    def test_scalar_only_maps_are_applied_per_sample(self):
+        # math.sin rejects arrays, so every evaluation of A and of the
+        # driving force falls back to one call per sample
+        grid = Grid(0.0, 1.0, 64, NODES)
+        scalar = PendulumProblem(A=lambda x: 2.0 * x + math.sin(x),
+                                 driving=lambda t: math.sin(math.pi * t))
+        vector = PendulumProblem(A=lambda x: 2.0 * x + np.sin(x),
+                                 driving=lambda t: np.sin(np.pi * t))
+        rep = pendulum.solve(scalar, grid, tol=1e-10)
+        ref = pendulum.solve(vector, grid, tol=1e-10)
+        assert rep.converged
+        np.testing.assert_allclose(rep.extras["u"].values, ref.extras["u"].values, atol=1e-10)
 
     def test_pa_converges_quickly(self, pa_solution):
         assert pa_solution.converged

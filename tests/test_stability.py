@@ -21,26 +21,22 @@ class TestPhiFunction:
 
 class TestGeraghtyPhi:
     def test_constant_modulus(self):
-        phi = geraghty_phi(lambda t: 0.5, decreasing=True)
+        phi = geraghty_phi(lambda t: 0.5)
         assert phi(2.0) == pytest.approx(1.0)
         assert phi(0.0) == 0.0
 
     def test_decaying_modulus(self):
-        phi = geraghty_phi(lambda t: 1.0 / (1.0 + t), decreasing=True)
+        phi = geraghty_phi(lambda t: 1.0 / (1.0 + t))
         assert phi(1.0) == pytest.approx(0.5)
         assert phi(0.0) == 0.0
 
-    def test_requires_decreasing_declaration(self):
-        with pytest.raises(ConfigurationError):
-            geraghty_phi(lambda t: 0.5, decreasing=False)
-
     def test_rejects_modulus_reaching_one(self):
         with pytest.raises(ConfigurationError):
-            geraghty_phi(lambda t: 1.0, decreasing=True)
+            geraghty_phi(lambda t: 1.0)
 
     def test_rejects_increasing_modulus(self):
         with pytest.raises(ConfigurationError):
-            geraghty_phi(lambda t: t / (1.0 + t), decreasing=True)
+            geraghty_phi(lambda t: t / (1.0 + t))
 
 
 class TestInvert:
@@ -92,5 +88,5 @@ class TestInvert:
         from coincidia.pendulum import phi_pendulum
         from coincidia.stability import geraghty_phi
 
-        for phi in (phi_pendulum(), geraghty_phi(lambda t: 0.5, decreasing=True)):
+        for phi in (phi_pendulum(), geraghty_phi(lambda t: 0.5)):
             assert invert(phi, 1e-12, 1e-15) <= 1e-3
