@@ -161,6 +161,44 @@ def check_z_membership(h: Callable, ell: float, probe_grid: Grid) -> HypothesisR
     )
 
 
+def _check_sampled(p: Bvp3Problem, condition: str, weight: Callable, ell: float, constants: dict,
+                   bound: tuple[str, float], sampled: tuple[str, Callable, tuple[str, ...]],
+                   sample_count: int, rng_seed: int) -> HypothesisReport:
+    """The body shared by :func:`check_h1` and :func:`check_h2`.
+
+    The hypothesis holds when ``weight^2`` lies in Z(ell), the margin of
+    ``bound = (name, margin)`` is nonnegative, and no sample violates the
+    inequality ``lhs <= rhs`` of ``sampled = (name, sides, point names)``.
+    Each sample draws ``t`` from [1e-9, 1] and one point of [-5, 5]^3 per
+    point name, in the order of one ``rng.uniform`` call per coordinate;
+    ``sides(t, *points)`` returns both sides for all samples at once, each
+    point as three coordinate rows.  A sample's margin is
+    ``rhs - lhs + 1e-9 (1 + rhs)``; each violated sample is a witness.
+    """
+    probe = Grid(0.0, 1.0, _DEFAULT_PROBE_CELLS, MIDPOINTS)
+    z_report = check_z_membership(lambda t: np.asarray(weight(t), dtype=float) ** 2, ell, probe)
+    (bound_name, bound_margin), (sampled_name, sides, names) = bound, sampled
+    width = 1 + 3 * len(names)
+    low = np.array([1e-9] + [-5.0] * (width - 1))
+    high = np.array([1.0] + [5.0] * (width - 1))
+    draws = np.random.default_rng(rng_seed).random((sample_count, width))
+    columns = np.ascontiguousarray((low + (high - low) * draws).T)
+    t, points = columns[0], [columns[1 + 3 * k: 4 + 3 * k] for k in range(len(names))]
+    lhs, rhs = sides(t, *points)
+    margins = rhs - lhs + 1e-9 * (1.0 + rhs)
+    witnesses = [{"t": float(t[i]), **{name: point[:, i].tolist() for name, point in zip(names, points)},
+                  "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+                 for i in np.flatnonzero(margins < 0.0)]
+    return HypothesisReport(
+        condition=condition,
+        passed=z_report.passed and bound_margin >= 0.0 and not witnesses,
+        constants={"C": c_constant(p.delta, p.eta), **constants},
+        margins={bound_name: bound_margin, sampled_name: float(margins.min(initial=math.inf)),
+                 "z_membership_margin": z_report.margins["worst_tail_margin"]},
+        witnesses=witnesses + z_report.witnesses,
+    )
+
+
 def check_h1(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> HypothesisReport:
     """Certify the Lipschitz hypothesis: k1^2 in Z(ell), Lambda <= 1, and the
     pointwise Lipschitz inequality on random probe tuples.
@@ -171,48 +209,18 @@ def check_h1(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> Hypo
     if p.h1_data is None:
         raise ConfigurationError("check_h1 needs h1_data on the problem")
     d = p.h1_data
-    probe = Grid(0.0, 1.0, _DEFAULT_PROBE_CELLS, MIDPOINTS)
-    z_report = check_z_membership(lambda t: np.asarray(d.k1(t), dtype=float) ** 2, d.ell, probe)
     lam = lambda_constant(d.ell, d.K2, d.K3, p.delta, p.eta)
-    lam_margin = 1.0 + _LAMBDA_SLACK - lam
 
-    rng = np.random.default_rng(rng_seed)
-    witnesses = []
-    lip_margin = math.inf
-    for _ in range(sample_count):
-        t = float(rng.uniform(1e-9, 1.0))
-        u = rng.uniform(-5.0, 5.0, 3)
-        v = rng.uniform(-5.0, 5.0, 3)
-        lhs = abs(float(p.g(t, *u)) - float(p.g(t, *v)))
-        rhs = (
-            float(d.k1(t)) * abs(u[0] - v[0])
-            + d.K2 * abs(u[1] - v[1])
-            + d.K3 * abs(u[2] - v[2])
-        )
-        margin = rhs - lhs + 1e-9 * (1.0 + rhs)
-        lip_margin = min(lip_margin, margin)
-        if margin < 0.0:
-            witnesses.append({"t": t, "u": u.tolist(), "v": v.tolist(),
-                              "lhs": lhs, "rhs": rhs})
-    passed = z_report.passed and lam_margin >= 0.0 and not witnesses
-    return HypothesisReport(
-        condition="H1 (Lipschitz data with Lambda <= 1)",
-        passed=passed,
-        constants={
-            "C": c_constant(p.delta, p.eta),
-            "F": f_constant(p.delta, p.eta),
-            "Lambda": lam,
-            "ell": d.ell,
-            "K2": d.K2,
-            "K3": d.K3,
-        },
-        margins={
-            "lambda_margin": lam_margin,
-            "lipschitz_margin": lip_margin,
-            "z_membership_margin": z_report.margins["worst_tail_margin"],
-        },
-        witnesses=witnesses + z_report.witnesses,
-    )
+    def sides(t, u, v):
+        lhs = np.abs(evaluate(p.g, t, *u, name="g") - evaluate(p.g, t, *v, name="g"))
+        return lhs, (evaluate(d.k1, t, name="k1") * np.abs(u[0] - v[0])
+                     + d.K2 * np.abs(u[1] - v[1]) + d.K3 * np.abs(u[2] - v[2]))
+
+    return _check_sampled(
+        p, "H1 (Lipschitz data with Lambda <= 1)", d.k1, d.ell,
+        {"F": f_constant(p.delta, p.eta), "Lambda": lam, "ell": d.ell, "K2": d.K2, "K3": d.K3},
+        ("lambda_margin", 1.0 + _LAMBDA_SLACK - lam), ("lipschitz_margin", sides, ("u", "v")),
+        sample_count, rng_seed)
 
 
 def check_h2(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> HypothesisReport:
@@ -221,46 +229,18 @@ def check_h2(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> Hypo
     if p.h2_data is None:
         raise ConfigurationError("check_h2 needs h2_data on the problem")
     d = p.h2_data
-    probe = Grid(0.0, 1.0, _DEFAULT_PROBE_CELLS, MIDPOINTS)
-    z_report = check_z_membership(lambda t: np.asarray(d.a1(t), dtype=float) ** 2, d.m, probe)
     value = lambda_constant(d.m, d.A2, d.A3, p.delta, p.eta)
-    strict_margin = 1.0 - _LAMBDA_SLACK - value
 
-    rng = np.random.default_rng(rng_seed)
-    witnesses = []
-    growth_margin = math.inf
-    for _ in range(sample_count):
-        t = float(rng.uniform(1e-9, 1.0))
-        u = rng.uniform(-5.0, 5.0, 3)
-        lhs = abs(float(p.g(t, *u)))
-        rhs = (
-            float(d.a1(t)) * abs(u[0])
-            + d.A2 * abs(u[1])
-            + d.A3 * abs(u[2])
-            + float(d.a4(t))
-        )
-        margin = rhs - lhs + 1e-9 * (1.0 + rhs)
-        growth_margin = min(growth_margin, margin)
-        if margin < 0.0:
-            witnesses.append({"t": t, "u": u.tolist(), "lhs": lhs, "rhs": rhs})
-    passed = z_report.passed and strict_margin >= 0.0 and not witnesses
-    return HypothesisReport(
-        condition="H2 (growth data with strict bound < 1)",
-        passed=passed,
-        constants={
-            "C": c_constant(p.delta, p.eta),
-            "growth_bound": value,
-            "m": d.m,
-            "A2": d.A2,
-            "A3": d.A3,
-        },
-        margins={
-            "strict_margin": strict_margin,
-            "growth_margin": growth_margin,
-            "z_membership_margin": z_report.margins["worst_tail_margin"],
-        },
-        witnesses=witnesses + z_report.witnesses,
-    )
+    def sides(t, u):
+        return np.abs(evaluate(p.g, t, *u, name="g")), (
+            evaluate(d.a1, t, name="a1") * np.abs(u[0]) + d.A2 * np.abs(u[1])
+            + d.A3 * np.abs(u[2]) + evaluate(d.a4, t, name="a4"))
+
+    return _check_sampled(
+        p, "H2 (growth data with strict bound < 1)", d.a1, d.m,
+        {"growth_bound": value, "m": d.m, "A2": d.A2, "A3": d.A3},
+        ("strict_margin", 1.0 - _LAMBDA_SLACK - value), ("growth_margin", sides, ("u",)),
+        sample_count, rng_seed)
 
 
 def snap_eta(grid: Grid, eta: float) -> tuple[int, float, float]:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import engine
 from .engine import OperatorHandle, SolveReport
@@ -91,43 +92,33 @@ def _require_volterra_grid(grid: Grid) -> None:
         raise ConfigurationError("Volterra iterates live on nodes grids starting at 0")
 
 
-def kernel_weights(grid: Grid, q: float) -> list[np.ndarray]:
-    """Product-trapezoidal rows for int_0^{t_j} (t_j - s)^(q-1) phi(s) ds.
+def weight_matrix(grid: Grid, q: float) -> np.ndarray:
+    """Product-trapezoidal weights for int_0^{t_j} (t_j - s)^(q-1) phi(s) ds.
 
-    Row j holds weights for nodes 0..j and is exact for piecewise-linear
-    phi; row 0 is empty (integral over an empty interval).  All weights
-    are nonnegative and row j sums to t_j^q / q.
+    Row j of the lower-triangular matrix holds the weights of nodes 0..j
+    and is exact for piecewise-linear phi; row 0 is zero (an empty
+    interval).  All weights are nonnegative and row j sums to t_j^q / q.
+    Past the first column the matrix is Toeplitz: W[j, 0] = A(j-1) and
+    W[j, i] = c(j-i) for 1 <= i <= j, with c(0) = B(0) and
+    c(m) = A(m-1) + B(m), so one strided copy of c fills it.
     """
     _require_volterra_grid(grid)
     if not 0.0 < q < 1.0:
         raise DomainError(f"the order q must lie in (0, 1), got {q}")
     n = grid.n
-    h = grid.spacing
     m = np.arange(n, dtype=float)
     mp = m + 1.0
-    hq = h ** q
+    hq = grid.spacing ** q
     # A(m): hat rising over [mh, (m+1)h]; B(m): hat falling over the same cell
     d1 = (mp ** (q + 1.0) - m ** (q + 1.0)) / (q + 1.0)
     d0 = (mp ** q - m ** q) / q
     A = hq * (d1 - m * d0)
     B = hq * (mp * d0 - d1)
-    rows: list[np.ndarray] = [np.zeros(0)]
-    for j in range(1, n + 1):
-        row = np.empty(j + 1)
-        row[0] = A[j - 1]
-        row[j] = B[0]
-        if j >= 2:
-            row[1:j] = A[j - 2::-1] + B[j - 1:0:-1]
-        rows.append(row)
-    return rows
-
-
-def weight_matrix(grid: Grid, q: float) -> np.ndarray:
-    """Dense lower-triangular matrix form of :func:`kernel_weights`."""
-    rows = kernel_weights(grid, q)
-    W = np.zeros((grid.n + 1, grid.n + 1))
-    for j, row in enumerate(rows):
-        W[j, : row.size] = row
+    c = np.concatenate((B[:1], A[:-1] + B[1:]))
+    W = np.zeros((n + 1, n + 1))
+    W[1:, 0] = A
+    # window n - j of [c(n-1), ..., c(0), 0, ..., 0] is row j past column 0
+    W[1:, 1:] = sliding_window_view(np.concatenate((c[::-1], np.zeros(n))), n)[n - 1::-1]
     return W
 
 
@@ -142,21 +133,13 @@ def snap_nonlocal_points(p: CaputoProblem, grid: Grid) -> list[tuple[int, float]
     return out
 
 
-def picard_step(p: CaputoProblem, x: GridFunction, weights) -> GridFunction:
+def picard_step(p: CaputoProblem, x: GridFunction, W: np.ndarray) -> GridFunction:
     """One Volterra iteration
-    x+(t_j) = x0 + sum_i g_i(x(t_i)) + (1/Gamma(q)) sum_i w_{j,i} f(t_i, x(t_i)).
-
-    ``weights`` may be the row list from :func:`kernel_weights` or the
-    dense matrix from :func:`weight_matrix`.
+    x+(t_j) = x0 + sum_i g_i(x(t_i)) + (1/Gamma(q)) sum_i W[j, i] f(t_i, x(t_i))
+    with the weights ``W`` of :func:`weight_matrix`.
     """
     grid = x.grid
     _require_volterra_grid(grid)
-    if isinstance(weights, np.ndarray):
-        W = weights
-    else:
-        W = np.zeros((grid.n + 1, grid.n + 1))
-        for j, row in enumerate(weights):
-            W[j, : len(row)] = row
     if W.shape != (grid.n + 1, grid.n + 1):
         raise ConfigurationError("weights do not match the grid")
     t = grid.points()
@@ -178,35 +161,19 @@ def contraction_certificate(p: CaputoProblem, lambda_max: float = 1e8) -> Hypoth
     q, L_f, L_g, t_N = p.q, p.L_f, p.L_g, p.t_N
     limit_value = L_f * t_N ** q / (gamma(q) * q) + L_g
     constants = {"q": q, "L_f": L_f, "L_g": L_g, "t_N": t_N, "limit_value": limit_value}
-    if limit_value >= 1.0:
-        return HypothesisReport(
-            condition="Volterra contraction",
-            passed=False,
-            constants=constants,
-            margins={"limit_margin": 1.0 - limit_value},
-            witnesses=[],
-        )
-    lam = 1.0 if t_N == 0.0 else max(1.0, 2.0 * q / (L_f * t_N))
-    rho = limit_value + L_f ** (1.0 - q) / lam ** q
-    while rho >= 1.0 and lam <= lambda_max:
-        lam *= 2.0
+    margins = {"limit_margin": 1.0 - limit_value}
+    passed = limit_value < 1.0
+    if passed:
+        lam = 1.0 if t_N == 0.0 else max(1.0, 2.0 * q / (L_f * t_N))
         rho = limit_value + L_f ** (1.0 - q) / lam ** q
-    if rho >= 1.0:
-        return HypothesisReport(
-            condition="Volterra contraction",
-            passed=False,
-            constants={**constants, "lambda_max": lambda_max},
-            margins={"limit_margin": 1.0 - limit_value, "rho_margin": 1.0 - rho},
-            witnesses=[],
-        )
-    constants.update({"lambda": lam, "rho": rho})
-    return HypothesisReport(
-        condition="Volterra contraction",
-        passed=True,
-        constants=constants,
-        margins={"limit_margin": 1.0 - limit_value, "rho_margin": 1.0 - rho},
-        witnesses=[],
-    )
+        while rho >= 1.0 and lam <= lambda_max:
+            lam *= 2.0
+            rho = limit_value + L_f ** (1.0 - q) / lam ** q
+        passed = rho < 1.0
+        margins["rho_margin"] = 1.0 - rho
+        constants.update({"lambda": lam, "rho": rho} if passed else {"lambda_max": lambda_max})
+    return HypothesisReport(condition="Volterra contraction", passed=passed,
+                            constants=constants, margins=margins, witnesses=[])
 
 
 def weighted_sup_norm(x: GridFunction, lam: float, L_f: float, t_N: float) -> float:
@@ -252,11 +219,12 @@ def solve(
             raise ConfigurationError("nonlocal points must lie inside the grid interval")
     certificate = contraction_certificate(p, lambda_max)
     if not certificate.passed and not override_certificate:
-        raise CertificateError(
-            "the contraction certificate failed "
-            f"(limit value {certificate.constants['limit_value']:.6g}); "
-            "pass override_certificate=True to iterate anyway"
-        )
+        margins = certificate.margins
+        cause = (f"limit_margin {margins['limit_margin']:.6g} <= 0" if "rho_margin" not in margins
+                 else f"rho_margin {margins['rho_margin']:.6g} <= 0: the lambda search "
+                 f"reached lambda_max {lambda_max:.6g} with rho >= 1")
+        raise CertificateError(f"the contraction certificate failed ({cause}); "
+                               "pass override_certificate=True to iterate anyway")
     handle = volterra_operator(p, grid)
     start = x_init if x_init is not None else GridFunction.constant(grid, p.x0)
     report = engine.solve_picard(handle, start, tol, max_iter)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -102,6 +103,18 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _strict(value):
+    """``value`` with every non-finite float spelled as text ("nan", "inf"),
+    so that the report is strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(float(value))
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _finish(config: RunConfig, out_dir: Path, result: dict | None, code: int = EXIT_OK,
             error_type: str = "", message: str = "") -> int:
     """Write the run's ``report.json`` and return its exit code; a nonzero
@@ -112,8 +125,18 @@ def _finish(config: RunConfig, out_dir: Path, result: dict | None, code: int = E
         payload["result"] = result
     if code != EXIT_OK:
         payload["error"] = {"type": error_type, "message": message, "exit_code": code}
-    _write_atomic(out_dir / "report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_atomic(out_dir / "report.json",
+                  json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n")
     return code
+
+
+def _solve_status(report) -> tuple[int, str, str]:
+    """Exit code, error type and message of a run whose reported solve is
+    ``report``: a solve that did not converge is a numeric failure."""
+    return (EXIT_OK if report.converged else EXIT_NUMERIC, "NotConverged",
+            f"the {report.scheme} iteration stopped after {report.iterations} iterations "
+            f"{'on stagnation ' if report.stagnated else ''}with residual "
+            f"{report.final_residual:.6g} above tol {report.tol}")
 
 
 def _run_check(config: RunConfig, entry, problem, out_dir: Path) -> int:
@@ -131,7 +154,7 @@ def _run_solve(config: RunConfig, entry, problem, out_dir: Path) -> int:
     report = family.solve(problem, grid, config.scheme, config.tol, config.max_iter)
     columns = family.columns(report)
     _write_csv(out_dir / "solution.csv", list(columns), list(columns.values()))
-    return _finish(config, out_dir, report.to_dict())
+    return _finish(config, out_dir, report.to_dict(), *_solve_status(report))
 
 
 def _run_stability(config: RunConfig, entry, problem, out_dir: Path) -> int:
@@ -161,7 +184,7 @@ def _run_stability(config: RunConfig, entry, problem, out_dir: Path) -> int:
             for (name, _, _), r in zip(named, rows)
         ],
         "solver": solve_report.to_dict(),
-    })
+    }, *_solve_status(solve_report))
 
 
 def _run_oracle(config: RunConfig, entry, problem, out_dir: Path) -> int:

@@ -8,6 +8,8 @@ Three schemes are provided:
   contractions (known modulus ``k < 1``) and Geraghty-type maps.
 * ``solve_averaged``   -- Krasnoselskii-Mann averaging ``y <- (y + h(y)) / 2``
   for nonexpansive maps with no usable rate.
+
+  Both run one relaxed loop, with relaxation 1 and 1/2.
 * ``solve_resolvent``  -- the almost-fixed-point sequence solving
   ``y_n = (y_0 + n h(y_n)) / (n + 1)`` for an increasing schedule of ``n``;
   its residual decays like ``|y_0 - y_n| / n`` for nonexpansive ``h``.
@@ -169,51 +171,39 @@ def _validate_stopping(tol: float, max_iter: int) -> None:
         raise ConfigurationError("max_iter must be at least 1")
 
 
-def solve_picard(
-    h: OperatorHandle,
-    y0: GridFunction,
-    tol: float,
-    max_iter: int,
-) -> SolveReport:
-    """Iterate ``y <- h(y)`` until the residual drops to ``tol``.
+def _iterate(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int, scheme: str,
+             relax: Callable, tighten: bool, watch_stagnation: bool) -> SolveReport:
+    """The relaxed fixed-point loop ``y <- relax(y, h(y))`` shared by the
+    Picard and averaged schemes.
 
-    With a declared modulus ``k`` the residuals decay geometrically with
-    ratio ``k``.  Without one (Geraghty case, no rate available) the loop
-    additionally stops with ``stagnated=True`` if the residual fails to
-    improve by 1e-15 over 50 consecutive steps.  When the residual first
-    hits ``tol`` one more image step is taken, which tightens the iterate
-    for contractive maps; if the starting point already meets the
-    tolerance it is returned unchanged.
+    It stops when the residual drops to ``tol`` or after ``max_iter``
+    steps; with ``watch_stagnation`` also, flagged ``stagnated=True``, once
+    the residual has failed to improve by 1e-15 over 50 consecutive steps.
+    With ``tighten`` one more image step follows the first residual at or
+    below ``tol``.  A starting point within tolerance is returned unchanged.
     """
     _validate_stopping(tol, max_iter)
     y = y0
     hy = _apply(h, y)
-    r = h.norm(y - hy)
-    history = [r]
-    if r <= tol:
-        return SolveReport(
-            solution=y, iterations=0, residual_history=history, final_residual=r,
-            scheme=PICARD, converged=True, tol=tol,
-        )
+    history = [h.norm(y - hy)]
     iterations = 0
-    best, flat_steps = r, 0
+    best, flat_steps = history[0], 0
     stagnated = False
-    while iterations < max_iter:
-        y = hy
+    while history[-1] > tol and iterations < max_iter:
+        y = relax(y, hy)
         iterations += 1
         _guard_growth(y)
         hy = _apply(h, y)
         r = h.norm(y - hy)
         history.append(r)
         if r <= tol:
-            if iterations < max_iter:
+            if tighten and iterations < max_iter:
                 y = hy
                 iterations += 1
                 hy = _apply(h, y)
-                r = h.norm(y - hy)
-                history.append(r)
+                history.append(h.norm(y - hy))
             break
-        if h.modulus is None:
+        if watch_stagnation:
             if r < best - _STAGNATION_EPS:
                 best, flat_steps = r, 0
             else:
@@ -223,49 +213,31 @@ def solve_picard(
                     break
     return SolveReport(
         solution=y, iterations=iterations, residual_history=history,
-        final_residual=history[-1], scheme=PICARD,
+        final_residual=history[-1], scheme=scheme,
         converged=history[-1] <= tol, tol=tol, stagnated=stagnated,
     )
 
 
-def solve_averaged(
-    h: OperatorHandle,
-    y0: GridFunction,
-    tol: float,
-    max_iter: int,
-) -> SolveReport:
+def solve_picard(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int) -> SolveReport:
+    """Iterate ``y <- h(y)`` until the residual drops to ``tol``.
+
+    With a declared modulus ``k`` the residuals decay geometrically with
+    ratio ``k``; without one (Geraghty case, no rate available) the loop
+    also stops on stagnation.  When the residual first hits ``tol`` one
+    more image step tightens the iterate for contractive maps.
+    """
+    return _iterate(h, y0, tol, max_iter, PICARD, lambda y, hy: hy,
+                    tighten=True, watch_stagnation=h.modulus is None)
+
+
+def solve_averaged(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int) -> SolveReport:
     """Krasnoselskii-Mann iteration ``y <- (y + h(y)) / 2``.
 
     For nonexpansive ``h`` the recorded residuals ``|y - h(y)|`` are
-    nonincreasing; no convergence rate is claimed.
+    nonincreasing; no rate is claimed, so the stagnation stop always applies.
     """
-    _validate_stopping(tol, max_iter)
-    y = y0
-    hy = _apply(h, y)
-    r = h.norm(y - hy)
-    history = [r]
-    iterations = 0
-    best, flat_steps = r, 0
-    stagnated = False
-    while r > tol and iterations < max_iter:
-        y = 0.5 * (y + hy)
-        iterations += 1
-        _guard_growth(y)
-        hy = _apply(h, y)
-        r = h.norm(y - hy)
-        history.append(r)
-        if r < best - _STAGNATION_EPS:
-            best, flat_steps = r, 0
-        else:
-            flat_steps += 1
-            if flat_steps >= _STAGNATION_WINDOW:
-                stagnated = True
-                break
-    return SolveReport(
-        solution=y, iterations=iterations, residual_history=history,
-        final_residual=history[-1], scheme=AVERAGED,
-        converged=history[-1] <= tol, tol=tol, stagnated=stagnated,
-    )
+    return _iterate(h, y0, tol, max_iter, AVERAGED, lambda y, hy: 0.5 * (y + hy),
+                    tighten=False, watch_stagnation=True)
 
 
 def default_n_schedule() -> list[int]:

@@ -334,12 +334,18 @@ def sqrt_linear_A(k: float = 2.0) -> Callable:
 
 
 def sqrt_linear_f(k: float = 2.0) -> Callable:
-    """Lower comparison bound f(t) = min(t^2 / 4, t / k) for the
-    sqrt-linear family: f(|Ax - Ay|) <= |x - y| <= |Ax - Ay|."""
+    """Lower comparison bound f(t) = min(t^2 / 4, t / 2) for the
+    sqrt-linear family: f(|Ax - Ay|) <= |x - y| <= |Ax - Ay|.
+
+    Only k = 2 has one: for k > 2, A jumps from 2 to k at |x| = 1, so
+    |Ax - Ay| >= k - 2 while |x - y| -> 0, and no positive f exists.
+    """
+    if k != 2.0:
+        raise ConfigurationError("a lower comparison bound exists only for k = 2")
 
     def f(t):
         ta = np.asarray(t, dtype=float)
-        out = np.minimum(ta * ta / 4.0, ta / k)
+        out = np.minimum(ta * ta / 4.0, ta / 2.0)
         return out if isinstance(t, np.ndarray) else float(out)
 
     return f

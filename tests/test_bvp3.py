@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -131,6 +132,53 @@ class TestHypothesisChecks:
         )
         rep = check_h2(p)
         assert not rep.passed and rep.margins["strict_margin"] < 0.0
+
+    @pytest.mark.parametrize("kappa, seed, scale", [(0.4, 0, 1.0), (0.45, 7, 1.0),
+                                                    (1.0, 3, 0.1), (-2.0, 11, 0.0)])
+    def test_sampling_matches_the_per_sample_loop(self, kappa, seed, scale):
+        # the reference: one rng.uniform call per coordinate, sample by sample;
+        # constants scaled below 1 make the sampled inequalities fail
+        base = bvp3_example(kappa)
+        d1 = dataclasses.replace(base.h1_data, K2=scale * base.h1_data.K2,
+                                 K3=scale * base.h1_data.K3)
+        d2 = dataclasses.replace(base.h2_data, A2=scale * base.h2_data.A2,
+                                 A3=scale * base.h2_data.A3)
+        p = dataclasses.replace(base, h1_data=d1, h2_data=d2)
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        worst, witnesses = [math.inf, math.inf], [[], []]
+        for _ in range(200):
+            for k, rng in enumerate(rngs):
+                t = float(rng.uniform(1e-9, 1.0))
+                u = rng.uniform(-5.0, 5.0, 3)
+                if k == 0:
+                    v = rng.uniform(-5.0, 5.0, 3)
+                    lhs = abs(float(p.g(t, *u)) - float(p.g(t, *v)))
+                    rhs = (float(d1.k1(t)) * abs(u[0] - v[0]) + d1.K2 * abs(u[1] - v[1])
+                           + d1.K3 * abs(u[2] - v[2]))
+                    point = {"u": u.tolist(), "v": v.tolist()}
+                else:
+                    lhs = abs(float(p.g(t, *u)))
+                    rhs = (float(d2.a1(t)) * abs(u[0]) + d2.A2 * abs(u[1]) + d2.A3 * abs(u[2])
+                           + float(d2.a4(t)))
+                    point = {"u": u.tolist()}
+                margin = rhs - lhs + 1e-9 * (1.0 + rhs)
+                worst[k] = min(worst[k], margin)
+                if margin < 0.0:
+                    witnesses[k].append({"t": t, **point, "lhs": lhs, "rhs": rhs})
+        h1, h2 = check_h1(p, rng_seed=seed), check_h2(p, rng_seed=seed)
+        assert (h1.margins["lipschitz_margin"], h2.margins["growth_margin"]) == tuple(worst)
+        assert h1.witnesses[:len(witnesses[0])] == witnesses[0]
+        assert h2.witnesses[:len(witnesses[1])] == witnesses[1]
+        assert all(witnesses) == (scale < 1.0)
+
+    def test_non_finite_g_sample_raises(self):
+        # one of the 200 sampled t (seed 0) lies below 0.008; a NaN margin
+        # there must not be dropped by the minimum
+        base = bvp3_example(0.4)
+        p = Bvp3Problem(delta=base.delta, eta=base.eta, h1_data=base.h1_data,
+                        g=lambda t, *u: np.where(t < 0.008, np.nan, base.g(t, *u)))
+        with pytest.raises(NumericError):
+            check_h1(p)
 
     def test_missing_data(self):
         p = Bvp3Problem(delta=-0.1, eta=0.5, g=lambda t, u1, u2, u3: 0.0 * t)

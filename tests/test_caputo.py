@@ -9,7 +9,6 @@ from coincidia.caputo import (
     NonlocalTerm,
     brute_force_kernel_integral,
     contraction_certificate,
-    kernel_weights,
     picard_step,
     snap_nonlocal_points,
     weight_matrix,
@@ -26,27 +25,27 @@ class TestKernelWeights:
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
     def test_row_sums(self, q):
         g = Grid(0.0, 1.0, 64, NODES)
-        rows = kernel_weights(g, q)
+        W = weight_matrix(g, q)
         t = g.points()
         for j in range(1, g.n + 1):
-            assert rows[j].sum() == pytest.approx(t[j] ** q / q, abs=1e-12)
+            assert W[j].sum() == pytest.approx(t[j] ** q / q, abs=1e-12)
 
     def test_first_row_empty(self):
-        rows = kernel_weights(GRID, 0.5)
-        assert rows[0].size == 0
+        # row 0 integrates over an empty interval, and row j stops at node j
+        W = weight_matrix(GRID, 0.5)
+        assert not W[0].any()
+        assert not np.triu(W, 1).any()
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
     def test_weights_nonnegative(self, q):
-        rows = kernel_weights(Grid(0.0, 1.0, 64, NODES), q)
-        assert all(np.all(row >= 0.0) for row in rows[1:])
+        assert np.all(weight_matrix(Grid(0.0, 1.0, 64, NODES), q) >= 0.0)
 
     def test_linear_integrand_closed_form_and_brute_force(self):
         # int_0^1 (1-s)^(q-1) s ds = 1/(q(q+1)); cross-checked against the
         # substitution-based brute-force Riemann oracle
         q = 0.7
         g = Grid(0.0, 1.0, 32, NODES)
-        rows = kernel_weights(g, q)
-        lin = float(rows[g.n] @ g.points())
+        lin = float(weight_matrix(g, q)[g.n] @ g.points())
         closed = 1.0 / (q * (q + 1.0))
         brute = brute_force_kernel_integral(1.0, q, lambda s: s)
         assert lin == pytest.approx(closed, abs=1e-13)
@@ -58,24 +57,39 @@ class TestKernelWeights:
         errors = []
         for n in (128, 512):
             g = Grid(0.0, 1.0, n, NODES)
-            rows = kernel_weights(g, q)
             t = g.points()
             brute = brute_force_kernel_integral(1.0, q, lambda s: s**2)
-            errors.append(abs(float(rows[n] @ (t**2)) - brute))
+            errors.append(abs(float(weight_matrix(g, q)[n] @ (t**2)) - brute))
         assert errors[0] <= 1e-4
         assert errors[1] <= errors[0] / 10.0
 
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [2, 3, 17, 333])
+    def test_matches_row_by_row_reference(self, q, n):
+        # the rows assembled one at a time from the hat integrals A and B
+        h = 1.0 / n
+        m = np.arange(n, dtype=float)
+        d1 = ((m + 1.0) ** (q + 1.0) - m ** (q + 1.0)) / (q + 1.0)
+        d0 = ((m + 1.0) ** q - m ** q) / q
+        A, B = h ** q * (d1 - m * d0), h ** q * ((m + 1.0) * d0 - d1)
+        reference = np.zeros((n + 1, n + 1))
+        for j in range(1, n + 1):
+            reference[j, 0], reference[j, j] = A[j - 1], B[0]
+            if j >= 2:
+                reference[j, 1:j] = A[j - 2::-1] + B[j - 1:0:-1]
+        np.testing.assert_array_equal(weight_matrix(Grid(0.0, 1.0, n, NODES), q), reference)
+
     def test_q_domain(self):
         with pytest.raises(DomainError):
-            kernel_weights(GRID, 1.0)
+            weight_matrix(GRID, 1.0)
         with pytest.raises(DomainError):
-            kernel_weights(GRID, 0.0)
+            weight_matrix(GRID, 0.0)
 
     def test_requires_nodes_grid(self):
         from coincidia.numerics import MIDPOINTS
 
         with pytest.raises(ConfigurationError):
-            kernel_weights(Grid(0.0, 1.0, 16, MIDPOINTS), 0.5)
+            weight_matrix(Grid(0.0, 1.0, 16, MIDPOINTS), 0.5)
 
 
 class TestPicardStep:
@@ -97,7 +111,7 @@ class TestPicardStep:
             nonlocal_terms=(NonlocalTerm(t=0.5, g=lambda v: v / 2.0, c=0.5),),
         )
         values = np.where(np.isclose(GRID.points(), 0.5), 4.0, -3.0)
-        out = picard_step(p, GridFunction(GRID, values), kernel_weights(GRID, 0.5))
+        out = picard_step(p, GridFunction(GRID, values), weight_matrix(GRID, 0.5))
         np.testing.assert_allclose(out.values, 3.0, atol=1e-15)
 
     def test_snap_distances_bounded(self):
@@ -193,6 +207,18 @@ class TestSolve:
             caputo.solve(p, GRID, tol=1e-8)
         rep = caputo.solve(p, GRID, tol=1e-8, override_certificate=True, max_iter=400)
         assert rep.converged  # Volterra iteration still converges on [0, 1]
+
+    def test_certificate_message_names_the_failed_margin(self):
+        # L_g = 1 fails the limit condition; a huge L_f passes it (t_N = 0)
+        # but exhausts the lambda search
+        p = CaputoProblem(
+            q=0.5, f=lambda t, x: 0.0 * t, L_f=1.0, x0=0.0,
+            nonlocal_terms=(NonlocalTerm(t=1.0, g=lambda v: v, c=1.0),),
+        )
+        with pytest.raises(CertificateError, match="limit_margin"):
+            caputo.solve(p, GRID)
+        with pytest.raises(CertificateError, match="rho_margin .* lambda_max 1e\\+08"):
+            caputo.solve(caputo_linear(lf=1e308), GRID)
 
     def test_two_start_agreement(self):
         tol = 1e-10

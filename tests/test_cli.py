@@ -71,7 +71,13 @@ class TestRegistry:
     def test_non_finite_parameter_exits_2(self, tmp_path, problem, flag, value):
         code = main(["check", "--problem", problem, flag, value, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
-        assert read_report(tmp_path)["error"]["type"] == "ConfigurationError"
+
+        def reject(constant):
+            raise ValueError(f"report.json holds the non-JSON constant {constant}")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert report["error"]["type"] == "ConfigurationError"
+        assert report["config"]["params"][flag[2:]] == value
 
 
 class TestRunConfig:
@@ -125,6 +131,18 @@ class TestSolveCommand:
         header, rows = read_csv(tmp_path / "solution.csv")
         assert header == ["t", "u", "y"]
         assert len(rows) == 129
+
+    @pytest.mark.parametrize("command", ["solve", "stability"])
+    def test_unconverged_solve_exits_4(self, tmp_path, command):
+        problem = "caputo-linear" if command == "solve" else "pendulum-Pa"
+        code = main([command, "--problem", problem, "--grid-n", "256", "--max-iter", "2",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        report = read_report(tmp_path)
+        solve = report["result"] if command == "solve" else report["result"]["solver"]
+        assert solve["converged"] is False and solve["iterations"] == 2
+        assert report["error"]["type"] == "NotConverged"
+        assert report["error"]["exit_code"] == EXIT_NUMERIC
 
     def test_deterministic_reports(self, tmp_path):
         config = RunConfig(command="solve", problem="bvp3-example", grid_n=64,

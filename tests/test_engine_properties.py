@@ -1,0 +1,63 @@
+"""Property tests of the engine's invariants on random affine maps
+``h(y) = a y + b`` with ``|a| <= 1`` (nonexpansive in both norms)."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from coincidia.engine import (  # noqa: E402
+    OperatorHandle,
+    residual,
+    solve_averaged,
+    solve_picard,
+    solve_resolvent,
+)
+from coincidia.numerics import NODES, Grid, GridFunction  # noqa: E402
+
+GRID = Grid(0.0, 1.0, 16, NODES)
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+values = st.lists(st.floats(-10.0, 10.0), min_size=GRID.size, max_size=GRID.size)
+
+
+@st.composite
+def affine_maps(draw, offsets=values, declare_modulus=False):
+    a = draw(st.floats(-1.0, 1.0))
+    b = np.array(draw(offsets))
+    norm_kind = draw(st.sampled_from(["sup", "l2"]))
+    modulus = abs(a) if declare_modulus and abs(a) < 1.0 and draw(st.booleans()) else None
+    return OperatorHandle(apply=lambda y: GridFunction(GRID, a * y.values + b),
+                          norm_kind=norm_kind, modulus=modulus)
+
+
+@SETTINGS
+@given(h=affine_maps(declare_modulus=True), y0=values,
+       tol=st.sampled_from([1e-2, 1e-6, 1e-10]), max_iter=st.integers(1, 200),
+       scheme=st.sampled_from([solve_picard, solve_averaged]))
+def test_relaxed_loop_reports_what_it_returns(h, y0, tol, max_iter, scheme):
+    report = scheme(h, GridFunction(GRID, y0), tol, max_iter)
+    assert residual(h, report.solution) == report.final_residual
+    assert report.final_residual == report.residual_history[-1]
+    assert report.converged == (report.final_residual <= tol)
+    assert report.iterations <= max_iter
+
+
+# The inner budget of a resolvent stage, 50 + log(inner_tol) / log(n / (n + 1))
+# steps, assumes a starting defect of order 1, so these maps are of unit size.
+unit_values = st.lists(st.floats(-1.0, 1.0), min_size=GRID.size, max_size=GRID.size)
+
+
+@SETTINGS
+@given(h=affine_maps(unit_values), y0=unit_values, stages=st.integers(1, 6),
+       inner_tol=st.sampled_from([1e-6, 1e-9]))
+def test_resolvent_identity(h, y0, stages, inner_tol):
+    start = GridFunction(GRID, y0)
+    n = 2 ** (stages - 1)
+    report = solve_resolvent(h, start, [2 ** k for k in range(stages)], inner_tol)
+    y = report.solution
+    defect = (y - h.apply(y)) - (start - y) * (1.0 / n)
+    assert h.norm(defect) <= 2.0 * inner_tol
+    assert residual(h, y) == report.final_residual

@@ -33,6 +33,8 @@ GOLDEN = [
     ('oracle --problem caputo-constant --grid-n 256', 0, {'report.json': 'dc79ee20ed78934283d7fe08eeb98319e3195460be59760b2cd54ef45e2ae6b5'}),
     ('oracle --problem caputo-nonlocal --grid-n 256', 0, {'report.json': '6c991d202d0f5733e2d519e3b78a6691ee748f5cc4f807112ce6ef1de89efa31'}),
     ('oracle --problem caputo-linear --grid-n 1024', 0, {'report.json': '42d0a8c30b17fdbe0b406e52b7b24f2e49215baa1a1ffc725f63835cc0484abb'}),
+    ('check --problem bvp3-example --seed 7', 0, {'report.json': 'f2b84f9c616006da271b0d9d2b99b6ddbdc053d7c9b58238b1dfeb72e745838a'}),
+    ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '6c4f2e8ae86ecb549ab833e98807fdde2dad6505595ea5e0eccc5a104804a7d2', 'solution.csv': 'dd7944f9bc44214336eb5cf6659630493a4a4a06e799d748d18631a1a267ba4d'}),
     ('solve --problem nope', 2, {'report.json': 'f37cdd94b2cbc83052b09e9d6462fd0eb79a936bbcfda25eaa719fcad400fc88'}),
 ]
 

@@ -98,18 +98,13 @@ class TestSqrtLinearSandwich:
         x, y = rng.uniform(0.0, 5.0, 1000), rng.uniform(0.0, 5.0, 1000)
         assert np.all(np.abs(x - y) <= np.abs(A(x) - A(y)) + 1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the lower bound f(|Ax - Ay|) <= |x - y| needs k = 2: the chain "
-        "|Ax - Ay|/k = x - (2/k) sqrt(y) <= x - sqrt(y) fails for k > 2 "
-        "(e.g. x = 1.01, y = 1, k = 3 gives f = 0.265 > 0.01)",
-    )
     def test_k3_lower_bound(self):
-        A, f = sqrt_linear_A(3.0), sqrt_linear_f(3.0)
-        rng = np.random.default_rng(31)
-        x, y = rng.uniform(0.0, 5.0, 1000), rng.uniform(0.0, 5.0, 1000)
-        d = np.abs(A(x) - A(y))
-        assert np.all(f(d) <= np.abs(x - y) + 1e-12)
+        # A jumps from 2 to 3 at x = 1: |Ax - Ay| stays near 1 while
+        # |x - y| -> 0, so no positive lower comparison function exists
+        A = sqrt_linear_A(3.0)
+        assert abs(A(1.0 + 1e-9) - A(1.0)) >= 1.0
+        with pytest.raises(ConfigurationError):
+            sqrt_linear_f(3.0)
 
 
 class TestGreenApply:
