@@ -25,6 +25,9 @@ The solvability constants follow the Wirtinger-type bounds
 
 and the growth/Lipschitz hypotheses are certified by ``check_h1`` /
 ``check_h2``.
+
+Each application of h takes and returns a GridFunction; the boundary
+inversion inside it works on plain sample arrays.
 """
 
 from __future__ import annotations
@@ -38,19 +41,14 @@ import numpy as np
 from . import engine
 from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, DomainError
-from .numerics import (
-    MIDPOINTS,
-    Grid,
-    GridFunction,
-    cell_edge_cumulative,
-    cumulative_integral,
-    evaluate,
-)
+from .numerics import (MIDPOINTS, Grid, GridFunction, cell_edge_cumulative, cumulative_integral,
+                       evaluate)
 from .reports import HypothesisReport
 
 _Z_SLACK = 1e-9
 _LAMBDA_SLACK = 1e-12
 _DEFAULT_PROBE_CELLS = 512
+_SAMPLE_COUNT = 200
 
 
 def f_constant(delta: float, eta: float) -> float:
@@ -163,7 +161,7 @@ def check_z_membership(h: Callable, ell: float, probe_grid: Grid) -> HypothesisR
 
 def _check_sampled(p: Bvp3Problem, condition: str, weight: Callable, ell: float, constants: dict,
                    bound: tuple[str, float], sampled: tuple[str, Callable, tuple[str, ...]],
-                   sample_count: int, rng_seed: int) -> HypothesisReport:
+                   rng_seed: int) -> HypothesisReport:
     """The body shared by :func:`check_h1` and :func:`check_h2`.
 
     The hypothesis holds when ``weight^2`` lies in Z(ell), the margin of
@@ -181,7 +179,7 @@ def _check_sampled(p: Bvp3Problem, condition: str, weight: Callable, ell: float,
     width = 1 + 3 * len(names)
     low = np.array([1e-9] + [-5.0] * (width - 1))
     high = np.array([1.0] + [5.0] * (width - 1))
-    draws = np.random.default_rng(rng_seed).random((sample_count, width))
+    draws = np.random.default_rng(rng_seed).random((_SAMPLE_COUNT, width))
     columns = np.ascontiguousarray((low + (high - low) * draws).T)
     t, points = columns[0], [columns[1 + 3 * k: 4 + 3 * k] for k in range(len(names))]
     lhs, rhs = sides(t, *points)
@@ -199,7 +197,7 @@ def _check_sampled(p: Bvp3Problem, condition: str, weight: Callable, ell: float,
     )
 
 
-def check_h1(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> HypothesisReport:
+def check_h1(p: Bvp3Problem, rng_seed: int = 0) -> HypothesisReport:
     """Certify the Lipschitz hypothesis: k1^2 in Z(ell), Lambda <= 1, and the
     pointwise Lipschitz inequality on random probe tuples.
 
@@ -220,10 +218,10 @@ def check_h1(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> Hypo
         p, "H1 (Lipschitz data with Lambda <= 1)", d.k1, d.ell,
         {"F": f_constant(p.delta, p.eta), "Lambda": lam, "ell": d.ell, "K2": d.K2, "K3": d.K3},
         ("lambda_margin", 1.0 + _LAMBDA_SLACK - lam), ("lipschitz_margin", sides, ("u", "v")),
-        sample_count, rng_seed)
+        rng_seed)
 
 
-def check_h2(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> HypothesisReport:
+def check_h2(p: Bvp3Problem, rng_seed: int = 0) -> HypothesisReport:
     """Certify the growth hypothesis: a1^2 in Z(m), strict inequality
     (2 sqrt(m) + A2) C + A3 < 1, and the sampled growth bound."""
     if p.h2_data is None:
@@ -240,7 +238,7 @@ def check_h2(p: Bvp3Problem, sample_count: int = 200, rng_seed: int = 0) -> Hypo
         p, "H2 (growth data with strict bound < 1)", d.a1, d.m,
         {"growth_bound": value, "m": d.m, "A2": d.A2, "A3": d.A3},
         ("strict_margin", 1.0 - _LAMBDA_SLACK - value), ("growth_margin", sides, ("u",)),
-        sample_count, rng_seed)
+        rng_seed)
 
 
 def snap_eta(grid: Grid, eta: float) -> tuple[int, float, float]:
@@ -258,26 +256,28 @@ def _require_problem_grid(grid: Grid) -> None:
         raise ConfigurationError("second-derivative iterates live on midpoints grids over [0, 1]")
 
 
-def apply_T_inverse(y: GridFunction, delta: float, eta: float) -> tuple[GridFunction, GridFunction]:
-    """Reconstruct (v, v') with v'' = y, v(0) = 0 and v'(1) = delta v'(eta).
+def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float,
+                    eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reconstruct the arrays (v, v') with v'' = y, v(0) = 0 and
+    v'(1) = delta v'(eta) from the samples ``y`` on ``grid``.
 
     Uses v(t) = t int_0^t y - int_0^t s y(s) ds + c t with the boundary
     constant c built from exact partial sums at cell edges, so the
     identity v'(1) = delta v'(eta) holds to rounding by construction.
+    Non-finite samples propagate; the caller's GridFunction rejects them.
     """
     if delta == 1.0:
         raise DomainError("delta = 1 makes the boundary condition degenerate")
-    grid = y.grid
     _require_problem_grid(grid)
     pts = grid.points()
-    running = cumulative_integral(y).values
-    edges = cell_edge_cumulative(y)
+    running = cumulative_integral(grid, y)
+    edges = cell_edge_cumulative(grid, y)
     k, _, _ = snap_eta(grid, eta)
     c = (delta * edges[k] - edges[-1]) / (1.0 - delta)
-    running_sy = cumulative_integral(GridFunction(grid, pts * y.values)).values
+    running_sy = cumulative_integral(grid, pts * y)
     v = pts * running - running_sy + c * pts
     v_prime = running + c
-    return GridFunction(grid, v), GridFunction(grid, v_prime)
+    return v, v_prime
 
 
 def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = None) -> OperatorHandle:
@@ -286,8 +286,8 @@ def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = Non
     pts = grid.points()
 
     def apply(y: GridFunction) -> GridFunction:
-        v, v_prime = apply_T_inverse(y, p.delta, p.eta)
-        return GridFunction(grid, evaluate(p.g, pts, v.values, v_prime.values, y.values, name="g"))
+        v, v_prime = apply_T_inverse(grid, y.values, p.delta, p.eta)
+        return GridFunction(grid, evaluate(p.g, pts, v, v_prime, y.values, name="g"))
 
     return OperatorHandle(apply=apply, norm_kind="l2", modulus=modulus)
 
@@ -344,11 +344,11 @@ def solve(
     else:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
 
-    u, u_prime = apply_T_inverse(report.solution, p.delta, p.eta)
+    u, u_prime = apply_T_inverse(grid, report.solution.values, p.delta, p.eta)
     _, snapped, snap_dist = snap_eta(grid, p.eta)
     report.extras.update({
-        "u": u,
-        "u_prime": u_prime,
+        "u": GridFunction(grid, u),
+        "u_prime": GridFunction(grid, u_prime),
         "certified_modulus": handle.modulus,
         "lambda_constant": lam,
         "scheme_requested": scheme,

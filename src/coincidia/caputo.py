@@ -241,17 +241,10 @@ def solve(
     return report
 
 
-def _solve_picard_only(p: CaputoProblem, grid: Grid, scheme: str, tol: float,
-                       max_iter: int) -> SolveReport:
-    if scheme not in ("auto", engine.PICARD):
-        raise ConfigurationError("Volterra solves support only the picard scheme")
-    return solve(p, grid, tol=tol, max_iter=max_iter)
-
-
 PROBLEM_CLASS = engine.ProblemClass(
     grid=lambda p, n: Grid(0.0, p.horizon, n, NODES),
     check=lambda p, seed: [contraction_certificate(p)],
-    solve=_solve_picard_only,
+    solve=engine.picard_only(solve, "Volterra"),
     columns=lambda report: {"t": report.solution.grid.points(), "u": report.solution.values,
                             "y": report.solution.values},
 )

@@ -133,10 +133,12 @@ def _finish(config: RunConfig, out_dir: Path, result: dict | None, code: int = E
 def _solve_status(report) -> tuple[int, str, str]:
     """Exit code, error type and message of a run whose reported solve is
     ``report``: a solve that did not converge is a numeric failure."""
+    limit = (f"tol {report.tol}" if report.tol is not None
+             else f"inner_tol {report.extras['inner_tol']}")
     return (EXIT_OK if report.converged else EXIT_NUMERIC, "NotConverged",
             f"the {report.scheme} iteration stopped after {report.iterations} iterations "
             f"{'on stagnation ' if report.stagnated else ''}with residual "
-            f"{report.final_residual:.6g} above tol {report.tol}")
+            f"{report.final_residual:.6g} above {limit}")
 
 
 def _run_check(config: RunConfig, entry, problem, out_dir: Path) -> int:

@@ -69,9 +69,9 @@ class SolveReport:
     """Outcome of one solve: iterates, residual history and certificates.
 
     ``converged`` holds exactly when ``final_residual <= tol`` for the
-    schemes that take a tolerance; the resolvent scheme has no target
-    tolerance (``tol is None``) and reports ``converged=True`` when every
-    scheduled stage completed its inner iteration.
+    schemes that take a tolerance.  The resolvent scheme has no target
+    tolerance (``tol is None``); it reports ``converged`` exactly when the
+    final outer residual is at most its inner tolerance.
     """
 
     solution: GridFunction
@@ -135,6 +135,17 @@ class ProblemClass:
     solve: Callable[[object, Grid, str, float, int], SolveReport]
     columns: Callable[[SolveReport], dict]
     stability: Callable | None = None
+
+
+def picard_only(solve: Callable, family: str) -> Callable:
+    """A ``ProblemClass.solve`` running ``solve`` for the auto and picard schemes only."""
+
+    def solve_class(p, grid: Grid, scheme: str, tol: float, max_iter: int) -> SolveReport:
+        if scheme not in ("auto", PICARD):
+            raise ConfigurationError(f"{family} solves support only the picard scheme")
+        return solve(p, grid, tol=tol, max_iter=max_iter)
+
+    return solve_class
 
 
 def solution_columns(report: SolveReport) -> dict:
@@ -257,7 +268,9 @@ def solve_resolvent(
     For each ``n`` in the schedule the implicit equation
     ``y_n = (y_0 + n h(y_n)) / (n + 1)`` is solved by inner Picard
     iteration; the inner map is an ``n/(n+1)``-contraction whenever ``h``
-    is nonexpansive.  Stages warm-start from the previous ``y_n``.  On
+    is nonexpansive.  Stages warm-start from the previous ``y_n``.  A stage
+    whose first inner defect is ``d0`` gets
+    ``50 + log(inner_tol / max(1, d0)) / log(n / (n + 1))`` inner steps.  On
     completion of stage ``n`` the identity
     ``y_n - h(y_n) = (y_0 - y_n) / n`` holds within ``2 * inner_tol``.
     """
@@ -274,13 +287,8 @@ def solve_resolvent(
     stages: list[dict] = []
     total_inner = 0
     for n in schedule:
-        ratio = n / (n + 1.0)
-        budget = 50
-        if inner_tol < 1.0:
-            budget += max(0, math.ceil(math.log(inner_tol) / math.log(ratio)))
-        w = y
-        inner_steps = 0
-        for _ in range(budget):
+        w, inner_steps, budget = y, 0, None
+        while True:
             hw = _apply(h, w)
             gw = (y0 + float(n) * hw) / float(n + 1)
             defect = h.norm(w - gw)
@@ -289,18 +297,21 @@ def solve_resolvent(
             _guard_growth(w)
             if defect <= inner_tol:
                 break
-        else:
-            raise NumericError(
-                f"inner iteration at stage n={n} exceeded its budget of {budget} steps"
-            )
+            if budget is None:
+                budget = 50 + max(0, math.ceil(math.log(inner_tol / max(1.0, defect))
+                                               / math.log(n / (n + 1.0))))
+            if inner_steps >= budget:
+                raise NumericError(
+                    f"inner iteration at stage n={n} exceeded its budget of {budget} steps"
+                )
         total_inner += inner_steps
         outer = h.norm(w - _apply(h, w))
         history.append(outer)
         stages.append({"n": n, "inner_steps": inner_steps, "outer_residual": outer})
         y = w
     return SolveReport(
-        solution=y, iterations=total_inner, residual_history=history,
-        final_residual=history[-1], scheme=RESOLVENT, converged=True, tol=None,
+        solution=y, iterations=total_inner, residual_history=history, final_residual=history[-1],
+        scheme=RESOLVENT, converged=history[-1] <= inner_tol, tol=None,
         extras={"stages": stages, "inner_tol": inner_tol},
     )
 

@@ -3,6 +3,11 @@ bisection root finding, and the Gamma / Mittag-Leffler special functions.
 
 All quantities are IEEE-754 doubles and every tolerance is an explicit
 argument of the operation that uses it.
+
+:class:`GridFunction` is the validated type at the engine boundary (operator
+inputs and outputs, iterates, reported functions).  Inside one operator
+application the quadrature kernels take ``(grid, values)`` with a plain
+sample array and return plain floats or arrays.
 """
 
 from __future__ import annotations
@@ -13,12 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BracketingError,
-    ConfigurationError,
-    DomainError,
-    NumericError,
-)
+from .errors import BracketingError, ConfigurationError, DomainError, NumericError
 
 NODES = "nodes"
 MIDPOINTS = "midpoints"
@@ -81,6 +81,12 @@ def evaluate(fn: Callable, x: np.ndarray, *args: np.ndarray, name: str = "functi
     return vals
 
 
+def _require_samples(grid: Grid, values: np.ndarray) -> None:
+    """Shape check of a sample array; no copy and no finiteness scan."""
+    if values.shape != (grid.size,):
+        raise ConfigurationError(f"expected {grid.size} samples for this grid, got {values.size}")
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real function sampled on a :class:`Grid`.
@@ -94,10 +100,7 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float, copy=True).reshape(-1)
-        if vals.shape != (self.grid.size,):
-            raise ConfigurationError(
-                f"expected {self.grid.size} samples for this grid, got {vals.shape[0]}"
-            )
+        _require_samples(self.grid, vals)
         if not np.all(np.isfinite(vals)):
             raise NumericError("grid function contains non-finite samples")
         vals.flags.writeable = False
@@ -114,9 +117,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, grid: Grid) -> "GridFunction":
         return cls.constant(grid, 0.0)
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
 
     def _require_same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
@@ -142,15 +142,16 @@ class GridFunction:
         return GridFunction(self.grid, -self.values)
 
 
-def integrate(f: GridFunction) -> float:
-    """Composite quadrature of ``f`` over its grid interval.
+def integrate(grid: Grid, values: np.ndarray) -> float:
+    """Composite quadrature of the samples ``values`` over the grid interval.
 
     Nodes grids use composite Simpson (the cell count must be even);
     midpoints grids use the composite midpoint rule.  Simpson is exact for
-    cubics, the midpoint rule for linear integrands.
+    cubics, the midpoint rule for linear integrands.  Non-finite samples
+    propagate; the next :class:`GridFunction` or :func:`evaluate` rejects them.
     """
-    grid, v = f.grid, f.values
-    h = grid.spacing
+    _require_samples(grid, values)
+    v, h = values, grid.spacing
     if grid.style == MIDPOINTS:
         return float(h * v.sum())
     if grid.n % 2:
@@ -158,23 +159,24 @@ def integrate(f: GridFunction) -> float:
     return float(h / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-2:2].sum()))
 
 
-def cumulative_integral(f: GridFunction) -> GridFunction:
+def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Running integral ``F(t_j) = int_a^{t_j} f``, one value per grid point.
 
     Nodes grids accumulate Simpson panels, with the half-panel rule
     ``h (5 f_0 + 8 f_1 - f_2) / 12`` filling the odd points, so the result
     is exact for quadratics and ``F(a) = 0``.  Midpoints grids accumulate
     whole cells plus a linearly interpolated half cell, which is exact for
-    linear integrands.
+    linear integrands.  Non-finite samples propagate; the next
+    :class:`GridFunction` or :func:`evaluate` rejects them.
     """
-    grid, v = f.grid, f.values
-    h = grid.spacing
+    _require_samples(grid, values)
+    v, h = values, grid.spacing
     if grid.style == MIDPOINTS:
         head = np.concatenate(([0.0], np.cumsum(v)[:-1]))
         corr = np.empty_like(v)
         corr[0] = (5.0 * v[0] - v[1]) / 8.0
         corr[1:] = (v[:-1] + 3.0 * v[1:]) / 8.0
-        return GridFunction(grid, h * (head + corr))
+        return h * (head + corr)
     n = grid.n
     F = np.zeros(n + 1)
     m = n // 2
@@ -184,15 +186,17 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     F[j] = F[j - 1] + h * (5.0 * v[j - 1] + 8.0 * v[j] - v[j + 1]) / 12.0
     if n % 2:
         F[n] = F[n - 1] + h * (-v[n - 2] + 8.0 * v[n - 1] + 5.0 * v[n]) / 12.0
-    return GridFunction(grid, F)
+    return F
 
 
-def cell_edge_cumulative(f: GridFunction) -> np.ndarray:
+def cell_edge_cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Exact partial sums ``int_a^{a+kh} f`` at the ``n + 1`` cell edges of a
-    midpoints grid (the midpoint rule integrates each cell as ``h f_i``)."""
-    if f.grid.style != MIDPOINTS:
+    midpoints grid (the midpoint rule integrates each cell as ``h f_i``).
+    Non-finite samples propagate; the next GridFunction rejects them."""
+    if grid.style != MIDPOINTS:
         raise ConfigurationError("cell-edge cumulative integrals require a midpoints grid")
-    return np.concatenate(([0.0], f.grid.spacing * np.cumsum(f.values)))
+    _require_samples(grid, values)
+    return np.concatenate(([0.0], grid.spacing * np.cumsum(values)))
 
 
 def sup_norm(f: GridFunction) -> float:
@@ -200,7 +204,7 @@ def sup_norm(f: GridFunction) -> float:
 
 
 def l2_norm(f: GridFunction) -> float:
-    return math.sqrt(max(integrate(f.with_values(f.values * f.values)), 0.0))
+    return math.sqrt(max(integrate(f.grid, f.values * f.values), 0.0))
 
 
 def bracket_root(

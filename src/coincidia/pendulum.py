@@ -18,6 +18,9 @@ w localizes the true solution within psi(eps) = phi^{-1}(eps), where phi
 is the strictly increasing comparison function
 
     phi(r) = r - 2 sin(r / 2)  for r <= pi,    r - 2  for r > pi.
+
+Each application of h takes and returns a GridFunction; A^{-1} and the
+Green reconstruction inside it work on plain sample arrays.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 from . import engine
 from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, RangeError
-from .numerics import (NODES, Grid, GridFunction, bracket_root, cumulative_integral, evaluate,
-                       sup_norm)
+from .numerics import (NODES, Grid, GridFunction, _require_samples, bracket_root,
+                       cumulative_integral, evaluate, sup_norm)
 from .reports import HypothesisReport
 from .stability import PhiFunction
 
@@ -116,26 +119,23 @@ def _require_green_grid(grid: Grid) -> None:
         raise ConfigurationError("Green reconstruction needs a nodes grid on [0, 1]")
 
 
-def green_apply_with_derivative(w: GridFunction) -> tuple[GridFunction, GridFunction]:
-    """Solve u'' = w with u(0) = u(1) = 0; returns (u, u').
+def green_apply_with_derivative(grid: Grid, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve u'' = w for the samples ``w`` with u(0) = u(1) = 0; returns (u, u').
 
     Splitting the Green integral at the kink, u(t) = (t - 1) P(t)
     + t (Q(1) - Q(t)) and u'(t) = P(t) + Q(1) - Q(t) with
     P(t) = int_0^t s w(s) ds and Q(t) = int_0^t (s - 1) w(s) ds, so both
     running integrands stay smooth and the endpoints vanish exactly.
+    Non-finite samples propagate; the caller's GridFunction rejects them.
     """
-    grid = w.grid
     _require_green_grid(grid)
+    _require_samples(grid, w)
     t = grid.points()
-    P = cumulative_integral(GridFunction(grid, t * w.values)).values
-    Q = cumulative_integral(GridFunction(grid, (t - 1.0) * w.values)).values
+    P = cumulative_integral(grid, t * w)
+    Q = cumulative_integral(grid, (t - 1.0) * w)
     u = (t - 1.0) * P + t * (Q[-1] - Q)
     u_prime = P + (Q[-1] - Q)
-    return GridFunction(grid, u), GridFunction(grid, u_prime)
-
-
-def green_apply(w: GridFunction) -> GridFunction:
-    return green_apply_with_derivative(w)[0]
+    return u, u_prime
 
 
 def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 1e-12) -> OperatorHandle:
@@ -144,9 +144,8 @@ def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 
     g_vals = evaluate(p.driving, grid.points(), name="driving")
 
     def apply(y: GridFunction) -> GridFunction:
-        u_dd = _invert_values(p, y.values, inversion_tol)
-        u = green_apply(GridFunction(grid, u_dd))
-        return GridFunction(grid, np.sin(u.values) + g_vals)
+        u, _ = green_apply_with_derivative(grid, _invert_values(p, y.values, inversion_tol))
+        return GridFunction(grid, np.sin(u) + g_vals)
 
     return OperatorHandle(apply=apply, norm_kind="sup", modulus=GREEN_MODULUS)
 
@@ -157,7 +156,6 @@ def solve(
     tol: float = 1e-10,
     max_iter: int = 100,
     y0: GridFunction | None = None,
-    inversion_tol: float | None = None,
 ) -> SolveReport:
     """Picard iteration on y = A(u''), starting from the driving force.
 
@@ -165,20 +163,17 @@ def solve(
     1-Lipschitz inverse of A, so roughly log(tol) / log(1/8) iterations
     are expected.  The reconstructed u and u' are embedded in the report.
     """
-    _require_green_grid(grid)
-    itol = inversion_tol if inversion_tol is not None else max(1e-14, min(1e-12, 1e-3 * tol))
+    itol = max(1e-14, min(1e-12, 1e-3 * tol))
     handle = coincidence_operator(p, grid, itol)
     start = y0 if y0 is not None else GridFunction.sample(grid, p.driving)
     report = engine.solve_picard(handle, start, tol, max_iter)
-    u, u_prime = green_apply_with_derivative(
-        GridFunction(grid, _invert_values(p, report.solution.values, itol))
-    )
+    u, u_prime = green_apply_with_derivative(grid, _invert_values(p, report.solution.values, itol))
     # defect of the returned iterate localizes the true solution within
     # phi^{-1}(defect) in the sup norm
     report.stability_radius = engine.error_bound(phi_pendulum(), report.final_residual)
     report.extras.update({
-        "u": u,
-        "u_prime": u_prime,
+        "u": GridFunction(grid, u),
+        "u_prime": GridFunction(grid, u_prime),
         "certified_modulus": GREEN_MODULUS,
         "inversion_tol": itol,
     })
@@ -193,7 +188,7 @@ def check_expansive(p: PendulumProblem, seed: int) -> HypothesisReport:
     dist = np.abs(x - y)
     margins = {"expansiveness_margin": float(np.min(spread - dist)) + 1e-9}
     if p.f_lower is not None:
-        lower = np.array([float(p.f_lower.eval(v)) for v in spread])
+        lower = evaluate(p.f_lower.eval, spread, name="f_lower")
         margins["lower_bound_margin"] = float(np.min(dist - lower)) + 1e-9
     return HypothesisReport(
         condition="A2 (expansive nonlinearity with lower comparison bound)",
@@ -225,16 +220,11 @@ def phi_pendulum() -> PhiFunction:
     bracket [0, eps + 4] always contains phi^{-1}(eps).
     """
 
-    def evaluate(r: float) -> float:
+    def phi(r: float) -> float:
         r = float(r)
         return r - 2.0 * math.sin(0.5 * r) if r <= math.pi else r - 2.0
 
-    return PhiFunction(
-        eval=evaluate,
-        upper_bracket=lambda eps: eps + 4.0,
-        strictly_increasing=True,
-        name="pendulum",
-    )
+    return PhiFunction(eval=phi, upper_bracket=lambda eps: eps + 4.0)
 
 
 @dataclass(frozen=True)
@@ -380,17 +370,10 @@ def refinement_oracle(p: PendulumProblem, grid: Grid, scheme: str, tol: float,
             "max_error": diff, "tolerance": 1e-5}
 
 
-def _solve_picard_only(p: PendulumProblem, grid: Grid, scheme: str, tol: float,
-                       max_iter: int) -> SolveReport:
-    if scheme not in ("auto", engine.PICARD):
-        raise ConfigurationError("pendulum solves support only the picard scheme")
-    return solve(p, grid, tol=tol, max_iter=max_iter)
-
-
 PROBLEM_CLASS = engine.ProblemClass(
     grid=lambda p, n: Grid(0.0, 1.0, n, NODES),
     check=lambda p, seed: [check_expansive(p, seed)],
-    solve=_solve_picard_only,
+    solve=engine.picard_only(solve, "pendulum"),
     columns=engine.solution_columns,
     stability=table1_stability,
 )

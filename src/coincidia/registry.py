@@ -79,12 +79,8 @@ def pendulum_pa(a: float = 1.0) -> PendulumProblem:
         A=lambda r: np.asarray(r, dtype=float) / a2,
         A_inverse=lambda y: np.asarray(y, dtype=float) * a2,
         driving=lambda t: np.sin(math.pi * np.asarray(t, dtype=float)) / a2,
-        f_lower=PhiFunction(
-            eval=lambda t: a2 * float(t),
-            upper_bracket=lambda eps: eps / a2 + 1.0,
-            strictly_increasing=True,
-            name="scaled-identity",
-        ),
+        f_lower=PhiFunction(eval=lambda t: a2 * float(t),
+                            upper_bracket=lambda eps: eps / a2 + 1.0),
     )
 
 

@@ -11,8 +11,9 @@ class HypothesisReport:
 
     ``constants`` holds the computed quantities the condition is built
     from (C, F, Lambda, rho, ...); ``margins`` holds signed slacks, where a
-    negative value means the condition is violated.  A failing report
-    always carries either a negative margin or an explicit witness.
+    negative value means the condition is violated, and zero violates a
+    strict condition.  A failing report always carries either a
+    non-positive margin or an explicit witness.
     """
 
     condition: str
@@ -23,13 +24,9 @@ class HypothesisReport:
 
     def __post_init__(self) -> None:
         if not self.passed:
-            has_bad_margin = any(m < 0.0 for m in self.margins.values())
+            has_bad_margin = any(m <= 0.0 for m in self.margins.values())
             if not has_bad_margin and not self.witnesses:
-                raise ValueError("a failing report needs a negative margin or a witness")
-
-    @property
-    def worst_margin(self) -> float | None:
-        return min(self.margins.values()) if self.margins else None
+                raise ValueError("a failing report needs a non-positive margin or a witness")
 
     def to_dict(self) -> dict:
         return {

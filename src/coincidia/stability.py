@@ -16,16 +16,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, RangeError
-from .numerics import bracket_root
+from .numerics import bracket_root, evaluate
 
 _PROBE_SEED = 180451
 _PROBE_SAMPLES = 1000
 _PROBE_SPAN = 100.0
 
 
+def _probe(fn: Callable[[float], float], name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The 1000 sorted probe points in [0, 100] and the finite values of ``fn``."""
+    probes = np.sort(np.random.default_rng(_PROBE_SEED).uniform(0.0, _PROBE_SPAN, _PROBE_SAMPLES))
+    return probes, evaluate(fn, probes, name=name)
+
+
 @dataclass(frozen=True)
 class PhiFunction:
-    """A comparison function with a bracket generator for inversion.
+    """A strictly increasing comparison function with a bracket generator for inversion.
 
     ``upper_bracket(eps)`` must return some ``hi`` with ``phi(hi) >= eps``.
     Membership in the comparison family (zero exactly at zero,
@@ -35,16 +41,12 @@ class PhiFunction:
 
     eval: Callable[[float], float]
     upper_bracket: Callable[[float], float]
-    strictly_increasing: bool = True
-    name: str = "phi"
 
     def __post_init__(self) -> None:
         at_zero = float(self.eval(0.0))
         if abs(at_zero) > 1e-12:
             raise ConfigurationError(f"comparison function must vanish at 0, got {at_zero}")
-        rng = np.random.default_rng(_PROBE_SEED)
-        probes = np.sort(rng.uniform(0.0, _PROBE_SPAN, _PROBE_SAMPLES))
-        vals = np.array([float(self.eval(t)) for t in probes])
+        probes, vals = _probe(self.eval, "phi")
         if np.any(vals[probes > 0.0] <= 0.0):
             raise ConfigurationError("comparison function must be positive away from 0")
         if np.any(np.diff(vals) < -1e-12):
@@ -66,9 +68,7 @@ def geraghty_phi(alpha: Callable[[float], float]) -> PhiFunction:
     # value 1 at t = 0 only); away from 0 the modulus must stay below 1
     if not 0.0 <= alpha0 <= 1.0:
         raise ConfigurationError(f"alpha(0) must lie in [0, 1], got {alpha0}")
-    rng = np.random.default_rng(_PROBE_SEED)
-    probes = np.sort(rng.uniform(0.0, _PROBE_SPAN, _PROBE_SAMPLES))
-    avals = np.array([float(alpha(t)) for t in probes])
+    _, avals = _probe(alpha, "alpha")
     if np.any(avals < 0.0) or np.any(avals >= 1.0):
         raise ConfigurationError("alpha must map into [0, 1) away from 0")
     if np.any(np.diff(avals) > 1e-12):
@@ -77,22 +77,15 @@ def geraghty_phi(alpha: Callable[[float], float]) -> PhiFunction:
     if slope <= 0.0:
         raise ConfigurationError("alpha(1) must be strictly below 1")
 
-    def evaluate(t: float) -> float:
+    def phi(t: float) -> float:
         return (1.0 - float(alpha(t))) * t
 
     # phi(t) >= slope * t for t >= 1 because alpha is decreasing
-    return PhiFunction(
-        eval=evaluate,
-        upper_bracket=lambda eps: max(1.0, eps / slope + 1.0),
-        strictly_increasing=True,
-        name="geraghty",
-    )
+    return PhiFunction(eval=phi, upper_bracket=lambda eps: max(1.0, eps / slope + 1.0))
 
 
 def invert(phi: PhiFunction, eps: float, tol: float) -> float:
     """Numeric inverse ``psi(eps)`` with ``|phi(psi) - eps| <= tol``."""
-    if not phi.strictly_increasing:
-        raise ConfigurationError("inversion requires a strictly increasing comparison function")
     if eps < 0.0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     if tol <= 0.0:

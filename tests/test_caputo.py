@@ -220,6 +220,18 @@ class TestSolve:
         with pytest.raises(CertificateError, match="rho_margin .* lambda_max 1e\\+08"):
             caputo.solve(caputo_linear(lf=1e308), GRID)
 
+    def test_zero_limit_margin_fails_the_certificate(self):
+        # t_N^q is negligible beside L_g = 1, so limit_value is exactly 1 and
+        # the strict condition limit_value < 1 fails with margin 0
+        p = CaputoProblem(
+            q=0.5, f=lambda t, x: x, L_f=1.0, x0=0.0,
+            nonlocal_terms=(NonlocalTerm(t=1e-300, g=lambda v: v, c=1.0),),
+        )
+        rep = contraction_certificate(p)
+        assert rep.passed is False and rep.margins["limit_margin"] == 0.0
+        with pytest.raises(CertificateError, match="limit_margin 0 <= 0"):
+            caputo.solve(p, GRID)
+
     def test_two_start_agreement(self):
         tol = 1e-10
         p = caputo_linear()

@@ -144,6 +144,18 @@ class TestSolveCommand:
         assert report["error"]["type"] == "NotConverged"
         assert report["error"]["exit_code"] == EXIT_NUMERIC
 
+    def test_unconverged_resolvent_exits_4(self, tmp_path):
+        # the outer residual of the last stage stays near 7.2e-5, far above
+        # the inner tolerance 1e-10
+        code = main(["solve", "--problem", "bvp3-example", "--scheme", "resolvent",
+                     "--kappa", "5", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        report = read_report(tmp_path)
+        assert report["result"]["converged"] is False and report["result"]["tol"] is None
+        assert report["result"]["final_residual"] > report["result"]["inner_tol"]
+        assert report["error"]["type"] == "NotConverged"
+        assert report["error"]["message"].endswith("above inner_tol 1e-10")
+
     def test_deterministic_reports(self, tmp_path):
         config = RunConfig(command="solve", problem="bvp3-example", grid_n=64,
                            tol=1e-8, max_iter=2000, seed=5, output_dir=str(tmp_path))

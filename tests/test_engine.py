@@ -153,6 +153,18 @@ class TestResolvent:
             rep.residual_history, [3.0 / (n + 1) for n in (1, 2, 4, 8)], atol=1e-10
         )
         assert residual(h, rep.solution) == rep.final_residual
+        assert not rep.converged  # 3/9 is far above inner_tol
+
+    def test_budget_sized_from_first_defect(self):
+        # stage n = 28 of the translation h(y) = y + 10 starts with defect
+        # 280/29; 460 inner steps bring it below 1e-6, more than the 444 a
+        # budget sized for a unit defect allows
+        shift = GridFunction.constant(GRID, 10.0)
+        h = OperatorHandle(apply=lambda y: y + shift, norm_kind="sup")
+        rep = solve_resolvent(h, GridFunction.zeros(GRID), [28], 1e-6)
+        assert rep.iterations == 460 and rep.extras["stages"][0]["inner_steps"] == 460
+        # a translation has no fixed point: the residual stays at 10
+        assert rep.final_residual == pytest.approx(10.0) and not rep.converged
 
     def test_afp_identity_each_stage(self):
         # |(y_n - h(y_n)) - (y0 - y_n)/n| <= 2 inner_tol, a rearrangement of

@@ -71,36 +71,37 @@ class TestGridFunction:
 class TestIntegrate:
     def test_linear_exact(self):
         g = Grid(0.0, 1.0, 100, NODES)
-        assert integrate(GridFunction.sample(g, lambda t: t)) == pytest.approx(0.5, abs=1e-14)
+        assert integrate(g, g.points()) == pytest.approx(0.5, abs=1e-14)
 
     def test_zero(self):
         for style in (NODES, MIDPOINTS):
             g = Grid(0.0, 1.0, 10, style)
-            assert integrate(GridFunction.zeros(g)) == 0.0
+            assert integrate(g, np.zeros(g.size)) == 0.0
 
     def test_sine(self):
         g = Grid(0.0, 1.0, 200, NODES)
-        val = integrate(GridFunction.sample(g, lambda t: np.sin(np.pi * t)))
+        val = integrate(g, np.sin(np.pi * g.points()))
         assert val == pytest.approx(2.0 / math.pi, abs=1e-8)
 
     def test_odd_nodes_grid_rejected(self):
         g = Grid(0.0, 1.0, 11, NODES)
         with pytest.raises(ConfigurationError):
-            integrate(GridFunction.zeros(g))
+            integrate(g, np.zeros(g.size))
 
     def test_simpson_exact_for_cubics(self):
         # exactness class of the composite rule, degree <= 3 at n = 10
         g = Grid(0.0, 1.0, 10, NODES)
+        t = g.points()
         rng = np.random.default_rng(0)
         for _ in range(20):
             c = rng.uniform(-2.0, 2.0, 4)
-            f = GridFunction.sample(g, lambda t: c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3)
             exact = c[0] + c[1] / 2 + c[2] / 3 + c[3] / 4
-            assert integrate(f) == pytest.approx(exact, abs=1e-12)
+            assert integrate(g, c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3) == pytest.approx(
+                exact, abs=1e-12)
 
     def test_midpoint_rule(self):
         g = Grid(0.0, 1.0, 1000, MIDPOINTS)
-        val = integrate(GridFunction.sample(g, lambda t: t * t))
+        val = integrate(g, g.points() ** 2)
         assert val == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
@@ -108,44 +109,68 @@ class TestCumulativeIntegral:
     def test_constant_one(self):
         for style in (NODES, MIDPOINTS):
             g = Grid(0.0, 1.0, 16, style)
-            F = cumulative_integral(GridFunction.constant(g, 1.0))
-            np.testing.assert_allclose(F.values, g.points(), atol=1e-15)
+            F = cumulative_integral(g, np.ones(g.size))
+            np.testing.assert_allclose(F, g.points(), atol=1e-15)
 
     def test_zero(self):
         g = Grid(0.0, 1.0, 16, NODES)
-        assert sup_norm(cumulative_integral(GridFunction.zeros(g))) == 0.0
+        assert np.max(np.abs(cumulative_integral(g, np.zeros(g.size)))) == 0.0
 
     def test_quadratic_exact_on_nodes(self):
         g = Grid(0.0, 1.0, 64, NODES)
-        F = cumulative_integral(GridFunction.sample(g, lambda t: 2.0 * t))
-        np.testing.assert_allclose(F.values, g.points() ** 2, atol=1e-12)
+        F = cumulative_integral(g, 2.0 * g.points())
+        np.testing.assert_allclose(F, g.points() ** 2, atol=1e-12)
 
     def test_starts_at_zero_on_nodes(self):
         g = Grid(0.0, 1.0, 16, NODES)
-        F = cumulative_integral(GridFunction.sample(g, lambda t: np.cos(t)))
-        assert F.values[0] == 0.0
+        F = cumulative_integral(g, np.cos(g.points()))
+        assert F[0] == 0.0
 
     def test_final_entry_matches_integrate(self):
         g = Grid(0.0, 1.0, 64, NODES)
-        f = GridFunction.sample(g, lambda t: np.exp(t) * np.sin(3 * t))
-        assert cumulative_integral(f).values[-1] == pytest.approx(integrate(f), abs=1e-12)
+        t = g.points()
+        f = np.exp(t) * np.sin(3 * t)
+        assert cumulative_integral(g, f)[-1] == pytest.approx(integrate(g, f), abs=1e-12)
 
     def test_odd_cell_count_on_nodes(self):
         g = Grid(0.0, 1.0, 15, NODES)
-        F = cumulative_integral(GridFunction.sample(g, lambda t: 2.0 * t))
-        np.testing.assert_allclose(F.values, g.points() ** 2, atol=1e-12)
+        F = cumulative_integral(g, 2.0 * g.points())
+        np.testing.assert_allclose(F, g.points() ** 2, atol=1e-12)
 
     def test_midpoints_linear_exact(self):
         g = Grid(0.0, 1.0, 32, MIDPOINTS)
-        F = cumulative_integral(GridFunction.sample(g, lambda t: t))
-        np.testing.assert_allclose(F.values, g.points() ** 2 / 2.0, atol=1e-15)
+        F = cumulative_integral(g, g.points())
+        np.testing.assert_allclose(F, g.points() ** 2 / 2.0, atol=1e-15)
 
     def test_cell_edges(self):
         g = Grid(0.0, 1.0, 8, MIDPOINTS)
-        edges = cell_edge_cumulative(GridFunction.constant(g, 2.0))
+        edges = cell_edge_cumulative(g, np.full(g.size, 2.0))
         np.testing.assert_allclose(edges, 2.0 * np.linspace(0, 1, 9), atol=1e-15)
+        nodes = Grid(0.0, 1.0, 8, NODES)
         with pytest.raises(ConfigurationError):
-            cell_edge_cumulative(GridFunction.zeros(Grid(0.0, 1.0, 8, NODES)))
+            cell_edge_cumulative(nodes, np.zeros(nodes.size))
+
+
+class TestKernelSamples:
+    KERNELS = (integrate, cumulative_integral, cell_edge_cumulative)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("values", [np.zeros(7), np.zeros(9), np.zeros((8, 1)), np.zeros(())])
+    def test_wrong_shape_rejected_like_a_grid_function(self, kernel, values):
+        g = Grid(0.0, 1.0, 8, MIDPOINTS)
+        with pytest.raises(ConfigurationError) as kernel_exc:
+            kernel(g, values)
+        if values.ndim == 1:
+            with pytest.raises(ConfigurationError) as grid_function_exc:
+                GridFunction(g, values)
+            assert str(kernel_exc.value) == str(grid_function_exc.value)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_non_finite_samples_propagate(self, kernel):
+        g = Grid(0.0, 1.0, 8, MIDPOINTS)
+        values = np.ones(g.size)
+        values[3] = np.nan
+        assert np.isnan(kernel(g, values)).any()
 
 
 class TestNorms:

@@ -60,11 +60,7 @@ class TestInvert:
             invert(phi, -1.0, 1e-10)
 
     def test_range_error_on_bad_bracket(self):
-        phi = PhiFunction(
-            eval=lambda t: min(t, 1.0),
-            upper_bracket=lambda e: 10.0,
-            strictly_increasing=True,
-        )
+        phi = PhiFunction(eval=lambda t: min(t, 1.0), upper_bracket=lambda e: 10.0)
         with pytest.raises(RangeError):
             invert(phi, 5.0, 1e-9)
 

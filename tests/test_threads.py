@@ -1,0 +1,30 @@
+"""Distinct solves on distinct threads give the same reports as serial runs."""
+
+import json
+from concurrent.futures import ThreadPoolExecutor
+
+from coincidia import bvp3, caputo, pendulum
+from coincidia.numerics import MIDPOINTS, NODES, Grid
+from coincidia.registry import bvp3_example, caputo_linear, pendulum_pa
+
+SOLVES = {
+    "pendulum": lambda: pendulum.solve(pendulum_pa(), Grid(0.0, 1.0, 2000, NODES)),
+    "bvp3-auto": lambda: bvp3.solve(bvp3_example(), Grid(0.0, 1.0, 512, MIDPOINTS)),
+    "bvp3-resolvent": lambda: bvp3.solve(bvp3_example(), Grid(0.0, 1.0, 256, MIDPOINTS),
+                                         scheme="resolvent", n_schedule=[1, 2, 4, 8, 16, 32],
+                                         inner_tol=1e-6),
+    "caputo": lambda: caputo.solve(caputo_linear(), Grid(0.0, 1.0, 512, NODES)),
+}
+
+
+def report_json(name: str) -> str:
+    return json.dumps(SOLVES[name]().to_dict())
+
+
+def test_concurrent_solves_match_serial():
+    serial = {name: report_json(name) for name in SOLVES}
+    names = [*SOLVES, *SOLVES]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        concurrent = list(pool.map(report_json, names))
+    for name, text in zip(names, concurrent):
+        assert text == serial[name], name
