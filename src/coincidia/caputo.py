@@ -13,6 +13,12 @@ trapezoidal quadrature: weights integrate (t_j - s)^(q-1) exactly against
 the piecewise-linear interpolant, so naive quadrature blowup near s = t
 never occurs and constant integrands reproduce t^q / q to rounding.
 
+Past their first column the weights are Toeplitz, W[j, i] = c[j-i], so each
+step applies them as a convolution by zero-padded real FFT of length 2n
+(:class:`VolterraKernel`, after Hairer, Lubich and Schlichte, 1985): O(n log n)
+time per step and O(n) memory.  The dense (n+1)^2 matrix of
+:func:`weight_matrix` is kept only as a test oracle.
+
 The iteration is certified by the contraction condition
 
     L_f t_N^q / (Gamma(q) q) + L_g < 1,
@@ -92,34 +98,70 @@ def _require_volterra_grid(grid: Grid) -> None:
         raise ConfigurationError("Volterra iterates live on nodes grids starting at 0")
 
 
-def weight_matrix(grid: Grid, q: float) -> np.ndarray:
-    """Product-trapezoidal weights for int_0^{t_j} (t_j - s)^(q-1) phi(s) ds.
+def _trapezoid_coefficients(grid: Grid, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The product-trapezoidal weights in Toeplitz form ``(col0, c)``.
 
-    Row j of the lower-triangular matrix holds the weights of nodes 0..j
-    and is exact for piecewise-linear phi; row 0 is zero (an empty
-    interval).  All weights are nonnegative and row j sums to t_j^q / q.
-    Past the first column the matrix is Toeplitz: W[j, 0] = A(j-1) and
-    W[j, i] = c(j-i) for 1 <= i <= j, with c(0) = B(0) and
-    c(m) = A(m-1) + B(m), so one strided copy of c fills it.
+    The weight of node i in int_0^{t_j} (t_j - s)^(q-1) phi(s) ds, exact for
+    piecewise-linear phi, is col0[j-1] for i = 0 and c[j-i] for 1 <= i <= j,
+    with col0[m] = A(m), c[0] = B(0) and c[m] = A(m-1) + B(m), where A(m) and
+    B(m) integrate the rising and falling hat over the cell [mh, (m+1)h].
     """
     _require_volterra_grid(grid)
     if not 0.0 < q < 1.0:
         raise DomainError(f"the order q must lie in (0, 1), got {q}")
-    n = grid.n
-    m = np.arange(n, dtype=float)
+    m = np.arange(grid.n, dtype=float)
     mp = m + 1.0
     hq = grid.spacing ** q
-    # A(m): hat rising over [mh, (m+1)h]; B(m): hat falling over the same cell
     d1 = (mp ** (q + 1.0) - m ** (q + 1.0)) / (q + 1.0)
     d0 = (mp ** q - m ** q) / q
     A = hq * (d1 - m * d0)
     B = hq * (mp * d0 - d1)
-    c = np.concatenate((B[:1], A[:-1] + B[1:]))
+    return A, np.concatenate((B[:1], A[:-1] + B[1:]))
+
+
+def weight_matrix(grid: Grid, q: float) -> np.ndarray:
+    """Dense product-trapezoidal weights, kept as the test oracle of
+    :class:`VolterraKernel`; no solve builds this (n+1)^2 matrix.
+
+    Row j of the lower-triangular matrix holds the weights of nodes 0..j;
+    row 0 is zero (an empty interval).  All weights are nonnegative and row
+    j sums to t_j^q / q.  Past the first column the matrix is Toeplitz, so
+    one strided copy of c fills it.
+    """
+    col0, c = _trapezoid_coefficients(grid, q)
+    n = grid.n
     W = np.zeros((n + 1, n + 1))
-    W[1:, 0] = A
+    W[1:, 0] = col0
     # window n - j of [c(n-1), ..., c(0), 0, ..., 0] is row j past column 0
     W[1:, 1:] = sliding_window_view(np.concatenate((c[::-1], np.zeros(n))), n)[n - 1::-1]
     return W
+
+
+@dataclass(frozen=True)
+class VolterraKernel:
+    """The weights of :func:`weight_matrix` as a convolution: ``col0`` is
+    the first column past row 0 and ``spectrum`` the real FFT of the Toeplitz
+    coefficients ``c``, zero-padded to length 2n so that the circular
+    convolution of length 2n is the linear one."""
+
+    col0: np.ndarray
+    spectrum: np.ndarray
+
+    @classmethod
+    def build(cls, grid: Grid, q: float) -> "VolterraKernel":
+        col0, c = _trapezoid_coefficients(grid, q)
+        return cls(col0, np.fft.rfft(c, 2 * grid.n))
+
+    @property
+    def n(self) -> int:
+        return self.col0.size
+
+    def integrate(self, fv: np.ndarray) -> np.ndarray:
+        """``weight_matrix(grid, q) @ fv`` in O(n log n) time and O(n) memory:
+        entry j >= 1 is col0[j-1] fv[0] + sum_{i=1..j} c[j-i] fv[i]."""
+        n = self.n
+        conv = np.fft.irfft(np.fft.rfft(fv[1:], 2 * n) * self.spectrum, 2 * n)[:n]
+        return np.concatenate(([0.0], self.col0 * fv[0] + conv))
 
 
 def snap_nonlocal_points(p: CaputoProblem, grid: Grid) -> list[tuple[int, float]]:
@@ -133,21 +175,21 @@ def snap_nonlocal_points(p: CaputoProblem, grid: Grid) -> list[tuple[int, float]
     return out
 
 
-def picard_step(p: CaputoProblem, x: GridFunction, W: np.ndarray) -> GridFunction:
+def picard_step(p: CaputoProblem, x: GridFunction, kernel: VolterraKernel) -> GridFunction:
     """One Volterra iteration
     x+(t_j) = x0 + sum_i g_i(x(t_i)) + (1/Gamma(q)) sum_i W[j, i] f(t_i, x(t_i))
-    with the weights ``W`` of :func:`weight_matrix`.
+    with the weights W applied by ``kernel`` as a convolution.
     """
     grid = x.grid
     _require_volterra_grid(grid)
-    if W.shape != (grid.n + 1, grid.n + 1):
+    if kernel.n != grid.n:
         raise ConfigurationError("weights do not match the grid")
     t = grid.points()
     fv = evaluate(p.f, t, x.values, name="f")
     nonlocal_sum = 0.0
     for (idx, _), term in zip(snap_nonlocal_points(p, grid), p.nonlocal_terms):
         nonlocal_sum += float(term.g(float(x.values[idx])))
-    return GridFunction(grid, p.x0 + nonlocal_sum + (W @ fv) / gamma(p.q))
+    return GridFunction(grid, p.x0 + nonlocal_sum + kernel.integrate(fv) / gamma(p.q))
 
 
 def contraction_certificate(p: CaputoProblem, lambda_max: float = 1e8) -> HypothesisReport:
@@ -187,10 +229,11 @@ def weighted_sup_norm(x: GridFunction, lam: float, L_f: float, t_N: float) -> fl
 
 
 def volterra_operator(p: CaputoProblem, grid: Grid) -> OperatorHandle:
-    """Sup-norm handle around :func:`picard_step` with precomputed weights."""
-    _require_volterra_grid(grid)
-    W = weight_matrix(grid, p.q)
-    return OperatorHandle(apply=lambda x: picard_step(p, x, W), norm_kind="sup", modulus=None)
+    """Sup-norm handle around :func:`picard_step`; the convolution kernel is
+    built once per handle."""
+    kernel = VolterraKernel.build(grid, p.q)
+    return OperatorHandle(apply=lambda x: picard_step(p, x, kernel), norm_kind="sup",
+                          modulus=None)
 
 
 def solve(

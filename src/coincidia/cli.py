@@ -9,7 +9,8 @@ Every run writes ``report.json`` (schema-versioned, deterministic for a
 fixed config and seed).  Solves additionally write ``solution.csv``;
 stability runs write ``table.csv`` plus ``localization.csv`` with the
 band data for plotting.  Exit codes: 0 ok, 2 configuration error,
-3 certificate/hypothesis failure, 4 numeric failure.
+3 certificate/hypothesis failure, 4 numeric failure (including running out
+of memory).
 """
 
 from __future__ import annotations
@@ -225,6 +226,8 @@ def run(config: RunConfig) -> int:
         return fail(exc, EXIT_CERTIFICATE)
     except (NumericError, BracketingError, RangeError) as exc:
         return fail(exc, EXIT_NUMERIC)
+    except MemoryError as exc:
+        return fail(MemoryError(str(exc) or "out of memory"), EXIT_NUMERIC)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -268,32 +268,40 @@ def gamma(x: float) -> float:
         raise NumericError(f"gamma({x}) overflows double precision") from exc
 
 
-def mittag_leffler(q: float, z: float, tol: float, max_terms: int = 100_000) -> float:
+def mittag_leffler(q: float, z, tol: float, max_terms: int = 100_000):
     """One-parameter Mittag-Leffler function ``E_q(z) = sum_k z^k / Gamma(qk + 1)``.
 
-    The series is summed until a term falls below ``tol * max(1, |partial sum|)``.
-    Restricted to real ``|z| <= 30`` and ``0 < q <= 1``; ``E_1`` reduces to exp.
+    ``z`` is a float or an array; a float returns a float.  Term ``k`` is
+    added at every point still summing, and a point stops at its first term
+    below ``tol * max(1, |partial sum|)``.  Restricted to real ``|z| <= 30``
+    and ``0 < q <= 1``; ``E_1`` reduces to exp.
     """
-    q, z = float(q), float(z)
+    q = float(q)
+    z_arr = np.asarray(z, dtype=float)
     if not 0.0 < q <= 1.0:
         raise DomainError(f"order q must lie in (0, 1], got {q}")
-    if not abs(z) <= 30.0:
-        raise DomainError(f"|z| <= 30 required, got {z}")
+    bad = ~(np.abs(z_arr) <= 30.0)
+    if bad.any():
+        raise DomainError(f"|z| <= 30 required, got {z_arr[bad].flat[0]}")
     if tol <= 0.0:
         raise ConfigurationError("series tolerance must be positive")
-    if z == 0.0:
-        return 1.0
-    total = 1.0
-    log_abs_z = math.log(abs(z))
+    flat = z_arr.reshape(-1)
+    total = np.ones(flat.size)
+    active = np.flatnonzero(flat)  # E_q(0) = 1; the other points sum their terms
     for k in range(1, max_terms + 1):
+        if active.size == 0:
+            break
+        z_k = flat[active]
         # terms via logs so z**k and Gamma(qk+1) cannot overflow separately
-        log_mag = k * log_abs_z - math.lgamma(q * k + 1.0)
-        if log_mag > 700.0:
+        log_mag = k * np.log(np.abs(z_k)) - math.lgamma(q * k + 1.0)
+        if np.any(log_mag > 700.0):
             raise NumericError("Mittag-Leffler series term overflows double precision")
-        mag = math.exp(log_mag)
-        total += mag if (z > 0.0 or k % 2 == 0) else -mag
-        if not math.isfinite(total):
+        mag = np.exp(log_mag)
+        partial = total[active] + (np.where(z_k < 0.0, -mag, mag) if k % 2 else mag)
+        if not np.all(np.isfinite(partial)):
             raise NumericError("Mittag-Leffler partial sums are non-finite")
-        if mag < tol * max(1.0, abs(total)):
-            return total
-    raise NumericError(f"Mittag-Leffler series did not converge within {max_terms} terms")
+        total[active] = partial
+        active = active[mag >= tol * np.maximum(1.0, np.abs(partial))]
+    if active.size:
+        raise NumericError(f"Mittag-Leffler series did not converge within {max_terms} terms")
+    return float(total[0]) if z_arr.ndim == 0 else total.reshape(z_arr.shape)

@@ -209,8 +209,7 @@ _ENTRIES = [
         build=caputo_linear,
         # the product-trapezoid error is first order, 0.15 / n to 0.2 / n
         oracle=_exact_oracle("Mittag-Leffler series x0 E_q(t^q)",
-                             lambda p, t: np.array([p.x0 * mittag_leffler(p.q, ti ** p.q, 1e-14)
-                                                    for ti in t]),
+                             lambda p, t: p.x0 * mittag_leffler(p.q, t ** p.q, 1e-14),
                              lambda n, tol: max(5e-4, 0.5 / n)),
         defaults={"q": 0.5, "x0": 1.0, "lf": 1.0},
     ),

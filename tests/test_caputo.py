@@ -1,21 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coincidia import caputo
+from coincidia import caputo, engine, registry
 from coincidia.caputo import (
     CaputoProblem,
     NonlocalTerm,
+    VolterraKernel,
     brute_force_kernel_integral,
     contraction_certificate,
     picard_step,
     snap_nonlocal_points,
+    volterra_operator,
     weight_matrix,
     weighted_sup_norm,
 )
 from coincidia.errors import CertificateError, ConfigurationError, DomainError
-from coincidia.numerics import NODES, Grid, GridFunction, mittag_leffler, sup_norm
+from coincidia.numerics import NODES, Grid, GridFunction, gamma, mittag_leffler, sup_norm
 from coincidia.registry import caputo_constant, caputo_linear, caputo_nonlocal
 
 GRID = Grid(0.0, 1.0, 256, NODES)
@@ -92,16 +95,74 @@ class TestKernelWeights:
             weight_matrix(Grid(0.0, 1.0, 16, MIDPOINTS), 0.5)
 
 
+def dense_step(p: CaputoProblem, x: GridFunction, W: np.ndarray) -> np.ndarray:
+    """The Volterra step with the dense weights: the oracle of the FFT path."""
+    t = x.grid.points()
+    nonlocal_sum = sum(term.g(x.values[idx])
+                       for (idx, _), term in zip(snap_nonlocal_points(p, x.grid), p.nonlocal_terms))
+    return p.x0 + nonlocal_sum + (W @ p.f(t, x.values)) / gamma(p.q)
+
+
+class TestVolterraKernel:
+    @pytest.mark.parametrize("nonlocal_terms", [(), (NonlocalTerm(t=0.5, g=lambda v: 0.5 * v, c=0.5),)],
+                             ids=["ivp", "nonlocal"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 256, 333, 1000, 4096])
+    def test_apply_matches_dense_weights(self, n, nonlocal_terms):
+        g = Grid(0.0, 1.0, n, NODES)
+        rng = np.random.default_rng(n)
+        x = GridFunction(g, rng.uniform(-2.0, 2.0, g.size))
+        for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+            p = CaputoProblem(q=q, f=lambda t, x: np.sin(x) + t, L_f=1.0, x0=1.0,
+                              nonlocal_terms=nonlocal_terms)
+            W = weight_matrix(g, q)
+            scale = np.maximum(1.0, np.abs(W) @ np.abs(p.f(g.points(), x.values)))
+            got = volterra_operator(p, g).apply(x).values
+            assert np.all(np.abs(got - dense_step(p, x, W)) <= 1e-13 * scale), q
+
+    @pytest.mark.parametrize("n", [256, 333, 1024])
+    def test_solve_matches_dense_picard(self, n):
+        g = Grid(0.0, 1.0, n, NODES)
+        p = caputo_linear()
+        W = weight_matrix(g, p.q)
+        dense = engine.OperatorHandle(apply=lambda x: GridFunction(g, dense_step(p, x, W)),
+                                      norm_kind="sup")
+        expected = engine.solve_picard(dense, GridFunction.constant(g, p.x0), 1e-10, 200)
+        rep = caputo.solve(p, g, tol=1e-10, max_iter=200)
+        assert rep.iterations == expected.iterations
+        assert rep.converged and expected.converged
+        assert np.max(np.abs(rep.solution.values - expected.solution.values)) <= 1e-12
+
+    def test_grid_mismatch(self):
+        p = caputo_linear()
+        with pytest.raises(ConfigurationError, match="weights do not match"):
+            picard_step(p, GridFunction.zeros(GRID), VolterraKernel.build(Grid(0.0, 1.0, 128), 0.5))
+
+    def test_bounded_memory_at_16384(self):
+        # the dense weights alone would take 8 * 16385^2 bytes, about 2.1 GB
+        g = Grid(0.0, 1.0, 16384, NODES)
+        p = caputo_linear()
+        tracemalloc.start()
+        try:
+            rep = caputo.solve(p, g)
+            result = registry.lookup("caputo-linear").oracle(p, g, "auto", 1e-10, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert result["max_error"] <= result["tolerance"]
+        assert peak < 16 * 2 ** 20
+
+
 class TestPicardStep:
     def test_zero_f_no_nonlocal(self):
         p = CaputoProblem(q=0.5, f=lambda t, x: 0.0 * t, L_f=1.0, x0=2.5)
-        out = picard_step(p, GridFunction.sample(GRID, lambda t: t), weight_matrix(GRID, 0.5))
+        out = picard_step(p, GridFunction.sample(GRID, lambda t: t), VolterraKernel.build(GRID, 0.5))
         np.testing.assert_allclose(out.values, 2.5, atol=1e-15)
 
     def test_constant_f_exact_power(self):
         # f = 1, q = 1/2 gives t^(1/2)/Gamma(3/2) = 2 sqrt(t/pi) exactly
         p = caputo_constant()
-        out = picard_step(p, GridFunction.constant(GRID, 9.0), weight_matrix(GRID, 0.5))
+        out = picard_step(p, GridFunction.constant(GRID, 9.0), VolterraKernel.build(GRID, 0.5))
         t = GRID.points()
         np.testing.assert_allclose(out.values, 2.0 * np.sqrt(t / math.pi), atol=1e-10)
 
@@ -111,7 +172,7 @@ class TestPicardStep:
             nonlocal_terms=(NonlocalTerm(t=0.5, g=lambda v: v / 2.0, c=0.5),),
         )
         values = np.where(np.isclose(GRID.points(), 0.5), 4.0, -3.0)
-        out = picard_step(p, GridFunction(GRID, values), weight_matrix(GRID, 0.5))
+        out = picard_step(p, GridFunction(GRID, values), VolterraKernel.build(GRID, 0.5))
         np.testing.assert_allclose(out.values, 3.0, atol=1e-15)
 
     def test_snap_distances_bounded(self):
@@ -248,13 +309,13 @@ class TestSolve:
         p = caputo_linear()
         cert = contraction_certificate(p)
         lam, rho = cert.constants["lambda"], cert.constants["rho"]
-        W = weight_matrix(GRID, p.q)
+        kernel = VolterraKernel.build(GRID, p.q)
         rng = np.random.default_rng(47)
         for _ in range(25):
             x1 = GridFunction(GRID, rng.uniform(-2.0, 2.0, GRID.size))
             x2 = GridFunction(GRID, rng.uniform(-2.0, 2.0, GRID.size))
             num = weighted_sup_norm(
-                picard_step(p, x1, W) - picard_step(p, x2, W), lam, p.L_f, p.t_N
+                picard_step(p, x1, kernel) - picard_step(p, x2, kernel), lam, p.L_f, p.t_N
             )
             den = weighted_sup_norm(x1 - x2, lam, p.L_f, p.t_N)
             assert num <= rho * den + 1e-9

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coincidia import engine
 from coincidia.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -155,6 +156,23 @@ class TestSolveCommand:
         assert report["result"]["final_residual"] > report["result"]["inner_tol"]
         assert report["error"]["type"] == "NotConverged"
         assert report["error"]["message"].endswith("above inner_tol 1e-10")
+
+    @pytest.mark.parametrize("message, expected", [
+        ("", "out of memory"),
+        ("Unable to allocate 2.00 GiB", "Unable to allocate 2.00 GiB"),
+    ])
+    def test_memory_error_exits_4(self, tmp_path, monkeypatch, message, expected):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(engine, "solve_picard", exhausted)
+        code = main(["solve", "--problem", "caputo-linear", "--grid-n", "64",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        report = read_report(tmp_path)
+        assert "result" not in report
+        assert report["error"] == {"type": "MemoryError", "message": expected,
+                                   "exit_code": EXIT_NUMERIC}
 
     def test_deterministic_reports(self, tmp_path):
         config = RunConfig(command="solve", problem="bvp3-example", grid_n=64,

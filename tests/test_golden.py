@@ -20,8 +20,8 @@ GOLDEN = [
     ('check --problem caputo-linear --lf 1e308', 3, {'report.json': '1ea6732a2704693dd856eed0caec74e750ea24483acf640a43033400f22bec30'}),
     ('solve --problem bvp3-example --grid-n 256', 0, {'report.json': '72e38dbd476642b3771b3997a559ec1330f05d1c928131126e1139f0dea567df', 'solution.csv': '433573726616e52b7956cebd843be41a67fdc086df20c684d5f5eda97f9906d7'}),
     ('solve --problem pendulum-Pa --grid-n 256', 0, {'report.json': '8808aa73a431dd18d0185e8aaa27220e449cee1f66edaf1e79f13dac31186515', 'solution.csv': '25d2827be875feee7294f2133cce23b954ee22c27674f4569a1c32583de01990'}),
-    ('solve --problem caputo-constant --grid-n 256', 0, {'report.json': '221aa68ca34b4e5e26cdfbf22eb8f537cb4d4165b868de1db340f8c75125069b', 'solution.csv': '96cbf03cff1b3587a7be08083ceb2877090c5b6ce74285993f313570361ee8f8'}),
-    ('solve --problem caputo-linear --grid-n 256', 0, {'report.json': 'f63fc1b8f307febefd05bf5d966fba861d479c19e651e422ef0d15d58c8243c1', 'solution.csv': '35d6267a1edfa780af55da3a8561dddce6bcb7bf0873ccb8d570baa300afddb8'}),
+    ('solve --problem caputo-constant --grid-n 256', 0, {'report.json': '452eb135ff4ee52b06f5a53ccb92de27ac079a0261326bd526a00edba8cdd93e', 'solution.csv': '78d42479f1af3b2a403b2559e4ee2da6767b4aa6435e81e6462c845cdc0a46ea'}),
+    ('solve --problem caputo-linear --grid-n 256', 0, {'report.json': 'caa35cff84088e4fc2c74b95790553b592ddf5aa62f0942e8601db2b1c435491', 'solution.csv': 'd0cfef5d32efac493084f2cafe55f9fc83fc1b7e395dcc5ecf7891ba9573ebb1'}),
     ('solve --problem caputo-nonlocal --grid-n 256', 0, {'report.json': 'cd61a4056c75bac4324523c3f96117c30d2551cabcf66031477a9ee3c7c18ccf', 'solution.csv': '5b932ceecc690ef281967ba7ab83b5df0d17fb7dac85ca3df1a54892e9e0320c'}),
     ('solve --problem bvp3-example --grid-n 256 --scheme averaged', 0, {'report.json': 'd1e79f7e3dd976adb51618edb6c4962902af3d5e5c96f79d614ebd4de6dbce2a', 'solution.csv': 'a811b85d19b9a3a564dbbc2d657d459c1e8588f4bcc50cd894833a1807fb0749'}),
     ('solve --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': '80f5952a27844747c64a5f3be4ee85530f2fe45b45cff9c3d5fe7c08a9529a77', 'solution.csv': '001f4ccb595e4df4765b21ea003afc978b5252d60a28f021904c6338deadaec6'}),
@@ -32,9 +32,9 @@ GOLDEN = [
     ('oracle --problem pendulum-Pa --grid-n 256', 0, {'report.json': '8b9d657c6573da164a78dee80c0926487f643d9f369f3ff91b8252d2abe69194'}),
     ('oracle --problem caputo-constant --grid-n 256', 0, {'report.json': 'dc79ee20ed78934283d7fe08eeb98319e3195460be59760b2cd54ef45e2ae6b5'}),
     ('oracle --problem caputo-nonlocal --grid-n 256', 0, {'report.json': '6c991d202d0f5733e2d519e3b78a6691ee748f5cc4f807112ce6ef1de89efa31'}),
-    ('oracle --problem caputo-linear --grid-n 1024', 0, {'report.json': '42d0a8c30b17fdbe0b406e52b7b24f2e49215baa1a1ffc725f63835cc0484abb'}),
+    ('oracle --problem caputo-linear --grid-n 1024', 0, {'report.json': '40191b21bd3b731378954982945efb1563836ae0265d85edfd6cf0e2685e2f86'}),
     ('check --problem bvp3-example --seed 7', 0, {'report.json': 'f2b84f9c616006da271b0d9d2b99b6ddbdc053d7c9b58238b1dfeb72e745838a'}),
-    ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '6c4f2e8ae86ecb549ab833e98807fdde2dad6505595ea5e0eccc5a104804a7d2', 'solution.csv': 'dd7944f9bc44214336eb5cf6659630493a4a4a06e799d748d18631a1a267ba4d'}),
+    ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '22c1ce49b1fa7995aaf06f20f40edf0194a97fbc4739120d64f78c23391870a3', 'solution.csv': 'e3d0e332115438bc840ba85cc228a05deab986895be4cd5a0784d57aa626bb8a'}),
     ('solve --problem nope', 2, {'report.json': 'f37cdd94b2cbc83052b09e9d6462fd0eb79a936bbcfda25eaa719fcad400fc88'}),
 ]
 

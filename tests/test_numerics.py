@@ -265,3 +265,35 @@ class TestMittagLeffler:
         # q = 0.1, z = 30 needs astronomically many terms; the guard must trip
         with pytest.raises(NumericError):
             mittag_leffler(0.1, 30.0, 1e-10, max_terms=1000)
+
+    # at q = 0.1 the terms of |z| = 4 overflow before they decay
+    @pytest.mark.parametrize("q, z_max", [(0.1, 1.0), (0.5, 4.0), (0.9, 4.0), (1.0, 4.0)])
+    def test_array_matches_scalar_calls(self, q, z_max):
+        z = np.concatenate((np.linspace(-z_max, z_max, 161), [0.0, -0.0, 1e-300]))
+        got = mittag_leffler(q, z, 1e-14)
+        assert got.shape == z.shape
+        np.testing.assert_array_equal(got, [mittag_leffler(q, float(v), 1e-14) for v in z])
+        assert mittag_leffler(q, z.reshape(-1, 2), 1e-14).shape == (82, 2)
+
+    def test_scalar_returns_float(self):
+        assert type(mittag_leffler(0.5, 1.0, 1e-14)) is float
+        assert type(mittag_leffler(0.5, np.float64(0.0), 1e-14)) is float
+
+    def test_array_order_one_is_exp(self):
+        z = np.random.default_rng(13).uniform(-5.0, 5.0, 50)
+        np.testing.assert_allclose(mittag_leffler(1.0, z, 1e-13), np.exp(z), rtol=0.0, atol=1e-10)
+
+    def test_array_errors(self):
+        z = np.array([0.5, 1.0])
+        with pytest.raises(DomainError):
+            mittag_leffler(1.5, z, 1e-10)
+        with pytest.raises(DomainError):
+            mittag_leffler(0.5, np.array([0.5, 31.0]), 1e-10)
+        with pytest.raises(DomainError):
+            mittag_leffler(0.5, np.array([0.5, np.nan]), 1e-10)
+        with pytest.raises(ConfigurationError):
+            mittag_leffler(0.5, z, 0.0)
+        with pytest.raises(NumericError, match="overflows"):
+            mittag_leffler(0.1, np.array([0.5, 30.0]), 1e-10, max_terms=1000)
+        with pytest.raises(NumericError, match="did not converge"):
+            mittag_leffler(0.5, z, 1e-14, max_terms=3)
