@@ -5,7 +5,6 @@ checkers and generalized Ulam-Hyers stability bounds."""
 from .engine import (
     OperatorHandle,
     SolveReport,
-    default_n_schedule,
     error_bound,
     residual,
     solve_averaged,
@@ -59,7 +58,6 @@ __all__ = [
     "bracket_root",
     "cell_edge_cumulative",
     "cumulative_integral",
-    "default_n_schedule",
     "error_bound",
     "gamma",
     "geraghty_phi",

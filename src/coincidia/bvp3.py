@@ -49,6 +49,9 @@ _Z_SLACK = 1e-9
 _LAMBDA_SLACK = 1e-12
 _DEFAULT_PROBE_CELLS = 512
 _SAMPLE_COUNT = 200
+# scheme -> engine solver, looked up by name so that a wrapped solver is the one called
+_SOLVERS = {engine.PICARD: "solve_picard", engine.AVERAGED: "solve_averaged",
+            engine.RESOLVENT: "solve_resolvent"}
 
 
 def f_constant(delta: float, eta: float) -> float:
@@ -297,24 +300,21 @@ def ode_defect(p: Bvp3Problem, y: GridFunction) -> float:
     return engine.residual(coincidence_operator(p, y.grid), y)
 
 
-def solve(
-    p: Bvp3Problem,
-    grid: Grid,
-    scheme: str = "auto",
-    tol: float = 1e-9,
-    max_iter: int = 5000,
-    n_schedule: list[int] | None = None,
-    inner_tol: float | None = None,
-) -> SolveReport:
+def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
+          max_iter: int = 5000) -> SolveReport:
     """Solve the boundary value problem by fixed-point iteration on y = x''.
 
     ``auto`` runs Picard with certified modulus Lambda when the Lipschitz
     hypothesis holds with Lambda < 1, and falls back to averaged iteration
     otherwise (including the boundary case Lambda = 1, where existence
-    holds but no rate is available).  The report embeds the reconstructed
-    u and u' and the certificate that was computed.
+    holds but no rate is available).  ``averaged`` and ``resolvent`` run as
+    requested; every scheme stops at ``tol`` or after ``max_iter`` steps.
+    The report embeds the reconstructed u and u' and the certificate that
+    was computed.
     """
     _require_problem_grid(grid)
+    if scheme not in _SOLVERS and scheme != "auto":
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
     certificate = None
     lam = None
     if p.h1_data is not None:
@@ -330,19 +330,7 @@ def solve(
         chosen = engine.AVERAGED
 
     handle = coincidence_operator(p, grid, modulus=lam if (certified and chosen == engine.PICARD) else None)
-    y0 = GridFunction.zeros(grid)
-    if chosen == engine.PICARD:
-        report = engine.solve_picard(handle, y0, tol, max_iter)
-    elif chosen == engine.AVERAGED:
-        report = engine.solve_averaged(handle, y0, tol, max_iter)
-    elif chosen == engine.RESOLVENT:
-        report = engine.solve_resolvent(
-            handle, y0,
-            n_schedule if n_schedule is not None else engine.default_n_schedule(),
-            inner_tol if inner_tol is not None else max(tol, 1e-12),
-        )
-    else:
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
+    report = getattr(engine, _SOLVERS[chosen])(handle, GridFunction.zeros(grid), tol, max_iter)
 
     u, u_prime = apply_T_inverse(grid, report.solution.values, p.delta, p.eta)
     _, snapped, snap_dist = snap_eta(grid, p.eta)
@@ -371,6 +359,6 @@ def defect_oracle(p: Bvp3Problem, grid: Grid, scheme: str, tol: float, max_iter:
 PROBLEM_CLASS = engine.ProblemClass(
     grid=lambda p, n: Grid(0.0, 1.0, n, MIDPOINTS),
     check=lambda p, seed: [check_h1(p, rng_seed=seed), check_h2(p, rng_seed=seed)],
-    solve=lambda p, grid, scheme, tol, max_iter: solve(p, grid, scheme, tol, max_iter),
+    solve=solve,
     columns=engine.solution_columns,
 )

@@ -188,7 +188,7 @@ def picard_step(p: CaputoProblem, x: GridFunction, kernel: VolterraKernel) -> Gr
     fv = evaluate(p.f, t, x.values, name="f")
     nonlocal_sum = 0.0
     for (idx, _), term in zip(snap_nonlocal_points(p, grid), p.nonlocal_terms):
-        nonlocal_sum += float(term.g(float(x.values[idx])))
+        nonlocal_sum += float(evaluate(term.g, x.values[idx:idx + 1], name="g")[0])
     return GridFunction(grid, p.x0 + nonlocal_sum + kernel.integrate(fv) / gamma(p.q))
 
 

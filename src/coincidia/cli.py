@@ -45,6 +45,8 @@ EXIT_NUMERIC = 4
 _COMMANDS = ("check", "solve", "stability", "oracle")
 _SCHEMES = ("auto", "picard", "averaged", "resolvent")
 _PARAM_FLAGS = ("kappa", "a", "q", "lf", "x0")
+_FIELD_TYPES = {"command": str, "problem": str, "grid_n": int, "tol": float, "max_iter": int,
+                "scheme": str, "seed": int, "output_dir": str, "params": dict, "candidates": str}
 
 
 @dataclass
@@ -61,6 +63,10 @@ class RunConfig:
     candidates: str = "table1"
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if self.command not in _COMMANDS:
             raise ConfigurationError(f"unknown command {self.command!r}")
         if self.grid_n < 8:
@@ -69,6 +75,8 @@ class RunConfig:
             raise ConfigurationError(f"tol must lie in (0, 1), got {self.tol}")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.scheme not in _SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         unknown = set(self.params) - set(_PARAM_FLAGS)
@@ -86,6 +94,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
         if "command" not in data or "problem" not in data:
             raise ConfigurationError("a config needs at least 'command' and 'problem'")
+        if not isinstance(data.get("output_dir", "."), str):
+            raise ConfigurationError("output_dir must be a string")
         return cls(**data)
 
 
@@ -134,12 +144,10 @@ def _finish(config: RunConfig, out_dir: Path, result: dict | None, code: int = E
 def _solve_status(report) -> tuple[int, str, str]:
     """Exit code, error type and message of a run whose reported solve is
     ``report``: a solve that did not converge is a numeric failure."""
-    limit = (f"tol {report.tol}" if report.tol is not None
-             else f"inner_tol {report.extras['inner_tol']}")
     return (EXIT_OK if report.converged else EXIT_NUMERIC, "NotConverged",
             f"the {report.scheme} iteration stopped after {report.iterations} iterations "
             f"{'on stagnation ' if report.stagnated else ''}with residual "
-            f"{report.final_residual:.6g} above {limit}")
+            f"{report.final_residual:.6g} above tol {report.tol}")
 
 
 def _run_check(config: RunConfig, entry, problem, out_dir: Path) -> int:
@@ -267,14 +275,16 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        if not isinstance(loaded, dict):
+            print(f"error: config {config_path} must hold a JSON object", file=sys.stderr)
+            return EXIT_CONFIG
         data.update(loaded)
         data["command"] = command
-    params = dict(data.get("params", {}))
-    for flag in _PARAM_FLAGS:
-        if flag in ns:
-            params[flag] = ns.pop(flag)
+    params = data.get("params", {})
+    flags = {flag: ns.pop(flag) for flag in _PARAM_FLAGS if flag in ns}
     data.update(ns)
-    data["params"] = params
+    # a malformed params value is left for RunConfig.validate to report
+    data["params"] = {**params, **flags} if isinstance(params, dict) else params
     if "problem" not in data:
         print("error: --problem is required (or supply it in --config)", file=sys.stderr)
         return EXIT_CONFIG

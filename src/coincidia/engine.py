@@ -8,11 +8,14 @@ Three schemes are provided:
   contractions (known modulus ``k < 1``) and Geraghty-type maps.
 * ``solve_averaged``   -- Krasnoselskii-Mann averaging ``y <- (y + h(y)) / 2``
   for nonexpansive maps with no usable rate.
-
-  Both run one relaxed loop, with relaxation 1 and 1/2.
 * ``solve_resolvent``  -- the almost-fixed-point sequence solving
-  ``y_n = (y_0 + n h(y_n)) / (n + 1)`` for an increasing schedule of ``n``;
-  its residual decays like ``|y_0 - y_n| / n`` for nonexpansive ``h``.
+  ``y_n = (y_0 + n h(y_n)) / (n + 1)`` for ``n = 1, 2, 4, ...`` until the
+  residual meets ``tol``; it decays like ``|y_0 - y_n| / n`` for
+  nonexpansive ``h``.
+
+All three run one relaxed loop: Picard and the resolvent's stages with
+relaxation 1, averaging with relaxation 1/2.  All three take ``(h, y0,
+tol, max_iter)`` and never take more than ``max_iter`` steps.
 
 Every scheme records the full residual history ``|y_k - h(y_k)|`` in the
 operator's declared norm, and the reported solution always satisfies
@@ -21,9 +24,8 @@ operator's declared norm, and the reported solution always satisfies
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .numerics import Grid, GridFunction, l2_norm, sup_norm
@@ -68,10 +70,10 @@ class OperatorHandle:
 class SolveReport:
     """Outcome of one solve: iterates, residual history and certificates.
 
-    ``converged`` holds exactly when ``final_residual <= tol`` for the
-    schemes that take a tolerance.  The resolvent scheme has no target
-    tolerance (``tol is None``); it reports ``converged`` exactly when the
-    final outer residual is at most its inner tolerance.
+    ``converged`` holds exactly when ``final_residual <= tol``.  For the
+    resolvent scheme ``iterations`` counts the inner steps of all stages,
+    the history holds one outer residual per stage, and ``extras["stages"]``
+    lists each stage's ``n``, ``inner_steps`` and ``outer_residual``.
     """
 
     solution: GridFunction
@@ -80,7 +82,7 @@ class SolveReport:
     final_residual: float
     scheme: str
     converged: bool
-    tol: float | None = None
+    tol: float
     stability_radius: float | None = None
     stagnated: bool = False
     extras: dict = field(default_factory=dict)
@@ -184,8 +186,8 @@ def _validate_stopping(tol: float, max_iter: int) -> None:
 
 def _iterate(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int, scheme: str,
              relax: Callable, tighten: bool, watch_stagnation: bool) -> SolveReport:
-    """The relaxed fixed-point loop ``y <- relax(y, h(y))`` shared by the
-    Picard and averaged schemes.
+    """The relaxed fixed-point loop ``y <- relax(y, h(y))`` shared by all
+    three schemes.
 
     It stops when the residual drops to ``tol`` or after ``max_iter``
     steps; with ``watch_stagnation`` also, flagged ``stagnated=True``, once
@@ -229,6 +231,11 @@ def _iterate(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int, sch
     )
 
 
+def _image(y: GridFunction, hy: GridFunction) -> GridFunction:
+    """Relaxation 1: the next iterate is the image ``h(y)``."""
+    return hy
+
+
 def solve_picard(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int) -> SolveReport:
     """Iterate ``y <- h(y)`` until the residual drops to ``tol``.
 
@@ -237,7 +244,7 @@ def solve_picard(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int)
     also stops on stagnation.  When the residual first hits ``tol`` one
     more image step tightens the iterate for contractive maps.
     """
-    return _iterate(h, y0, tol, max_iter, PICARD, lambda y, hy: hy,
+    return _iterate(h, y0, tol, max_iter, PICARD, _image,
                     tighten=True, watch_stagnation=h.modulus is None)
 
 
@@ -251,68 +258,46 @@ def solve_averaged(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: in
                     tighten=False, watch_stagnation=True)
 
 
-def default_n_schedule() -> list[int]:
-    """Geometric schedule 1, 2, 4, ..., 2**14 balancing outer progress
-    (residual ~ 1/n) against inner cost (~ n iterations per stage)."""
-    return [2 ** k for k in range(15)]
+def resolvent_stage(h: OperatorHandle, y0: GridFunction, n: int) -> OperatorHandle:
+    """The stage map ``w -> (y0 + n h(w)) / (n + 1)`` of the resolvent scheme,
+    an ``n/(n+1)``-contraction in ``h``'s norm whenever ``h`` is nonexpansive.
+
+    An iterate ``w`` with stage residual ``|w - stage(w)| <= tol`` satisfies
+    ``|(w - h(w)) - (y0 - w) / n| <= (n + 1) / n * tol <= 2 tol``.
+    """
+    m = float(n)
+    return OperatorHandle(apply=lambda w: (y0 + m * _apply(h, w)) / (m + 1.0),
+                          norm_kind=h.norm_kind, modulus=m / (m + 1.0))
 
 
-def solve_resolvent(
-    h: OperatorHandle,
-    y0: GridFunction,
-    n_schedule: Sequence[int],
-    inner_tol: float,
-) -> SolveReport:
+def solve_resolvent(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int) -> SolveReport:
     """Almost-fixed-point sequence through the resolvent of ``I - h``.
 
-    For each ``n`` in the schedule the implicit equation
-    ``y_n = (y_0 + n h(y_n)) / (n + 1)`` is solved by inner Picard
-    iteration; the inner map is an ``n/(n+1)``-contraction whenever ``h``
-    is nonexpansive.  Stages warm-start from the previous ``y_n``.  A stage
-    whose first inner defect is ``d0`` gets
-    ``50 + log(inner_tol / max(1, d0)) / log(n / (n + 1))`` inner steps.  On
-    completion of stage ``n`` the identity
-    ``y_n - h(y_n) = (y_0 - y_n) / n`` holds within ``2 * inner_tol``.
+    Stage ``n = 1, 2, 4, ...`` runs the relaxed loop with relaxation 1 on
+    :func:`resolvent_stage` to ``tol``, warm-started from the previous
+    stage, and records the outer residual ``|y - h(y)|``.  The schedule
+    stops at the first stage whose outer residual is at most ``tol``;
+    unconverged, it stops once the inner steps of all stages reach
+    ``max_iter`` or when ``n / (n + 1)`` rounds to 1.
     """
-    if inner_tol <= 0.0:
-        raise ConfigurationError("inner tolerance must be positive")
-    schedule = [int(n) for n in n_schedule]
-    if not schedule or any(n < 1 for n in schedule):
-        raise ConfigurationError("n_schedule must contain positive integers")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigurationError("n_schedule must be strictly increasing")
-
-    y = y0
+    _validate_stopping(tol, max_iter)
+    y, n = y0, 1
     history: list[float] = []
     stages: list[dict] = []
     total_inner = 0
-    for n in schedule:
-        w, inner_steps, budget = y, 0, None
-        while True:
-            hw = _apply(h, w)
-            gw = (y0 + float(n) * hw) / float(n + 1)
-            defect = h.norm(w - gw)
-            w = gw
-            inner_steps += 1
-            _guard_growth(w)
-            if defect <= inner_tol:
-                break
-            if budget is None:
-                budget = 50 + max(0, math.ceil(math.log(inner_tol / max(1.0, defect))
-                                               / math.log(n / (n + 1.0))))
-            if inner_steps >= budget:
-                raise NumericError(
-                    f"inner iteration at stage n={n} exceeded its budget of {budget} steps"
-                )
-        total_inner += inner_steps
-        outer = h.norm(w - _apply(h, w))
-        history.append(outer)
-        stages.append({"n": n, "inner_steps": inner_steps, "outer_residual": outer})
-        y = w
+    while total_inner < max_iter and float(n) / (float(n) + 1.0) < 1.0:
+        stage = _iterate(resolvent_stage(h, y0, n), y, tol, max_iter - total_inner, RESOLVENT,
+                         _image, tighten=False, watch_stagnation=False)
+        y = stage.solution
+        total_inner += stage.iterations
+        history.append(residual(h, y))
+        stages.append({"n": n, "inner_steps": stage.iterations, "outer_residual": history[-1]})
+        if history[-1] <= tol:
+            break
+        n *= 2
     return SolveReport(
         solution=y, iterations=total_inner, residual_history=history, final_residual=history[-1],
-        scheme=RESOLVENT, converged=history[-1] <= inner_tol, tol=None,
-        extras={"stages": stages, "inner_tol": inner_tol},
+        scheme=RESOLVENT, converged=history[-1] <= tol, tol=tol, extras={"stages": stages},
     )
 
 

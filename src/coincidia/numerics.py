@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketingError, ConfigurationError, DomainError, NumericError
+from .errors import BracketingError, CoincidiaError, ConfigurationError, DomainError, NumericError
 
 NODES = "nodes"
 MIDPOINTS = "midpoints"
@@ -69,12 +69,19 @@ def evaluate(fn: Callable, x: np.ndarray, *args: np.ndarray, name: str = "functi
 
     A scalar result is broadcast.  A map that only accepts scalars (it
     raises TypeError/ValueError on arrays, or returns a shape that does not
-    broadcast to ``x``) is applied element by element.
+    broadcast to ``x``) is applied element by element.  Any other exception
+    the callable raises becomes a :class:`NumericError` naming it; package
+    errors and ``MemoryError`` pass through unchanged.
     """
     try:
-        vals = np.broadcast_to(np.asarray(fn(x, *args), dtype=float), x.shape)
-    except (TypeError, ValueError):
-        vals = np.array([float(fn(*map(float, point))) for point in zip(x, *args)])
+        try:
+            vals = np.broadcast_to(np.asarray(fn(x, *args), dtype=float), x.shape)
+        except (TypeError, ValueError):
+            vals = np.array([float(fn(*map(float, point))) for point in zip(x, *args)])
+    except (CoincidiaError, MemoryError):
+        raise
+    except Exception as exc:
+        raise NumericError(f"{name} raised {type(exc).__name__}: {exc}") from exc
     finite = np.isfinite(vals)
     if not finite.all():
         raise NumericError(f"{name} evaluated to a non-finite value at {x[~finite][0]}")

@@ -94,9 +94,14 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig.from_json_dict({"command": "solve", "problem": "x", "grids": 10})
 
+    def test_output_dir_must_be_text(self):
+        with pytest.raises(ConfigurationError):
+            RunConfig.from_json_dict({"command": "solve", "problem": "x", "output_dir": 5})
+
     @pytest.mark.parametrize("patch", [
         {"grid_n": 4}, {"tol": 2.0}, {"tol": 0.0}, {"scheme": "newton"},
-        {"command": "plot"}, {"max_iter": 0},
+        {"command": "plot"}, {"max_iter": 0}, {"seed": -1}, {"seed": True},
+        {"grid_n": 100.0}, {"tol": "1e-9"}, {"params": [1]}, {"problem": None},
     ])
     def test_validation(self, patch):
         config = RunConfig(command="solve", problem="pendulum-Pa")
@@ -146,16 +151,23 @@ class TestSolveCommand:
         assert report["error"]["exit_code"] == EXIT_NUMERIC
 
     def test_unconverged_resolvent_exits_4(self, tmp_path):
-        # the outer residual of the last stage stays near 7.2e-5, far above
-        # the inner tolerance 1e-10
+        # three inner steps leave the first stage's outer residual near 0.6
         code = main(["solve", "--problem", "bvp3-example", "--scheme", "resolvent",
-                     "--kappa", "5", "--out", str(tmp_path)])
+                     "--grid-n", "256", "--max-iter", "3", "--out", str(tmp_path)])
         assert code == EXIT_NUMERIC
         report = read_report(tmp_path)
-        assert report["result"]["converged"] is False and report["result"]["tol"] is None
-        assert report["result"]["final_residual"] > report["result"]["inner_tol"]
+        assert report["result"]["converged"] is False and report["result"]["iterations"] <= 3
+        assert report["result"]["final_residual"] > report["result"]["tol"] == 1e-10
         assert report["error"]["type"] == "NotConverged"
-        assert report["error"]["message"].endswith("above inner_tol 1e-10")
+        assert report["error"]["message"].endswith("above tol 1e-10")
+
+    def test_resolvent_converges_at_default_tol(self, tmp_path):
+        code = main(["solve", "--problem", "bvp3-example", "--scheme", "resolvent",
+                     "--grid-n", "256", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        result = read_report(tmp_path)["result"]
+        assert result["converged"] is True and result["final_residual"] <= 1e-10
+        assert result["iterations"] <= 5000
 
     @pytest.mark.parametrize("message, expected", [
         ("", "out of memory"),
@@ -288,6 +300,29 @@ class TestMainArgparse:
 
     def test_missing_problem(self):
         assert main(["solve"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("config, args, reported", [
+        (None, ["--problem", "bvp3-example", "--seed", "-1"], True),
+        (None, ["--problem", "pendulum-Pa", "--seed", "-1"], True),
+        ({"problem": "bvp3-example", "seed": 1.5}, [], True),
+        ({"problem": "bvp3-example", "grid_n": "abc"}, [], True),
+        ({"problem": "bvp3-example", "tol": "x"}, [], True),
+        ({"problem": "bvp3-example", "max_iter": None}, [], True),
+        ({"problem": "bvp3-example", "params": [1]}, [], True),
+        # a config that is not an object is refused before the run starts
+        ([{"problem": "bvp3-example"}], [], False),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, config, args, reported):
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args = ["--config", str(tmp_path / "run.json"), *args]
+        out = tmp_path / "out"
+        assert main(["check", *args, "--out", str(out)]) == EXIT_CONFIG
+        if reported:
+            error = read_report(out)["error"]
+            assert error["type"] == "ConfigurationError" and error["exit_code"] == EXIT_CONFIG
+        else:
+            assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.json"

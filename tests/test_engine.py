@@ -5,9 +5,9 @@ import pytest
 
 from coincidia.engine import (
     OperatorHandle,
-    default_n_schedule,
     error_bound,
     residual,
+    resolvent_stage,
     solve_averaged,
     solve_picard,
     solve_resolvent,
@@ -138,8 +138,8 @@ class TestAveraged:
 class TestResolvent:
     def test_identity_map(self):
         y0 = GridFunction.sample(GRID, lambda t: t)
-        rep = solve_resolvent(identity_handle(), y0, [1, 2, 4], 1e-10)
-        assert rep.converged
+        rep = solve_resolvent(identity_handle(), y0, 1e-10, 100)
+        assert rep.converged and rep.iterations == 0
         assert all(r == 0.0 for r in rep.residual_history)
         np.testing.assert_allclose(rep.solution.values, y0.values, atol=1e-15)
 
@@ -147,28 +147,39 @@ class TestResolvent:
         c = GridFunction.constant(GRID, 3.0)
         h = OperatorHandle(apply=lambda y: c, norm_kind="sup")
         y0 = GridFunction.zeros(GRID)
-        rep = solve_resolvent(h, y0, [1, 2, 4, 8], 1e-12)
+        # each stage takes one inner step, so max_iter = 4 ends after n = 8
+        rep = solve_resolvent(h, y0, 1e-12, 4)
         # y_n = (y0 + n c)/(n + 1), so the residual is |y0 - c|/(n + 1)
         np.testing.assert_allclose(
             rep.residual_history, [3.0 / (n + 1) for n in (1, 2, 4, 8)], atol=1e-10
         )
+        assert [stage["n"] for stage in rep.extras["stages"]] == [1, 2, 4, 8]
         assert residual(h, rep.solution) == rep.final_residual
-        assert not rep.converged  # 3/9 is far above inner_tol
+        assert rep.iterations == 4 and not rep.converged  # 3/9 is far above tol
 
-    def test_budget_sized_from_first_defect(self):
-        # stage n = 28 of the translation h(y) = y + 10 starts with defect
-        # 280/29; 460 inner steps bring it below 1e-6, more than the 444 a
-        # budget sized for a unit defect allows
+    def test_translation_stops_at_max_iter(self):
+        # h(y) = y + 10 has no fixed point: every stage converges, but the
+        # outer residual stays at 10 until the inner steps reach max_iter
         shift = GridFunction.constant(GRID, 10.0)
         h = OperatorHandle(apply=lambda y: y + shift, norm_kind="sup")
-        rep = solve_resolvent(h, GridFunction.zeros(GRID), [28], 1e-6)
-        assert rep.iterations == 460 and rep.extras["stages"][0]["inner_steps"] == 460
-        # a translation has no fixed point: the residual stays at 10
+        rep = solve_resolvent(h, GridFunction.zeros(GRID), 1e-6, 500)
+        assert rep.iterations == 500
+        assert sum(stage["inner_steps"] for stage in rep.extras["stages"]) == 500
         assert rep.final_residual == pytest.approx(10.0) and not rep.converged
 
+    def test_constant_map_stops_where_the_stage_modulus_rounds_to_one(self):
+        # the residual 1/(n + 1) never meets 1e-17; the schedule ends after
+        # n = 2**52, because n / (n + 1) rounds to 1.0 at n = 2**53
+        c = GridFunction.constant(GRID, 1.0)
+        h = OperatorHandle(apply=lambda y: c, norm_kind="sup")
+        rep = solve_resolvent(h, GridFunction.zeros(GRID), 1e-17, 5000)
+        assert not rep.converged and rep.iterations == 53
+        assert rep.extras["stages"][-1]["n"] == 2 ** 52
+        assert rep.final_residual == pytest.approx(2.0 ** -52)
+
     def test_afp_identity_each_stage(self):
-        # |(y_n - h(y_n)) - (y0 - y_n)/n| <= 2 inner_tol, a rearrangement of
-        # the implicit equation
+        # |(y_n - h(y_n)) - (y0 - y_n)/n| <= 2 tol, a rearrangement of the
+        # implicit equation, once the solver's stage handle meets tol
         theta = 0.05
 
         def near_rotation(y):
@@ -181,26 +192,20 @@ class TestResolvent:
 
         h = OperatorHandle(apply=near_rotation, norm_kind="l2")
         y0 = GridFunction.sample(GRID, lambda t: 1.0 + t)
-        inner_tol = 1e-9
+        tol = 1e-9
         for n in (1, 3, 9):
-            rep = solve_resolvent(h, y0, [n], inner_tol)
+            rep = solve_picard(resolvent_stage(h, y0, n), y0, tol, 1000)
+            assert rep.converged
             y = rep.solution
             gap = (y - h.apply(y)) - (y0 - y) / float(n)
-            assert h.norm(gap) <= 2.0 * inner_tol
+            assert h.norm(gap) <= 2.0 * tol
 
-    def test_schedule_validation(self):
+    def test_stopping_validation(self):
         y0 = GridFunction.zeros(GRID)
         with pytest.raises(ConfigurationError):
-            solve_resolvent(identity_handle(), y0, [2, 2], 1e-9)
+            solve_resolvent(identity_handle(), y0, -1.0, 10)
         with pytest.raises(ConfigurationError):
-            solve_resolvent(identity_handle(), y0, [], 1e-9)
-        with pytest.raises(ConfigurationError):
-            solve_resolvent(identity_handle(), y0, [1, 2], -1.0)
-
-    def test_default_schedule(self):
-        sched = default_n_schedule()
-        assert sched[0] == 1 and sched[-1] == 2**14
-        assert all(b == 2 * a for a, b in zip(sched, sched[1:]))
+            solve_resolvent(identity_handle(), y0, 1e-9, 0)
 
 
 class TestErrorBound:

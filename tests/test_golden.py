@@ -24,7 +24,8 @@ GOLDEN = [
     ('solve --problem caputo-linear --grid-n 256', 0, {'report.json': 'caa35cff84088e4fc2c74b95790553b592ddf5aa62f0942e8601db2b1c435491', 'solution.csv': 'd0cfef5d32efac493084f2cafe55f9fc83fc1b7e395dcc5ecf7891ba9573ebb1'}),
     ('solve --problem caputo-nonlocal --grid-n 256', 0, {'report.json': 'cd61a4056c75bac4324523c3f96117c30d2551cabcf66031477a9ee3c7c18ccf', 'solution.csv': '5b932ceecc690ef281967ba7ab83b5df0d17fb7dac85ca3df1a54892e9e0320c'}),
     ('solve --problem bvp3-example --grid-n 256 --scheme averaged', 0, {'report.json': 'd1e79f7e3dd976adb51618edb6c4962902af3d5e5c96f79d614ebd4de6dbce2a', 'solution.csv': 'a811b85d19b9a3a564dbbc2d657d459c1e8588f4bcc50cd894833a1807fb0749'}),
-    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': '80f5952a27844747c64a5f3be4ee85530f2fe45b45cff9c3d5fe7c08a9529a77', 'solution.csv': '001f4ccb595e4df4765b21ea003afc978b5252d60a28f021904c6338deadaec6'}),
+    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': 'd9e2e9665ef0b8171ddf278829812c1e31bcd9045b8a544c416579c180607c47', 'solution.csv': '48b14901a80fe39c0dd4cf59b98f3622326274f7e56880f265dc53c0326af728'}),
+    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent', 0, {'report.json': '52b16ea5ac34bb34f978db8bc680e302a6abbc7f1777763019aeea6143cd4dab', 'solution.csv': '16c62899f7628eeb038dd828346cd8d19b01fa2ef6d208f31b1dd47e11c93a49'}),
     ('solve --problem caputo-linear --grid-n 256 --scheme averaged', 2, {'report.json': 'cd8b2677986a63e87d294a0b33f85408b96737eac600c43f103650a258f7fd6f'}),
     ('stability --problem pendulum-Pa --grid-n 256', 0, {'localization.csv': 'ec37d364c9d9e56470b0b7b19db7695982ee2862ab7f81127c372d42c152646e', 'report.json': '446951741c2c22eaf3e10ced37cf37e539192ba4f084a3cfede38e5e7bd9d869', 'table.csv': 'f2ba3027fe443c333b3a6b40814ef1f3c665e3ca3121f0cbc6ab56bb5e313be2'}),
     ('stability --problem caputo-linear --grid-n 256', 2, {'report.json': '25a922f33fb9c3859ceaa7dd61201dfc99a207caddb47ab097f49c48f88851ad'}),

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from coincidia import bvp3, caputo, pendulum
 from coincidia.errors import (
     BracketingError,
     ConfigurationError,
@@ -17,12 +19,14 @@ from coincidia.numerics import (
     bracket_root,
     cell_edge_cumulative,
     cumulative_integral,
+    evaluate,
     gamma,
     integrate,
     l2_norm,
     mittag_leffler,
     sup_norm,
 )
+from coincidia.registry import caputo_linear, caputo_nonlocal, pendulum_pa
 
 
 class TestGrid:
@@ -297,3 +301,35 @@ class TestMittagLeffler:
             mittag_leffler(0.1, np.array([0.5, 30.0]), 1e-10, max_terms=1000)
         with pytest.raises(NumericError, match="did not converge"):
             mittag_leffler(0.5, z, 1e-14, max_terms=3)
+
+
+def _divide_by_zero(*args):
+    return 1.0 / 0.0
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("name, run", [
+        ("driving", lambda: pendulum.solve(
+            dataclasses.replace(pendulum_pa(), driving=_divide_by_zero), Grid(0.0, 1.0, 16, NODES))),
+        ("g", lambda: bvp3.solve(
+            bvp3.Bvp3Problem(delta=-0.1, eta=0.5, g=_divide_by_zero), Grid(0.0, 1.0, 16, MIDPOINTS))),
+        ("f", lambda: caputo.solve(
+            dataclasses.replace(caputo_linear(), f=_divide_by_zero), Grid(0.0, 1.0, 16, NODES))),
+        ("g", lambda: caputo.solve(
+            dataclasses.replace(caputo_nonlocal(), nonlocal_terms=(
+                caputo.NonlocalTerm(t=0.5, g=_divide_by_zero, c=0.5),)),
+            Grid(0.0, 1.0, 16, NODES))),
+    ])
+    def test_raising_callable_becomes_numeric_error(self, name, run):
+        with pytest.raises(NumericError, match=f"^{name} raised ZeroDivisionError") as info:
+            run()
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    @pytest.mark.parametrize("exc", [DomainError("outside"), MemoryError("exhausted")])
+    def test_package_and_memory_errors_pass_through(self, exc):
+        def raising(x):
+            raise exc
+
+        with pytest.raises(type(exc)) as info:
+            evaluate(raising, np.zeros(3))
+        assert info.value is exc

@@ -11,8 +11,7 @@ SOLVES = {
     "pendulum": lambda: pendulum.solve(pendulum_pa(), Grid(0.0, 1.0, 2000, NODES)),
     "bvp3-auto": lambda: bvp3.solve(bvp3_example(), Grid(0.0, 1.0, 512, MIDPOINTS)),
     "bvp3-resolvent": lambda: bvp3.solve(bvp3_example(), Grid(0.0, 1.0, 256, MIDPOINTS),
-                                         scheme="resolvent", n_schedule=[1, 2, 4, 8, 16, 32],
-                                         inner_tol=1e-6),
+                                         scheme="resolvent", tol=1e-6),
     "caputo": lambda: caputo.solve(caputo_linear(), Grid(0.0, 1.0, 512, NODES)),
 }
 
