@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -45,8 +46,6 @@ EXIT_NUMERIC = 4
 _COMMANDS = ("check", "solve", "stability", "oracle")
 _SCHEMES = ("auto", "picard", "averaged", "resolvent")
 _PARAM_FLAGS = ("kappa", "a", "q", "lf", "x0")
-_FIELD_TYPES = {"command": str, "problem": str, "grid_n": int, "tol": float, "max_iter": int,
-                "scheme": str, "seed": int, "output_dir": str, "params": dict, "candidates": str}
 
 
 @dataclass
@@ -63,7 +62,7 @@ class RunConfig:
     candidates: str = "table1"
 
     def validate(self) -> None:
-        for name, kind in _FIELD_TYPES.items():
+        for name, kind in get_type_hints(RunConfig).items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")
