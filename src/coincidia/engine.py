@@ -24,7 +24,7 @@ operator's declared norm, and the reported solution always satisfies
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ConfigurationError, DomainError, NumericError
@@ -279,8 +279,20 @@ def solve_resolvent(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: i
     stops at the first stage whose outer residual is at most ``tol``;
     unconverged, it stops once the inner steps of all stages reach
     ``max_iter`` or when ``n / (n + 1)`` rounds to 1.
+
+    A stage's last image, the outer residual and the next stage's first
+    image all need ``h`` of the same iterate, so within one call ``h``'s
+    last input (matched by identity) and its image are kept and reused.
     """
     _validate_stopping(tol, max_iter)
+    apply_h, last = h.apply, [None, None]
+
+    def apply_once(w: GridFunction) -> GridFunction:
+        if w is not last[0]:
+            last[:] = [w, apply_h(w)]
+        return last[1]
+
+    h = replace(h, apply=apply_once)
     y, n = y0, 1
     history: list[float] = []
     stages: list[dict] = []

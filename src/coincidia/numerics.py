@@ -7,7 +7,10 @@ argument of the operation that uses it.
 :class:`GridFunction` is the validated type at the engine boundary (operator
 inputs and outputs, iterates, reported functions).  Inside one operator
 application the quadrature kernels take ``(grid, values)`` with a plain
-sample array and return plain floats or arrays.
+sample array and return plain floats or arrays; they work on whole arrays
+through slices, with no per-point Python loop.  :func:`bracket_root`
+bisects one bracket per array element, evaluating the function once per
+step on all elements still bisecting.
 """
 
 from __future__ import annotations
@@ -171,7 +174,9 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
 
     Nodes grids accumulate Simpson panels, with the half-panel rule
     ``h (5 f_0 + 8 f_1 - f_2) / 12`` filling the odd points, so the result
-    is exact for quadratics and ``F(a) = 0``.  Midpoints grids accumulate
+    is exact for quadratics and ``F(a) = 0``; the panels are read through
+    strided slices of the samples.  An odd cell count closes with the
+    mirrored half-panel rule on the last cell.  Midpoints grids accumulate
     whole cells plus a linearly interpolated half cell, which is exact for
     linear integrands.  Non-finite samples propagate; the next
     :class:`GridFunction` or :func:`evaluate` rejects them.
@@ -185,12 +190,11 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
         corr[1:] = (v[:-1] + 3.0 * v[1:]) / 8.0
         return h * (head + corr)
     n = grid.n
+    e = 2 * (n // 2)
     F = np.zeros(n + 1)
-    m = n // 2
-    k = 2 * np.arange(m)
-    F[k + 2] = np.cumsum(h / 3.0 * (v[k] + 4.0 * v[k + 1] + v[k + 2]))
-    j = k + 1
-    F[j] = F[j - 1] + h * (5.0 * v[j - 1] + 8.0 * v[j] - v[j + 1]) / 12.0
+    left, centre, right = v[0:e - 1:2], v[1:e:2], v[2:e + 1:2]
+    F[2:e + 1:2] = np.cumsum(h / 3.0 * (left + 4.0 * centre + right))
+    F[1:e:2] = F[0:e - 1:2] + h * (5.0 * left + 8.0 * centre - right) / 12.0
     if n % 2:
         F[n] = F[n - 1] + h * (-v[n - 2] + 8.0 * v[n - 1] + 5.0 * v[n]) / 12.0
     return F
@@ -214,54 +218,69 @@ def l2_norm(f: GridFunction) -> float:
     return math.sqrt(max(integrate(f.grid, f.values * f.values), 0.0))
 
 
-def bracket_root(
-    g: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float,
-) -> float:
+def bracket_root(g: Callable, target, lo, hi, tol: float, name: str = "function"):
     """Solve ``g(r) = target`` for a nondecreasing ``g`` by bisection.
 
-    Requires ``g(lo) <= target <= g(hi)``.  Bisection runs until both the
-    bracket width and the value defect ``|g(r) - target|`` drop to ``tol``,
-    so the returned ``r`` is accurate in the argument even where ``g`` is
-    flat and in the value even where ``g`` is steep.  Where the spacing of
-    doubles near the root exceeds ``tol``, the bracket stops at two adjacent
-    doubles and the end with the smaller defect is returned if it meets ``tol``.
+    ``target``, ``lo`` and ``hi`` are floats or arrays that broadcast to
+    one shape, one bracket per element; floats return a float, arrays an
+    array of that shape.  Requires ``g(lo) <= target <= g(hi)`` in every
+    element.  Each step evaluates ``g`` once, through :func:`evaluate`
+    under ``name``, on the midpoints of the elements still bisecting.
+
+    An element stops once both its bracket width and its value defect
+    ``|g(r) - target|`` drop to ``tol``, so the returned ``r`` is accurate
+    in the argument even where ``g`` is flat and in the value even where
+    ``g`` is steep.  Where the spacing of doubles near the root exceeds
+    ``tol``, the bracket stops at two adjacent doubles and the end with the
+    smaller defect is returned if it meets ``tol``.  An element that does
+    neither within 200 steps raises :class:`NumericError`.
     """
     if tol <= 0.0:
         raise ConfigurationError("bisection tolerance must be positive")
-    if not lo < hi:
-        raise ConfigurationError(f"invalid bracket [{lo}, {hi}]")
-    glo, ghi = float(g(lo)), float(g(hi))
-    if not (math.isfinite(glo) and math.isfinite(ghi)):
-        raise NumericError("bracket endpoint evaluated to a non-finite value")
-    if not glo <= target <= ghi:
+    shape = np.broadcast_shapes(np.shape(target), np.shape(lo), np.shape(hi))
+    target, lo, hi = (np.broadcast_to(np.asarray(a, dtype=float), shape).reshape(-1)
+                      for a in (target, lo, hi))
+    bad = np.flatnonzero(~(lo < hi))
+    if bad.size:
+        raise ConfigurationError(f"invalid bracket [{lo[bad[0]]}, {hi[bad[0]]}]")
+    glo, ghi = evaluate(g, lo, name=name), evaluate(g, hi, name=name)
+    bad = np.flatnonzero(~((glo <= target) & (target <= ghi)))
+    if bad.size:
+        i = bad[0]
         raise BracketingError(
-            f"target {target} outside bracket values [{glo}, {ghi}] on [{lo}, {hi}]"
+            f"target {target[i]} outside bracket values [{glo[i]}, {ghi[i]}] on [{lo[i]}, {hi[i]}]"
         )
-    if abs(glo - target) <= tol and hi - lo <= tol:
-        return float(lo)
+    root = lo.copy()  # an element that starts within tol returns lo
+    # the brackets still bisecting, compacted; idx maps them back to root
+    idx = np.flatnonzero(~((np.abs(glo - target) <= tol) & (hi - lo <= tol)))
+    lo, hi, glo, ghi, target = (a[idx] for a in (lo, hi, glo, ghi, target))
     for _ in range(_BISECTION_CAP):
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            r, gr = (lo, glo) if abs(glo - target) <= abs(ghi - target) else (hi, ghi)
-            if abs(gr - target) <= tol:
-                return float(r)
+        stuck = (mid == lo) | (mid == hi)
+        if stuck.any():
+            use_lo = np.abs(glo - target) <= np.abs(ghi - target)
+            r, gr = np.where(use_lo, lo, hi)[stuck], np.where(use_lo, glo, ghi)[stuck]
+            if not np.all(np.abs(gr - target[stuck]) <= tol):
+                break
+            root[idx[stuck]] = r
+            idx, lo, hi, glo, ghi, target, mid = (
+                a[~stuck] for a in (idx, lo, hi, glo, ghi, target, mid))
+        if idx.size == 0:
             break
-        gm = float(g(mid))
-        if not math.isfinite(gm):
-            raise NumericError(f"function evaluated to a non-finite value at {mid}")
-        if abs(gm - target) <= tol and hi - lo <= 2.0 * tol:
-            return float(mid)
-        if gm < target:
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    raise NumericError(
-        f"bisection did not reach |g(r) - target| <= {tol}; is g discontinuous at the root?"
-    )
+        gm = evaluate(g, mid, name=name)
+        done = (np.abs(gm - target) <= tol) & (hi - lo <= 2.0 * tol)
+        below = gm < target
+        lo, glo = np.where(below, mid, lo), np.where(below, gm, glo)
+        hi, ghi = np.where(below, hi, mid), np.where(below, ghi, gm)
+        if done.any():
+            root[idx[done]] = mid[done]
+            idx, lo, hi, glo, ghi, target = (
+                a[~done] for a in (idx, lo, hi, glo, ghi, target))
+    if idx.size:
+        raise NumericError(
+            f"bisection did not reach |g(r) - target| <= {tol}; is g discontinuous at the root?"
+        )
+    return float(root[0]) if shape == () else root.reshape(shape)
 
 
 def gamma(x: float) -> float:

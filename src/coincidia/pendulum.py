@@ -75,43 +75,58 @@ class PendulumProblem:
             )
 
 
-def invert_A(p: PendulumProblem, y: float, tol: float) -> float:
-    """Solve A(x) = y to |A(x) - y| <= tol.
+def _double_brackets(oriented: Callable, target: np.ndarray,
+                     ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per element, the bracket [-1, 1] doubled until the nondecreasing
+    ``oriented`` reaches ``target`` (the oriented image of ``ys``) within
+    it, at most 60 times each way."""
+    lo, hi = np.full(target.shape, -1.0), np.full(target.shape, 1.0)
+    pending = np.arange(target.size)
+    for _ in range(60):
+        pending = pending[~(evaluate(oriented, hi[pending], name="A") >= target[pending])]
+        if pending.size == 0:
+            break
+        lo[pending], hi[pending] = hi[pending], 2.0 * hi[pending]
+    else:
+        raise RangeError(f"A does not appear to reach {ys[pending[0]]} above the start bracket")
+    pending = np.arange(target.size)
+    for _ in range(60):
+        pending = pending[~(evaluate(oriented, lo[pending], name="A") <= target[pending])]
+        if pending.size == 0:
+            break
+        lo[pending], hi[pending] = 2.0 * lo[pending], lo[pending]
+    else:
+        raise RangeError(f"A does not appear to reach {ys[pending[0]]} below the start bracket")
+    return lo, hi
 
-    Uses the supplied closed-form inverse when available; otherwise the
-    bracket [-1, 1] is expanded by doubling (at most 60 times) and the
-    monotone branch is bisected with :func:`bracket_root`.
+
+def invert_A(p: PendulumProblem, y, tol: float):
+    """Solve A(x) = y to |A(x) - y| <= tol, elementwise for an array ``y``;
+    a float returns a float.
+
+    Uses the supplied closed-form inverse when available.  Otherwise each
+    element's bracket starts at [-1, 1] and is expanded by doubling (at
+    most 60 times each way), and all elements are bisected together by one
+    array call of :func:`bracket_root`.  Every call of A goes through
+    :func:`evaluate`, so an exception raised inside A becomes a
+    :class:`NumericError` that names it.
     """
     if tol <= 0.0:
         raise ConfigurationError("inversion tolerance must be positive")
+    ys = np.asarray(y, dtype=float).reshape(-1)
     if p.A_inverse is not None:
-        return float(p.A_inverse(y))
-    sign = 1.0 if float(p.A(1.0)) >= float(p.A(-1.0)) else -1.0
-
-    def oriented(x: float) -> float:
-        return sign * float(p.A(x))
-
-    target = sign * y
-    lo, hi = -1.0, 1.0
-    for _ in range(60):
-        if oriented(hi) >= target:
-            break
-        lo, hi = hi, hi * 2.0
+        x = evaluate(p.A_inverse, ys, name="A_inverse")
     else:
-        raise RangeError(f"A does not appear to reach {y} above the start bracket")
-    for _ in range(60):
-        if oriented(lo) <= target:
-            break
-        lo, hi = lo * 2.0, lo
-    else:
-        raise RangeError(f"A does not appear to reach {y} below the start bracket")
-    return bracket_root(oriented, target, lo, hi, tol)
+        ends = evaluate(p.A, np.array([-1.0, 1.0]), name="A")
+        sign = 1.0 if ends[1] >= ends[0] else -1.0
 
+        def oriented(r: np.ndarray) -> np.ndarray:
+            return sign * np.asarray(p.A(r), dtype=float)
 
-def _invert_values(p: PendulumProblem, values: np.ndarray, tol: float) -> np.ndarray:
-    if p.A_inverse is not None:
-        return evaluate(p.A_inverse, values, name="A_inverse")
-    return np.array([invert_A(p, float(v), tol) for v in values])
+        target = sign * ys
+        lo, hi = _double_brackets(oriented, target, ys)
+        x = bracket_root(oriented, target, lo, hi, tol, name="A")
+    return float(x[0]) if np.ndim(y) == 0 else x.reshape(np.shape(y))
 
 
 def _require_green_grid(grid: Grid) -> None:
@@ -131,11 +146,11 @@ def green_apply_with_derivative(grid: Grid, w: np.ndarray) -> tuple[np.ndarray, 
     _require_green_grid(grid)
     _require_samples(grid, w)
     t = grid.points()
+    t_minus_1 = t - 1.0
     P = cumulative_integral(grid, t * w)
-    Q = cumulative_integral(grid, (t - 1.0) * w)
-    u = (t - 1.0) * P + t * (Q[-1] - Q)
-    u_prime = P + (Q[-1] - Q)
-    return u, u_prime
+    Q = cumulative_integral(grid, t_minus_1 * w)
+    tail = Q[-1] - Q
+    return t_minus_1 * P + t * tail, P + tail
 
 
 def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 1e-12) -> OperatorHandle:
@@ -144,7 +159,7 @@ def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 
     g_vals = evaluate(p.driving, grid.points(), name="driving")
 
     def apply(y: GridFunction) -> GridFunction:
-        u, _ = green_apply_with_derivative(grid, _invert_values(p, y.values, inversion_tol))
+        u, _ = green_apply_with_derivative(grid, invert_A(p, y.values, inversion_tol))
         return GridFunction(grid, np.sin(u) + g_vals)
 
     return OperatorHandle(apply=apply, norm_kind="sup", modulus=GREEN_MODULUS)
@@ -167,7 +182,7 @@ def solve(
     handle = coincidence_operator(p, grid, itol)
     start = y0 if y0 is not None else GridFunction.sample(grid, p.driving)
     report = engine.solve_picard(handle, start, tol, max_iter)
-    u, u_prime = green_apply_with_derivative(grid, _invert_values(p, report.solution.values, itol))
+    u, u_prime = green_apply_with_derivative(grid, invert_A(p, report.solution.values, itol))
     # defect of the returned iterate localizes the true solution within
     # phi^{-1}(defect) in the sup norm
     report.stability_radius = engine.error_bound(phi_pendulum(), report.final_residual)

@@ -85,7 +85,9 @@ def geraghty_phi(alpha: Callable[[float], float]) -> PhiFunction:
 
 
 def invert(phi: PhiFunction, eps: float, tol: float) -> float:
-    """Numeric inverse ``psi(eps)`` with ``|phi(psi) - eps| <= tol``."""
+    """Numeric inverse ``psi(eps)`` with ``|phi(psi) - eps| <= tol``, by the
+    bisection of :func:`bracket_root` on ``[0, upper_bracket(eps)]``; a
+    scalar-only ``phi`` is evaluated point by point."""
     if eps < 0.0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     if tol <= 0.0:
@@ -95,6 +97,6 @@ def invert(phi: PhiFunction, eps: float, tol: float) -> float:
     hi = float(phi.upper_bracket(eps))
     if not math.isfinite(hi) or hi <= 0.0:
         raise RangeError(f"bracket generator returned an unusable upper end {hi}")
-    if float(phi.eval(hi)) < eps:
+    if evaluate(phi.eval, np.array([hi]), name="phi")[0] < eps:
         raise RangeError(f"eps={eps} exceeds the reachable range of phi on [0, {hi}]")
-    return bracket_root(phi.eval, eps, 0.0, hi, tol)
+    return bracket_root(phi.eval, eps, 0.0, hi, tol, name="phi")

@@ -1,0 +1,88 @@
+"""The index-gather Simpson kernel and the per-point bisection that the
+array kernels in ``coincidia`` replaced, kept unchanged as references:
+the array kernels must return the same bits."""
+
+import math
+
+import numpy as np
+
+from coincidia.errors import BracketingError, ConfigurationError, NumericError, RangeError
+from coincidia.numerics import MIDPOINTS
+
+
+def cumulative_integral_gather(grid, values):
+    """Running integral with Simpson panels gathered through index arrays."""
+    v, h = values, grid.spacing
+    if grid.style == MIDPOINTS:
+        head = np.concatenate(([0.0], np.cumsum(v)[:-1]))
+        corr = np.empty_like(v)
+        corr[0] = (5.0 * v[0] - v[1]) / 8.0
+        corr[1:] = (v[:-1] + 3.0 * v[1:]) / 8.0
+        return h * (head + corr)
+    n = grid.n
+    F = np.zeros(n + 1)
+    m = n // 2
+    k = 2 * np.arange(m)
+    F[k + 2] = np.cumsum(h / 3.0 * (v[k] + 4.0 * v[k + 1] + v[k + 2]))
+    j = k + 1
+    F[j] = F[j - 1] + h * (5.0 * v[j - 1] + 8.0 * v[j] - v[j + 1]) / 12.0
+    if n % 2:
+        F[n] = F[n - 1] + h * (-v[n - 2] + 8.0 * v[n - 1] + 5.0 * v[n]) / 12.0
+    return F
+
+
+def bracket_root_scalar(g, target, lo, hi, tol):
+    """Bisection of one bracket, one scalar call of ``g`` per step."""
+    if tol <= 0.0:
+        raise ConfigurationError("bisection tolerance must be positive")
+    if not lo < hi:
+        raise ConfigurationError(f"invalid bracket [{lo}, {hi}]")
+    glo, ghi = float(g(lo)), float(g(hi))
+    if not (math.isfinite(glo) and math.isfinite(ghi)):
+        raise NumericError("bracket endpoint evaluated to a non-finite value")
+    if not glo <= target <= ghi:
+        raise BracketingError(f"target {target} outside bracket values [{glo}, {ghi}]")
+    if abs(glo - target) <= tol and hi - lo <= tol:
+        return float(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            r, gr = (lo, glo) if abs(glo - target) <= abs(ghi - target) else (hi, ghi)
+            if abs(gr - target) <= tol:
+                return float(r)
+            break
+        gm = float(g(mid))
+        if not math.isfinite(gm):
+            raise NumericError(f"function evaluated to a non-finite value at {mid}")
+        if abs(gm - target) <= tol and hi - lo <= 2.0 * tol:
+            return float(mid)
+        if gm < target:
+            lo, glo = mid, gm
+        else:
+            hi, ghi = mid, gm
+    raise NumericError(f"bisection did not reach |g(r) - target| <= {tol}")
+
+
+def invert_A_scalar(A, y, tol):
+    """Solve ``A(x) = y`` for one float ``y``: doubling from [-1, 1], at
+    most 60 times each way, then :func:`bracket_root_scalar`."""
+    sign = 1.0 if float(A(1.0)) >= float(A(-1.0)) else -1.0
+
+    def oriented(x):
+        return sign * float(A(x))
+
+    target = sign * y
+    lo, hi = -1.0, 1.0
+    for _ in range(60):
+        if oriented(hi) >= target:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise RangeError(f"A does not appear to reach {y} above the start bracket")
+    for _ in range(60):
+        if oriented(lo) <= target:
+            break
+        lo, hi = lo * 2.0, lo
+    else:
+        raise RangeError(f"A does not appear to reach {y} below the start bracket")
+    return bracket_root_scalar(oriented, target, lo, hi, tol)

@@ -27,6 +27,11 @@ from coincidia.numerics import (
     sup_norm,
 )
 from coincidia.registry import caputo_linear, caputo_nonlocal, pendulum_pa
+from scalar_kernels import bracket_root_scalar, cumulative_integral_gather
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
 
 
 class TestGrid:
@@ -146,6 +151,20 @@ class TestCumulativeIntegral:
         F = cumulative_integral(g, g.points())
         np.testing.assert_allclose(F, g.points() ** 2 / 2.0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 131071, 131072])
+    def test_nodes_slices_match_index_gather(self, n):
+        g = Grid(0.0, 1.0, n, NODES)
+        v = np.random.default_rng(n).standard_normal(g.size)
+        np.testing.assert_array_equal(bits(cumulative_integral(g, v)),
+                                      bits(cumulative_integral_gather(g, v)))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 4096])
+    def test_midpoints_branch_unchanged(self, n):
+        g = Grid(0.0, 1.0, n, MIDPOINTS)
+        v = np.random.default_rng(n).standard_normal(g.size)
+        np.testing.assert_array_equal(bits(cumulative_integral(g, v)),
+                                      bits(cumulative_integral_gather(g, v)))
+
     def test_cell_edges(self):
         g = Grid(0.0, 1.0, 8, MIDPOINTS)
         edges = cell_edge_cumulative(g, np.full(g.size, 2.0))
@@ -224,6 +243,65 @@ class TestBracketRoot:
             r0 = rng.uniform(-3.0, 3.0)
             r = bracket_root(g, g(r0), -4.0, 4.0, 1e-10)
             assert abs(r - r0) < 1e-9
+
+    def test_array_matches_scalar_loop_on_random_cubics(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            a, b, c = rng.uniform(0.1, 2.0, 3)
+            g = lambda r: a * r**3 + b * r + c
+            targets = np.array([g(float(r0)) for r0 in rng.uniform(-3.0, 3.0, 40)])
+            got = bracket_root(g, targets, -4.0, 4.0, 1e-10)
+            ref = [bracket_root_scalar(g, float(t), -4.0, 4.0, 1e-10) for t in targets]
+            np.testing.assert_array_equal(bits(got), bits(ref))
+
+    def test_scalar_only_function_goes_through_the_fallback(self):
+        phi = lambda r: r - 2.0 * math.sin(r / 2.0)
+        targets = np.linspace(0.0, 5.0, 21)
+        got = bracket_root(phi, targets, 0.0, 10.0, 1e-9)
+        ref = [bracket_root_scalar(phi, float(t), 0.0, 10.0, 1e-9) for t in targets]
+        np.testing.assert_array_equal(bits(got), bits(ref))
+
+    def test_adjacent_doubles_per_element(self):
+        targets = np.array([3e5, 3.0, 0.0])
+        got = bracket_root(lambda r: 3.0 * r, targets, 0.0, 2e5, 1e-12)
+        ref = [bracket_root_scalar(lambda r: 3.0 * r, float(t), 0.0, 2e5, 1e-12) for t in targets]
+        np.testing.assert_array_equal(bits(got), bits(ref))
+        assert got[0] == 1e5
+
+    def test_shapes(self):
+        assert type(bracket_root(lambda r: r, 0.3, 0.0, 1.0, 1e-12)) is float
+        targets = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+        got = bracket_root(lambda r: r, targets, 0.0, np.ones((2, 3)), 1e-12)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, targets, rtol=0.0, atol=1e-11)
+
+    def test_one_evaluation_per_step_on_the_active_elements(self):
+        sizes = []
+
+        def g(r):
+            sizes.append(r.size)
+            return r**3
+
+        bracket_root(g, np.array([0.0, 1.0, 8.0, 27.0]), 0.0, 4.0, 1e-10)
+        assert sizes[:2] == [4, 4]  # the bracket ends
+        steps = sizes[2:]
+        assert 0 < len(steps) <= 200
+        assert steps == sorted(steps, reverse=True) and steps[0] <= 4
+
+    def test_array_errors(self):
+        with pytest.raises(BracketingError):
+            bracket_root(lambda r: r, np.array([0.5, 5.0]), 0.0, 1.0, 1e-9)
+        with pytest.raises(ConfigurationError):
+            bracket_root(lambda r: r, 0.5, np.array([0.0, 1.0]), 1.0, 1e-9)
+        with pytest.raises(ConfigurationError):
+            bracket_root(lambda r: r, np.array([0.5]), 0.0, 1.0, 0.0)
+        with pytest.raises(NumericError, match="^g evaluated to a non-finite value"):
+            bracket_root(lambda r: np.where(r > 0.7, np.nan, r), np.array([0.1, 0.2]),
+                         0.0, 1.0, 1e-9, name="g")
+        # a jump across the target: no element can meet tol
+        with pytest.raises(NumericError, match="did not reach"):
+            bracket_root(lambda r: np.where(r < 0.5, 0.0, 1.0), np.array([0.0, 0.5]),
+                         0.0, 1.0, 1e-9)
 
 
 class TestGamma:

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 
 from coincidia import pendulum
 from coincidia.engine import error_bound
-from coincidia.errors import ConfigurationError
+from coincidia.errors import ConfigurationError, NumericError, RangeError
 from coincidia.numerics import MIDPOINTS, NODES, Grid, GridFunction, sup_norm
 from coincidia.pendulum import (
     PendulumProblem,
@@ -19,6 +22,7 @@ from coincidia.pendulum import (
     table1_candidates,
 )
 from coincidia.registry import pendulum_pa, pendulum_sqrt_linear
+from scalar_kernels import invert_A_scalar
 
 GRID = Grid(0.0, 1.0, 1000, NODES)
 
@@ -80,6 +84,28 @@ class TestInvertA:
             for p in (pa, numeric, closed):
                 x = invert_A(p, float(y), 1e-10)
                 assert abs(float(p.A(x)) - y) <= 1e-10
+
+    def test_array_matches_scalar_loop_on_sqrt_linear_k3(self):
+        # A(1) = 2: targets beyond [-2, 2] double the bracket, up to 2^20;
+        # A jumps from 2 to 3 at |x| = 1, so (2, 3) and (-3, -2) are unreached
+        p = pendulum_sqrt_linear(3.0)
+        grid = np.linspace(-50.0, 50.0, 401)
+        ys = np.concatenate((grid[~((np.abs(grid) > 2.0) & (np.abs(grid) < 3.0))],
+                             [0.0, -0.0, 2.0, -2.0, 3.0, -3.0, 1e-300, 1e6, -1e6]))
+        for tol in (1e-10, 1e-12):
+            got = invert_A(p, ys, tol)
+            ref = np.array([invert_A_scalar(p.A, float(y), tol) for y in ys])
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_unreached_element_raises_range_error(self):
+        # expansive on the probe range [-5, 5], but bounded by 6
+        p = PendulumProblem(A=lambda x: np.clip(np.asarray(x, dtype=float), -6.0, 6.0),
+                            driving=lambda t: 0.0 * t)
+        assert invert_A(p, np.array([0.5, -5.5]), 1e-12) == pytest.approx([0.5, -5.5])
+        with pytest.raises(RangeError, match="reach 7.0 above"):
+            invert_A(p, np.array([0.5, 7.0]), 1e-12)
+        with pytest.raises(RangeError, match="reach -7.0 below"):
+            invert_A(p, np.array([-7.0, 0.5]), 1e-12)
 
 
 class TestSqrtLinearSandwich:
@@ -169,6 +195,28 @@ class TestSolve:
         rep = pendulum.solve(pendulum_sqrt_linear(2.0), GRID, tol=1e-12)
         assert rep.converged
         assert sup_norm(rep.extras["u"]) <= 1e-12
+
+    def test_bisection_path_report_unchanged(self):
+        # digest of json.dumps(report.to_dict()) recorded with the per-point
+        # scalar bisection, before the array kernels replaced it
+        rep = pendulum.solve(pendulum_sqrt_linear(3.0), Grid(0.0, 1.0, 200, NODES))
+        digest = hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest()
+        assert digest == "6d9292c4081858d4e515468d3dc561d63882100d129e5d4310dc976998ca2272"
+
+    def test_raising_A_becomes_numeric_error_naming_A(self):
+        base = sqrt_linear_A(3.0)
+
+        def A(x):
+            x = np.asarray(x, dtype=float)
+            if np.any(np.abs(x) > 8.0):
+                raise ZeroDivisionError("A is undefined beyond |x| = 8")
+            return base(x)
+
+        # y0 = 30 needs A^{-1}(30) = 10, and the doubling reaches hi = 16
+        p = dataclasses.replace(pendulum_sqrt_linear(3.0, driving=lambda t: 30.0 + 0.0 * t), A=A)
+        with pytest.raises(NumericError, match="^A raised ZeroDivisionError") as info:
+            pendulum.solve(p, Grid(0.0, 1.0, 16, NODES))
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     def test_scalar_only_maps_are_applied_per_sample(self):
         # math.sin rejects arrays, so every evaluation of A and of the

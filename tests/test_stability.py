@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coincidia.errors import ConfigurationError, DomainError, RangeError
+from coincidia.errors import ConfigurationError, DomainError, NumericError, RangeError
 from coincidia.stability import PhiFunction, geraghty_phi, invert
 
 
@@ -63,6 +63,20 @@ class TestInvert:
         phi = PhiFunction(eval=lambda t: min(t, 1.0), upper_bracket=lambda e: 10.0)
         with pytest.raises(RangeError):
             invert(phi, 5.0, 1e-9)
+
+    def test_raising_phi_becomes_numeric_error_naming_phi(self):
+        # the probes stop at 100, so only the inversion reaches r > 150
+        def phi(r):
+            r = float(r)
+            if r > 150.0:
+                raise ZeroDivisionError("phi is undefined beyond 150")
+            return r
+
+        phi_fn = PhiFunction(eval=phi, upper_bracket=lambda e: 200.0)
+        with pytest.raises(NumericError, match="^phi raised ZeroDivisionError"):
+            invert(phi_fn, 1.0, 1e-9)
+        assert invert(PhiFunction(eval=phi, upper_bracket=lambda e: 120.0), 1.0, 1e-9) == \
+            pytest.approx(1.0, abs=1e-9)
 
     def test_roundtrip_identity(self):
         from coincidia.pendulum import phi_pendulum

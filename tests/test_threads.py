@@ -5,10 +5,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 from coincidia import bvp3, caputo, pendulum
 from coincidia.numerics import MIDPOINTS, NODES, Grid
-from coincidia.registry import bvp3_example, caputo_linear, pendulum_pa
+from coincidia.registry import bvp3_example, caputo_linear, pendulum_pa, pendulum_sqrt_linear
 
 SOLVES = {
     "pendulum": lambda: pendulum.solve(pendulum_pa(), Grid(0.0, 1.0, 2000, NODES)),
+    "pendulum-bisection": lambda: pendulum.solve(pendulum_sqrt_linear(3.0),
+                                                 Grid(0.0, 1.0, 200, NODES)),
     "bvp3-auto": lambda: bvp3.solve(bvp3_example(), Grid(0.0, 1.0, 512, MIDPOINTS)),
     "bvp3-resolvent": lambda: bvp3.solve(bvp3_example(), Grid(0.0, 1.0, 256, MIDPOINTS),
                                          scheme="resolvent", tol=1e-6),
