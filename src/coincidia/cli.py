@@ -8,9 +8,11 @@
 Every run writes ``report.json`` (schema-versioned, deterministic for a
 fixed config and seed).  Solves additionally write ``solution.csv``;
 stability runs write ``table.csv`` plus ``localization.csv`` with the
-band data for plotting.  Exit codes: 0 ok, 2 configuration error,
-3 certificate/hypothesis failure, 4 numeric failure (including running out
-of memory).
+band data for plotting.  Per-point arrays are written only to these CSV
+files; ``report.json`` holds the scalars, residual histories, stages,
+certificates and the grid of the solution.  Exit codes: 0 ok,
+2 configuration error, 3 certificate/hypothesis failure, 4 numeric failure
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     RangeError,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .errors import ConfigurationError, DomainError, NumericError
+from .errors import ConfigurationError, NumericError
 from .numerics import Grid, GridFunction, l2_norm, sup_norm
 from .reports import HypothesisReport
 from .stability import PhiFunction, invert
@@ -74,6 +74,9 @@ class SolveReport:
     resolvent scheme ``iterations`` counts the inner steps of all stages,
     the history holds one outer residual per stage, and ``extras["stages"]``
     lists each stage's ``n``, ``inner_steps`` and ``outer_residual``.
+    The per-point arrays (``solution`` and every :class:`GridFunction` in
+    ``extras``, such as ``u`` and ``u_prime``) stay on the object; front
+    ends write them as table columns, see ``ProblemClass.columns``.
     """
 
     solution: GridFunction
@@ -88,6 +91,9 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The report's scalars, histories and certificates, and the
+        solution's grid; the per-point arrays are left out."""
+        grid = self.solution.grid
         payload = {
             "scheme": self.scheme,
             "iterations": self.iterations,
@@ -97,23 +103,11 @@ class SolveReport:
             "tol": self.tol,
             "stability_radius": self.stability_radius,
             "stagnated": bool(self.stagnated),
-            "solution": {
-                "grid": {
-                    "a": self.solution.grid.a,
-                    "b": self.solution.grid.b,
-                    "n": self.solution.grid.n,
-                    "style": self.solution.grid.style,
-                },
-                "values": [float(v) for v in self.solution.values],
-            },
+            "solution": {"grid": {"a": grid.a, "b": grid.b, "n": grid.n, "style": grid.style}},
         }
         for key, value in self.extras.items():
-            if isinstance(value, GridFunction):
-                payload[key] = [float(v) for v in value.values]
-            elif hasattr(value, "to_dict"):
-                payload[key] = value.to_dict()
-            else:
-                payload[key] = value
+            if not isinstance(value, GridFunction):
+                payload[key] = value.to_dict() if hasattr(value, "to_dict") else value
         return payload
 
 
@@ -320,6 +314,4 @@ def error_bound(phi: PhiFunction, eps: float) -> float:
     and ``T - S`` is ``phi``-expansive, the unique coincidence point lies
     within ``psi(eps)`` of ``w``.
     """
-    if eps < 0.0:
-        raise DomainError("the defect eps must be nonnegative")
     return invert(phi, eps, tol=1e-9)

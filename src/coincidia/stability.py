@@ -43,7 +43,7 @@ class PhiFunction:
     upper_bracket: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        at_zero = float(self.eval(0.0))
+        at_zero = evaluate(self.eval, np.zeros(1), name="phi")[0]
         if abs(at_zero) > 1e-12:
             raise ConfigurationError(f"comparison function must vanish at 0, got {at_zero}")
         probes, vals = _probe(self.eval, "phi")
@@ -63,7 +63,7 @@ def geraghty_phi(alpha: Callable[[float], float]) -> PhiFunction:
     ``phi`` strictly increasing with ``phi(t) >= (1 - alpha(0)) t``.
     Monotonicity is spot-checked on probe points.
     """
-    alpha0 = float(alpha(0.0))
+    alpha0, alpha1 = evaluate(alpha, np.array([0.0, 1.0]), name="alpha")
     # alpha(0) = 1 is tolerated (the constant-modulus convention pins the
     # value 1 at t = 0 only); away from 0 the modulus must stay below 1
     if not 0.0 <= alpha0 <= 1.0:
@@ -73,7 +73,7 @@ def geraghty_phi(alpha: Callable[[float], float]) -> PhiFunction:
         raise ConfigurationError("alpha must map into [0, 1) away from 0")
     if np.any(np.diff(avals) > 1e-12):
         raise ConfigurationError("alpha must be decreasing but increases on probe points")
-    slope = 1.0 - float(alpha(1.0))
+    slope = 1.0 - alpha1
     if slope <= 0.0:
         raise ConfigurationError("alpha(1) must be strictly below 1")
 

@@ -121,7 +121,30 @@ class TestSolveCommand:
         assert len(rows) == 1001
         report = read_report(tmp_path)
         assert report["result"]["converged"] is True
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+
+    @pytest.mark.parametrize("command, problem", [
+        ("solve", "pendulum-Pa"),
+        ("solve", "bvp3-example"),
+        ("solve", "caputo-linear"),
+        ("stability", "pendulum-Pa"),
+    ])
+    def test_report_holds_no_per_point_array(self, tmp_path, command, problem):
+        # the arrays live only in the CSV files
+        grid_n = 256
+        assert main([command, "--problem", problem, "--grid-n", str(grid_n),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        report = read_report(tmp_path)
+        assert report["schema_version"] == 2
+
+        def longest_list(value):
+            if isinstance(value, dict):
+                return max(map(longest_list, value.values()), default=0)
+            if isinstance(value, list):
+                return max([len(value), *map(longest_list, value)])
+            return 0
+
+        assert longest_list(report) < grid_n
 
     def test_unknown_problem_exits_2(self, tmp_path):
         code = run(RunConfig(command="solve", problem="nope", output_dir=str(tmp_path)))

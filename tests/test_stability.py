@@ -18,6 +18,17 @@ class TestPhiFunction:
         with pytest.raises(ConfigurationError):
             PhiFunction(eval=lambda t: t * (100.0 - t), upper_bracket=lambda e: e + 1.0)
 
+    def test_raising_phi_at_zero_becomes_numeric_error_naming_phi(self):
+        with pytest.raises(NumericError, match="^phi raised ZeroDivisionError") as info:
+            PhiFunction(eval=lambda r: 1 / 0 if r == 0 else r, upper_bracket=lambda e: e + 1.0)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_nan_at_zero_is_rejected(self):
+        # abs(nan) > 1e-12 is False, so a direct comparison would accept it
+        with pytest.raises(NumericError, match="^phi evaluated to a non-finite value"):
+            PhiFunction(eval=lambda r: np.where(r == 0.0, np.nan, r),
+                        upper_bracket=lambda e: e + 1.0)
+
 
 class TestGeraghtyPhi:
     def test_constant_modulus(self):
@@ -37,6 +48,17 @@ class TestGeraghtyPhi:
     def test_rejects_increasing_modulus(self):
         with pytest.raises(ConfigurationError):
             geraghty_phi(lambda t: t / (1.0 + t))
+
+
+    def test_alpha_raising_at_one_becomes_numeric_error_naming_alpha(self):
+        def alpha(t):
+            if t == 1.0:
+                raise ZeroDivisionError("alpha is undefined at 1")
+            return 0.5
+
+        with pytest.raises(NumericError, match="^alpha raised ZeroDivisionError") as info:
+            geraghty_phi(alpha)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 class TestInvert:

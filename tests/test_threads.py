@@ -4,7 +4,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 
 from coincidia import bvp3, caputo, pendulum
-from coincidia.numerics import MIDPOINTS, NODES, Grid
+from coincidia.numerics import MIDPOINTS, NODES, Grid, GridFunction
 from coincidia.registry import bvp3_example, caputo_linear, pendulum_pa, pendulum_sqrt_linear
 
 SOLVES = {
@@ -18,14 +18,18 @@ SOLVES = {
 }
 
 
-def report_json(name: str) -> str:
-    return json.dumps(SOLVES[name]().to_dict())
+def report_and_arrays(name: str) -> tuple[str, list[bytes]]:
+    """The serialized report with the bytes of every per-point array, which
+    ``to_dict`` leaves out."""
+    report = SOLVES[name]()
+    arrays = [report.solution, *(v for v in report.extras.values() if isinstance(v, GridFunction))]
+    return json.dumps(report.to_dict()), [f.values.tobytes() for f in arrays]
 
 
 def test_concurrent_solves_match_serial():
-    serial = {name: report_json(name) for name in SOLVES}
+    serial = {name: report_and_arrays(name) for name in SOLVES}
     names = [*SOLVES, *SOLVES]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        concurrent = list(pool.map(report_json, names))
-    for name, text in zip(names, concurrent):
-        assert text == serial[name], name
+        concurrent = list(pool.map(report_and_arrays, names))
+    for name, outputs in zip(names, concurrent):
+        assert outputs == serial[name], name
