@@ -248,8 +248,7 @@ def snap_eta(grid: Grid, eta: float) -> tuple[int, float, float]:
     """Snap eta to the nearest cell edge so that int_0^eta is an exact
     partial sum.  Returns (edge index, snapped value, snap distance); the
     distance never exceeds half a cell."""
-    k = int(round(eta / grid.spacing))
-    k = min(max(k, 0), grid.n)
+    k = grid.nearest_edge(eta)
     snapped = k * grid.spacing
     return k, snapped, abs(snapped - eta)
 

@@ -45,6 +45,8 @@ from .errors import CertificateError, ConfigurationError, DomainError
 from .numerics import NODES, Grid, GridFunction, evaluate, gamma
 from .reports import HypothesisReport
 
+_LAMBDA_MAX = 1e8  # the lambda search of the contraction certificate stops here
+
 
 @dataclass(frozen=True)
 class NonlocalTerm:
@@ -169,8 +171,7 @@ def snap_nonlocal_points(p: CaputoProblem, grid: Grid) -> list[tuple[int, float]
     is at most half a cell."""
     out = []
     for term in p.nonlocal_terms:
-        idx = int(round(term.t / grid.spacing))
-        idx = min(max(idx, 0), grid.n)
+        idx = grid.nearest_edge(term.t)
         out.append((idx, abs(idx * grid.spacing - term.t)))
     return out
 
@@ -192,14 +193,12 @@ def picard_step(p: CaputoProblem, x: GridFunction, kernel: VolterraKernel) -> Gr
     return GridFunction(grid, p.x0 + nonlocal_sum + kernel.integrate(fv) / gamma(p.q))
 
 
-def contraction_certificate(p: CaputoProblem, lambda_max: float = 1e8) -> HypothesisReport:
+def contraction_certificate(p: CaputoProblem) -> HypothesisReport:
     """Check the contraction condition and search a usable weight rate lambda.
 
     Passes when L_f t_N^q / (Gamma(q) q) + L_g < 1 and doubling lambda from
-    max(1, 2 q / (L_f t_N)) finds rho(lambda) < 1 below ``lambda_max``.
+    max(1, 2 q / (L_f t_N)) finds rho(lambda) < 1 below ``_LAMBDA_MAX``.
     """
-    if lambda_max <= 0.0:
-        raise ConfigurationError("lambda_max must be positive")
     q, L_f, L_g, t_N = p.q, p.L_f, p.L_g, p.t_N
     limit_value = L_f * t_N ** q / (gamma(q) * q) + L_g
     constants = {"q": q, "L_f": L_f, "L_g": L_g, "t_N": t_N, "limit_value": limit_value}
@@ -208,12 +207,12 @@ def contraction_certificate(p: CaputoProblem, lambda_max: float = 1e8) -> Hypoth
     if passed:
         lam = 1.0 if t_N == 0.0 else max(1.0, 2.0 * q / (L_f * t_N))
         rho = limit_value + L_f ** (1.0 - q) / lam ** q
-        while rho >= 1.0 and lam <= lambda_max:
+        while rho >= 1.0 and lam <= _LAMBDA_MAX:
             lam *= 2.0
             rho = limit_value + L_f ** (1.0 - q) / lam ** q
         passed = rho < 1.0
         margins["rho_margin"] = 1.0 - rho
-        constants.update({"lambda": lam, "rho": rho} if passed else {"lambda_max": lambda_max})
+        constants.update({"lambda": lam, "rho": rho} if passed else {"lambda_max": _LAMBDA_MAX})
     return HypothesisReport(condition="Volterra contraction", passed=passed,
                             constants=constants, margins=margins, witnesses=[])
 
@@ -243,7 +242,6 @@ def solve(
     max_iter: int = 200,
     x_init: GridFunction | None = None,
     override_certificate: bool = False,
-    lambda_max: float = 1e8,
 ) -> SolveReport:
     """Picard-iterate the Volterra equation from a constant initial iterate.
 
@@ -260,12 +258,12 @@ def solve(
     for term in p.nonlocal_terms:
         if term.t > grid.b + 1e-12:
             raise ConfigurationError("nonlocal points must lie inside the grid interval")
-    certificate = contraction_certificate(p, lambda_max)
+    certificate = contraction_certificate(p)
     if not certificate.passed and not override_certificate:
         margins = certificate.margins
         cause = (f"limit_margin {margins['limit_margin']:.6g} <= 0" if "rho_margin" not in margins
                  else f"rho_margin {margins['rho_margin']:.6g} <= 0: the lambda search "
-                 f"reached lambda_max {lambda_max:.6g} with rho >= 1")
+                 f"reached lambda_max {_LAMBDA_MAX:.6g} with rho >= 1")
         raise CertificateError(f"the contraction certificate failed ({cause}); "
                                "pass override_certificate=True to iterate anyway")
     handle = volterra_operator(p, grid)

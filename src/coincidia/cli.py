@@ -3,7 +3,11 @@
     coincidia <check|solve|stability|oracle> --problem NAME
               [--grid-n N] [--tol X] [--max-iter N] [--scheme S]
               [--seed N] [--out DIR] [--config FILE]
-              [problem parameters: --kappa --a --q --lf --x0]
+              [--builtin-candidates table1] [problem parameters]
+
+One option set serves every command.  The problem parameter flags are the
+registry's parameter names (``--kappa``, ``--a``, ...); each problem takes
+only its own, and only ``stability`` reads ``--builtin-candidates``.
 
 Every run writes ``report.json`` (schema-versioned, deterministic for a
 fixed config and seed).  Solves additionally write ``solution.csv``;
@@ -47,7 +51,9 @@ EXIT_NUMERIC = 4
 
 _COMMANDS = ("check", "solve", "stability", "oracle")
 _SCHEMES = ("auto", "picard", "averaged", "resolvent")
-_PARAM_FLAGS = ("kappa", "a", "q", "lf", "x0")
+# every parameter name a built-in problem takes, in registry order
+_PARAM_FLAGS = tuple(dict.fromkeys(name for entry in registry.REGISTRY.values()
+                                   for name in entry.defaults))
 
 
 @dataclass
@@ -80,12 +86,6 @@ class RunConfig:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.scheme not in _SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        unknown = set(self.params) - set(_PARAM_FLAGS)
-        if unknown:
-            raise ConfigurationError(f"unknown problem parameters {sorted(unknown)}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
@@ -132,7 +132,7 @@ def _finish(config: RunConfig, out_dir: Path, result: dict | None, code: int = E
     """Write the run's ``report.json`` and return its exit code; a nonzero
     code adds the error block."""
     payload = {"schema_version": SCHEMA_VERSION, "command": config.command,
-               "problem": config.problem, "config": config.to_json_dict()}
+               "problem": config.problem, "config": asdict(config)}
     if result is not None:
         payload["result"] = result
     if code != EXIT_OK:
@@ -241,24 +241,21 @@ def run(config: RunConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="coincidia",
+        prog="coincidia", argument_default=argparse.SUPPRESS,
         description="coincidence-problem solvers with Ulam-Hyers stability certificates",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
-        p.add_argument("--problem", help="registry name, e.g. pendulum-Pa")
-        p.add_argument("--config", help="JSON config file (flags override its values)")
-        p.add_argument("--grid-n", dest="grid_n", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--scheme", choices=_SCHEMES)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", dest="output_dir")
-        if command == "stability":
-            p.add_argument("--builtin-candidates", dest="candidates", choices=["table1"])
-        for flag in _PARAM_FLAGS:
-            p.add_argument(f"--{flag}", type=float)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--problem", help="registry name, e.g. pendulum-Pa")
+    parser.add_argument("--config", help="JSON config file (flags override its values)")
+    parser.add_argument("--grid-n", dest="grid_n", type=int)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--max-iter", dest="max_iter", type=int)
+    parser.add_argument("--scheme", choices=_SCHEMES)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", dest="output_dir")
+    parser.add_argument("--builtin-candidates", dest="candidates", choices=["table1"])
+    for flag in _PARAM_FLAGS:
+        parser.add_argument(f"--{flag}", type=float)
     return parser
 
 

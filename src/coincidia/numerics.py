@@ -65,6 +65,11 @@ class Grid:
             return np.linspace(self.a, self.b, self.n + 1)
         return self.a + (np.arange(self.n) + 0.5) * self.spacing
 
+    def nearest_edge(self, t: float) -> int:
+        """Index k of the cell edge a + k h nearest to ``t``, clamped to
+        0..n."""
+        return min(max(int(round((t - self.a) / self.spacing)), 0), self.n)
+
 
 def evaluate(fn: Callable, x: np.ndarray, *args: np.ndarray, name: str = "function") -> np.ndarray:
     """Evaluate a user callable on the sample array ``x`` (and on equally

@@ -254,12 +254,11 @@ class StabilityRow:
 def stability_table(
     p: PendulumProblem,
     candidates: Sequence[tuple[GridFunction, GridFunction]],
-    u_star: GridFunction | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    u_star: GridFunction,
 ) -> list[StabilityRow]:
     """Per candidate (w, w''): the defect eps, the localization radius
-    psi(eps) = phi^{-1}(eps), and the realized distance sup|w - u*|.
+    psi(eps) = phi^{-1}(eps), and the realized distance sup|w - u*| to the
+    solution ``u_star`` on the candidates' grid.
 
     The true solution satisfies sup|w - u*| <= psi(eps) for every row.
     """
@@ -269,8 +268,6 @@ def stability_table(
     for w, w2 in candidates:
         if w.grid != grid or w2.grid != grid:
             raise ConfigurationError("all candidates must share one grid")
-    if u_star is None:
-        u_star = solve(p, grid, tol=tol, max_iter=max_iter).extras["u"]
     phi = phi_pendulum()
     rows = []
     for w, w2 in candidates:

@@ -79,7 +79,7 @@ def pendulum_pa(a: float = 1.0) -> PendulumProblem:
         A=lambda r: np.asarray(r, dtype=float) / a2,
         A_inverse=lambda y: np.asarray(y, dtype=float) * a2,
         driving=lambda t: np.sin(math.pi * np.asarray(t, dtype=float)) / a2,
-        f_lower=PhiFunction(eval=lambda t: a2 * float(t),
+        f_lower=PhiFunction(eval=lambda t: a2 * np.asarray(t, dtype=float),
                             upper_bracket=lambda eps: eps / a2 + 1.0),
     )
 
@@ -227,17 +227,9 @@ _ENTRIES = [
 REGISTRY = {entry.name: entry for entry in _ENTRIES}
 
 
-def available_problems() -> list[RegistryEntry]:
-    return list(_ENTRIES)
-
-
 def lookup(name: str) -> RegistryEntry:
     if name not in REGISTRY:
         raise ConfigurationError(
             f"unknown problem {name!r}; available: {sorted(REGISTRY)}"
         )
     return REGISTRY[name]
-
-
-def build_problem(name: str, **params):
-    return lookup(name).make(**params)

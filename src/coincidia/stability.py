@@ -9,7 +9,6 @@ an approximate-solution defect ``eps`` into the localization radius
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,8 +93,8 @@ def invert(phi: PhiFunction, eps: float, tol: float) -> float:
         raise ConfigurationError("inversion tolerance must be positive")
     if eps == 0.0:
         return 0.0
-    hi = float(phi.upper_bracket(eps))
-    if not math.isfinite(hi) or hi <= 0.0:
+    hi = float(evaluate(phi.upper_bracket, np.array([eps]), name="upper_bracket")[0])
+    if hi <= 0.0:
         raise RangeError(f"bracket generator returned an unusable upper end {hi}")
     if evaluate(phi.eval, np.array([hi]), name="phi")[0] < eps:
         raise RangeError(f"eps={eps} exceeds the reachable range of phi on [0, {hi}]")

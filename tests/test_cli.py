@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -8,12 +9,14 @@ from coincidia.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    _PARAM_FLAGS,
     RunConfig,
+    _build_parser,
     main,
     run,
 )
 from coincidia.errors import ConfigurationError
-from coincidia.registry import REGISTRY, available_problems, build_problem
+from coincidia.registry import REGISTRY, lookup
 
 TABLE1 = {
     "w1": (1.0, 2.994600778191),
@@ -35,7 +38,7 @@ def read_csv(path):
 
 class TestRegistry:
     def test_builtin_names(self):
-        names = {e.name for e in available_problems()}
+        names = set(REGISTRY)
         assert {"pendulum-Pa", "bvp3-example", "caputo-constant",
                 "caputo-linear", "caputo-nonlocal"} <= names
 
@@ -53,15 +56,15 @@ class TestRegistry:
 
     def test_unknown_problem(self):
         with pytest.raises(ConfigurationError):
-            build_problem("missing-problem")
+            lookup("missing-problem")
 
     def test_unknown_parameter(self):
         with pytest.raises(ConfigurationError):
-            build_problem("pendulum-Pa", kappa=0.3)
+            lookup("pendulum-Pa").make(kappa=0.3)
 
     def test_non_numeric_parameter(self):
         with pytest.raises(ConfigurationError):
-            build_problem("bvp3-example", kappa="abc")
+            lookup("bvp3-example").make(kappa="abc")
 
     @pytest.mark.parametrize("problem, flag, value", [
         ("caputo-linear", "--lf", "nan"),
@@ -88,7 +91,7 @@ class TestRunConfig:
             "tol": 1e-9, "max_iter": 40, "scheme": "auto", "seed": 3,
             "output_dir": "out", "params": {"a": 1.0}, "candidates": "table1",
         }
-        assert RunConfig.from_json_dict(data).to_json_dict() == data
+        assert asdict(RunConfig.from_json_dict(data)) == data
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -351,3 +354,54 @@ class TestMainArgparse:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"problem": "pendulum-Pa", "mesh": 7}))
         assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+class TestParser:
+    def test_options_before_or_after_the_command(self, tmp_path):
+        reports = []
+        for argv in (["check", "--problem", "caputo-linear", "--out", str(tmp_path)],
+                     ["--problem", "caputo-linear", "--out", str(tmp_path), "check"],
+                     ["--problem", "caputo-linear", "check", "--out", str(tmp_path)]):
+            assert main(argv) == EXIT_OK
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_builtin_candidates_is_accepted_by_check(self, tmp_path):
+        argv = ["check", "--problem", "pendulum-Pa", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        plain = (tmp_path / "report.json").read_bytes()
+        assert main([*argv, "--builtin-candidates", "table1"]) == EXIT_OK
+        assert (tmp_path / "report.json").read_bytes() == plain
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["plot", "--problem", "pendulum-Pa"],
+        ["check", "--problem", "pendulum-Pa", "--mesh", "8"],
+        ["check", "--problem", "pendulum-Pa", "--builtin-candidates", "table2"],
+    ])
+    def test_bad_command_line_exits_2_without_a_report(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "--builtin-candidates" in capsys.readouterr().out
+
+    def test_every_registry_parameter_is_a_float_flag(self):
+        names = {name for entry in REGISTRY.values() for name in entry.defaults}
+        assert set(_PARAM_FLAGS) == names
+        parser = _build_parser()
+        for name in names:
+            ns = vars(parser.parse_args(["solve", f"--{name}", "0.25"]))
+            assert ns == {"command": "solve", name: 0.25}
+
+    @pytest.mark.parametrize("params", [{"kappa": 0.3}, {"zeta": 1.0}])
+    def test_config_parameter_the_problem_does_not_take_exits_2(self, tmp_path, params):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"problem": "pendulum-Pa", "params": params}))
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        error = read_report(out)["error"]
+        assert error["type"] == "ConfigurationError" and error["exit_code"] == EXIT_CONFIG
+        assert error["message"].startswith("problem 'pendulum-Pa' does not take parameters")

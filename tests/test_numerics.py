@@ -45,6 +45,10 @@ class TestGrid:
         assert g.size == 4
         np.testing.assert_allclose(g.points(), [0.125, 0.375, 0.625, 0.875])
 
+    @pytest.mark.parametrize("t, k", [(-1.0, 0), (0.0, 0), (0.3, 1), (0.4, 2), (1.0, 4), (7.0, 4)])
+    def test_nearest_edge_is_clamped_to_the_grid(self, t, k):
+        assert Grid(0.0, 1.0, 4, MIDPOINTS).nearest_edge(t) == k
+
     @pytest.mark.parametrize("bad", [dict(a=1.0, b=0.0), dict(n=1), dict(style="cells")])
     def test_invalid_grids(self, bad):
         kwargs = dict(a=0.0, b=1.0, n=4, style=NODES)

@@ -340,6 +340,11 @@ class TestStabilityTable:
         for row in rows:
             assert row.sup_distance < row.psi  # strict margin
 
-    def test_candidates_validated(self, pa):
+    def test_pa_lower_bound_takes_arrays(self):
+        # one array call, not evaluate's per-element fallback
+        f = pendulum_pa(0.5).f_lower.eval
+        np.testing.assert_array_equal(f(np.array([0.0, 1.0, 4.0])), [0.0, 0.25, 1.0])
+
+    def test_candidates_validated(self, pa, pa_solution):
         with pytest.raises(ConfigurationError):
-            stability_table(pa, [])
+            stability_table(pa, [], u_star=pa_solution.extras["u"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,24 @@ class TestInvert:
         phi = PhiFunction(eval=lambda t: min(t, 1.0), upper_bracket=lambda e: 10.0)
         with pytest.raises(RangeError):
             invert(phi, 5.0, 1e-9)
+
+    def test_raising_bracket_becomes_numeric_error_naming_it(self):
+        phi = PhiFunction(eval=lambda t: t, upper_bracket=lambda e: 1 / 0)
+        with pytest.raises(NumericError, match="^upper_bracket raised ZeroDivisionError") as info:
+            invert(phi, 1.0, 1e-9)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    @pytest.mark.parametrize("end", [0.0, -1.0])
+    def test_non_positive_bracket_end_is_a_range_error(self, end):
+        phi = PhiFunction(eval=lambda t: t, upper_bracket=lambda e: end)
+        with pytest.raises(RangeError, match="unusable upper end"):
+            invert(phi, 1.0, 1e-9)
+
+    @pytest.mark.parametrize("end", [math.inf, math.nan])
+    def test_non_finite_bracket_end_is_a_numeric_error(self, end):
+        phi = PhiFunction(eval=lambda t: t, upper_bracket=lambda e: end)
+        with pytest.raises(NumericError, match="^upper_bracket evaluated to a non-finite value"):
+            invert(phi, 1.0, 1e-9)
 
     def test_raising_phi_becomes_numeric_error_naming_phi(self):
         # the probes stop at 100, so only the inversion reaches r > 150
