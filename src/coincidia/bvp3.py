@@ -348,11 +348,11 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
     return report
 
 
-def defect_oracle(p: Bvp3Problem, grid: Grid, scheme: str, tol: float, max_iter: int) -> dict:
-    """Oracle: the pointwise equation defect of the solve's returned iterate."""
-    report = solve(p, grid, scheme=scheme, tol=tol, max_iter=max_iter)
+def defect_oracle(p: Bvp3Problem, grid: Grid, solve: Callable[[Grid], SolveReport]) -> dict:
+    """Oracle: the pointwise equation defect of the iterate ``solve(grid)`` returns."""
+    report = solve(grid)
     return {"reference": "pointwise equation defect of the returned iterate",
-            "max_error": ode_defect(p, report.solution), "tolerance": 10.0 * tol}
+            "max_error": ode_defect(p, report.solution), "tolerance": 10.0 * report.tol}
 
 
 PROBLEM_CLASS = engine.ProblemClass(

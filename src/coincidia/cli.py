@@ -7,7 +7,10 @@
 
 One option set serves every command.  The problem parameter flags are the
 registry's parameter names (``--kappa``, ``--a``, ...); each problem takes
-only its own, and only ``stability`` reads ``--builtin-candidates``.
+only its own, and only ``stability`` reads ``--builtin-candidates``.  The
+commands that solve make every solve with the problem class's ``solve`` and
+the run's ``--scheme``, ``--tol`` and ``--max-iter``, built once per run, so
+each refuses a scheme as ``solve`` does; ``check`` ignores these flags.
 
 Every run writes ``report.json`` (schema-versioned, deterministic for a
 fixed config and seed).  Solves additionally write ``solution.csv``;
@@ -151,7 +154,7 @@ def _solve_status(report) -> tuple[int, str, str]:
             f"{report.final_residual:.6g} above tol {report.tol}")
 
 
-def _run_check(config: RunConfig, entry, problem, out_dir: Path) -> int:
+def _run_check(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
     reports = entry.problem_class.check(problem, config.seed)
     all_pass = all(r.passed for r in reports)
     failed = ", ".join(r.condition for r in reports if not r.passed)
@@ -160,23 +163,21 @@ def _run_check(config: RunConfig, entry, problem, out_dir: Path) -> int:
                    "HypothesisFailure", f"failed checks: {failed}")
 
 
-def _run_solve(config: RunConfig, entry, problem, out_dir: Path) -> int:
-    family = entry.problem_class
-    grid = family.grid(problem, config.grid_n)
-    report = family.solve(problem, grid, config.scheme, config.tol, config.max_iter)
-    columns = family.columns(report)
+def _run_solve(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
+    report = solve(entry.problem_class.grid(problem, config.grid_n))
+    columns = entry.problem_class.columns(report)
     _write_csv(out_dir / "solution.csv", list(columns), list(columns.values()))
     return _finish(config, out_dir, report.to_dict(), *_solve_status(report))
 
 
-def _run_stability(config: RunConfig, entry, problem, out_dir: Path) -> int:
+def _run_stability(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
     family = entry.problem_class
     if family.stability is None:
         raise ConfigurationError("stability tables are defined for the pendulum problem class")
     if config.candidates != "table1":
         raise ConfigurationError(f"unknown candidate set {config.candidates!r}")
     grid = family.grid(problem, config.grid_n)
-    named, rows, solve_report = family.stability(problem, grid, config.tol, config.max_iter)
+    named, rows, solve_report = family.stability(problem, grid, solve)
     names = [name for name, _, _ in named]
     _write_csv(out_dir / "table.csv", ["name", "epsilon", "psi", "sup_distance_to_solution"],
                [names, *np.array([(r.epsilon, r.psi, r.sup_distance) for r in rows]).T])
@@ -199,11 +200,10 @@ def _run_stability(config: RunConfig, entry, problem, out_dir: Path) -> int:
     }, *_solve_status(solve_report))
 
 
-def _run_oracle(config: RunConfig, entry, problem, out_dir: Path) -> int:
+def _run_oracle(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
     """Compare a solve against the problem's independent reference."""
     grid = entry.problem_class.grid(problem, config.grid_n)
-    result = {"problem": config.problem,
-              **entry.oracle(problem, grid, config.scheme, config.tol, config.max_iter)}
+    result = {"problem": config.problem, **entry.oracle(problem, grid, solve)}
     result["ok"] = result["max_error"] <= result["tolerance"]
     return _finish(config, out_dir, result, EXIT_OK if result["ok"] else EXIT_NUMERIC,
                    "OracleMismatch", f"max error {result['max_error']:.6g} exceeds "
@@ -228,7 +228,10 @@ def run(config: RunConfig) -> int:
         config.validate()
         entry = registry.lookup(config.problem)
         problem = entry.make(**config.params)
-        return _RUNNERS[config.command](config, entry, problem, out_dir)
+        def solve(grid):  # every solve of the run goes through here
+            return entry.problem_class.solve(problem, grid, config.scheme, config.tol,
+                                             config.max_iter)
+        return _RUNNERS[config.command](config, entry, problem, solve, out_dir)
     except (ConfigurationError, DomainError) as exc:
         return fail(exc, EXIT_CONFIG)
     except CertificateError as exc:

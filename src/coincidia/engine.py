@@ -118,12 +118,14 @@ class ProblemClass:
     * ``grid(problem, n)``: the grid with ``n`` cells that iterates live on.
     * ``check(problem, seed)``: the family's hypothesis reports.
     * ``solve(problem, grid, scheme, tol, max_iter)``: a solve with the
-      requested scheme; a family that supports only some schemes raises
-      :class:`ConfigurationError` for the others.
+      requested scheme, and the only way a command solves; a family that
+      supports only some schemes raises :class:`ConfigurationError` for the
+      others.
     * ``columns(report)``: the named columns of the solution table.
-    * ``stability(problem, grid, tol, max_iter)``: the built-in candidates
-      ``(name, w, w'')``, their stability rows and the solve they were
-      measured against; ``None`` for a family without stability tables.
+    * ``stability(problem, grid, solve)``: the built-in candidates
+      ``(name, w, w'')``, their stability rows and the report of
+      ``solve(grid)``, the run's bound class solve, they were measured
+      against; ``None`` for a family without stability tables.
     """
 
     grid: Callable[[object, int], Grid]

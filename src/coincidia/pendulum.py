@@ -81,22 +81,16 @@ def _double_brackets(oriented: Callable, target: np.ndarray,
     ``oriented`` reaches ``target`` (the oriented image of ``ys``) within
     it, at most 60 times each way."""
     lo, hi = np.full(target.shape, -1.0), np.full(target.shape, 1.0)
-    pending = np.arange(target.size)
-    for _ in range(60):
-        pending = pending[~(evaluate(oriented, hi[pending], name="A") >= target[pending])]
-        if pending.size == 0:
-            break
-        lo[pending], hi[pending] = hi[pending], 2.0 * hi[pending]
-    else:
-        raise RangeError(f"A does not appear to reach {ys[pending[0]]} above the start bracket")
-    pending = np.arange(target.size)
-    for _ in range(60):
-        pending = pending[~(evaluate(oriented, lo[pending], name="A") <= target[pending])]
-        if pending.size == 0:
-            break
-        lo[pending], hi[pending] = 2.0 * lo[pending], lo[pending]
-    else:
-        raise RangeError(f"A does not appear to reach {ys[pending[0]]} below the start bracket")
+    for end, other, reached, side in ((hi, lo, np.greater_equal, "above"),
+                                      (lo, hi, np.less_equal, "below")):
+        pending = np.arange(target.size)
+        for _ in range(60):
+            pending = pending[~reached(evaluate(oriented, end[pending], name="A"), target[pending])]
+            if pending.size == 0:
+                break
+            other[pending], end[pending] = end[pending], 2.0 * end[pending]
+        else:
+            raise RangeError(f"A does not appear to reach {ys[pending[0]]} {side} the start bracket")
     return lo, hi
 
 
@@ -281,12 +275,12 @@ def stability_table(
 
 
 def table1_stability(
-    p: PendulumProblem, grid: Grid, tol: float, max_iter: int,
+    p: PendulumProblem, grid: Grid, solve: Callable[[Grid], SolveReport],
 ) -> tuple[list[tuple[str, GridFunction, GridFunction]], list[StabilityRow], SolveReport]:
     """The stability rows of :func:`table1_candidates`, measured against
-    the solve on ``grid`` that is returned with them."""
+    the report of ``solve(grid)`` that is returned with them."""
     named = table1_candidates(grid)
-    report = solve(p, grid, tol=tol, max_iter=max_iter)
+    report = solve(grid)
     rows = stability_table(p, [(w, w2) for _, w, w2 in named], u_star=report.extras["u"])
     return named, rows, report
 
@@ -368,15 +362,14 @@ def sqrt_linear_inverse(k: float = 2.0) -> Callable:
     return A_inv
 
 
-def refinement_oracle(p: PendulumProblem, grid: Grid, scheme: str, tol: float,
-                      max_iter: int) -> dict:
-    """Oracle: the solution u on ``grid`` against the solve on half as many
-    cells, compared at the shared nodes."""
+def refinement_oracle(p: PendulumProblem, grid: Grid, solve: Callable[[Grid], SolveReport]) -> dict:
+    """Oracle: the solution u of ``solve(grid)`` against ``solve`` on half
+    as many cells, compared at the shared nodes."""
     coarse_n = grid.n // 2
     if coarse_n % 2 or coarse_n < 8:
         raise ConfigurationError("oracle refinement needs grid_n divisible by 4 and >= 16")
-    fine = solve(p, grid, tol=tol, max_iter=max_iter)
-    coarse = solve(p, Grid(0.0, 1.0, coarse_n, NODES), tol=tol, max_iter=max_iter)
+    fine = solve(grid)
+    coarse = solve(Grid(0.0, 1.0, coarse_n, NODES))
     diff = float(np.max(np.abs(fine.extras["u"].values[::2] - coarse.extras["u"].values)))
     return {"reference": f"cross-grid refinement n={coarse_n} vs n={grid.n}",
             "max_error": diff, "tolerance": 1e-5}

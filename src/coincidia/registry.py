@@ -133,13 +133,13 @@ def caputo_nonlocal(x0: float = 1.0) -> CaputoProblem:
 
 
 def _exact_oracle(reference: str, exact: Callable, tolerance: Callable) -> Callable:
-    """Oracle comparing a Volterra solve with the known solution
-    ``exact(problem, t)`` to within ``tolerance(grid_n, tol)``."""
+    """Oracle comparing ``solve(grid)`` with the known solution
+    ``exact(problem, t)`` to within ``tolerance(grid_n, report.tol)``."""
 
-    def oracle(p: CaputoProblem, grid: Grid, scheme: str, tol: float, max_iter: int) -> dict:
-        report = caputo.solve(p, grid, tol=tol, max_iter=max_iter)
+    def oracle(p: CaputoProblem, grid: Grid, solve: Callable) -> dict:
+        report = solve(grid)
         err = float(np.max(np.abs(report.solution.values - exact(p, grid.points()))))
-        return {"reference": reference, "max_error": err, "tolerance": tolerance(grid.n, tol)}
+        return {"reference": reference, "max_error": err, "tolerance": tolerance(grid.n, report.tol)}
 
     return oracle
 
@@ -147,9 +147,9 @@ def _exact_oracle(reference: str, exact: Callable, tolerance: Callable) -> Calla
 @dataclass(frozen=True)
 class RegistryEntry:
     """A built-in problem: its class, builder, default parameters and
-    oracle ``oracle(problem, grid, scheme, tol, max_iter)``, which returns
-    the ``reference`` it compares with, the ``max_error`` and the
-    ``tolerance``."""
+    oracle ``oracle(problem, grid, solve)``, which solves only by
+    ``solve(grid)``, the run's bound class solve, and returns the
+    ``reference`` it compares with, the ``max_error`` and the ``tolerance``."""
 
     name: str
     problem_class: ProblemClass

@@ -144,7 +144,8 @@ class TestVolterraKernel:
         tracemalloc.start()
         try:
             rep = caputo.solve(p, g)
-            result = registry.lookup("caputo-linear").oracle(p, g, "auto", 1e-10, 200)
+            result = registry.lookup("caputo-linear").oracle(
+                p, g, lambda grid: caputo.PROBLEM_CLASS.solve(p, grid, "auto", 1e-10, 200))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

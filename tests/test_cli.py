@@ -3,19 +3,21 @@ from dataclasses import asdict
 
 import pytest
 
-from coincidia import engine
+from coincidia import engine, pendulum
 from coincidia.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     _PARAM_FLAGS,
+    _SCHEMES,
     RunConfig,
     _build_parser,
     main,
     run,
 )
 from coincidia.errors import ConfigurationError
+from coincidia.numerics import NODES, Grid
 from coincidia.registry import REGISTRY, lookup
 
 TABLE1 = {
@@ -300,6 +302,92 @@ class TestOracleCommand:
                              tol=1e-10, max_iter=100, output_dir=str(tmp_path)))
         assert code == EXIT_OK
 
+
+
+class TestSchemeContract:
+    """Every command that solves refuses a scheme exactly as ``solve`` does."""
+
+    @staticmethod
+    def refusal(tmp_path, command, problem, scheme):
+        out = tmp_path / command
+        code = main([command, "--problem", problem, "--scheme", scheme, "--grid-n", "16",
+                     "--out", str(out)])
+        report = read_report(out)
+        if code != EXIT_CONFIG:
+            return None
+        assert "result" not in report
+        assert report["error"]["type"] == "ConfigurationError"
+        return report["error"]
+
+    def assert_refused_as_solve(self, tmp_path, command, problem, scheme):
+        expected = self.refusal(tmp_path, "solve", problem, scheme)
+        assert self.refusal(tmp_path, command, problem, scheme) == expected
+        return expected
+
+    @pytest.mark.parametrize("scheme", _SCHEMES)
+    @pytest.mark.parametrize("problem", list(REGISTRY))
+    def test_oracle(self, tmp_path, problem, scheme):
+        self.assert_refused_as_solve(tmp_path, "oracle", problem, scheme)
+
+    @pytest.mark.parametrize("scheme", _SCHEMES)
+    def test_stability(self, tmp_path, scheme):
+        self.assert_refused_as_solve(tmp_path, "stability", "pendulum-Pa", scheme)
+
+    @pytest.mark.parametrize("command, problem, scheme", [
+        ("oracle", "pendulum-Pa", "averaged"),
+        ("stability", "pendulum-Pa", "resolvent"),
+        ("oracle", "caputo-linear", "resolvent"),
+    ])
+    def test_picard_only_classes_refuse(self, tmp_path, command, problem, scheme):
+        error = self.assert_refused_as_solve(tmp_path, command, problem, scheme)
+        assert error is not None and "support only the picard scheme" in error["message"]
+
+
+class TestSolvePath:
+    """Oracles and stability tables make every solve through the ``solve``
+    they are given: each engine loop they run is one recorded call."""
+
+    @pytest.fixture
+    def engine_runs(self, monkeypatch):
+        runs = []
+        for name in ("solve_picard", "solve_averaged", "solve_resolvent"):
+            def counted(*args, _original=getattr(engine, name), **kwargs):
+                runs.append(args[1].grid)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(engine, name, counted)
+        return runs
+
+    @staticmethod
+    def recording(name, n):
+        entry = REGISTRY[name]
+        problem = entry.make()
+        grids = []
+
+        def solve(grid):
+            grids.append(grid)
+            return entry.problem_class.solve(problem, grid, "auto", 1e-10, 5000)
+
+        return entry, problem, entry.problem_class.grid(problem, n), solve, grids
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_registry_oracles(self, engine_runs, name):
+        entry, problem, grid, solve, grids = self.recording(name, 16)
+        entry.oracle(problem, grid, solve)
+        half = [Grid(0.0, 1.0, 8, NODES)] if name == "pendulum-Pa" else []
+        assert grids == [grid, *half]
+        assert engine_runs == grids
+
+    def test_table1_stability(self, engine_runs):
+        _, problem, grid, solve, grids = self.recording("pendulum-Pa", 16)
+        *_, report = pendulum.table1_stability(problem, grid, solve)
+        assert grids == [grid] == engine_runs
+        assert report.solution.grid == grid
+
+    def test_refinement_oracle_refuses_before_solving(self, engine_runs):
+        _, problem, grid, solve, grids = self.recording("pendulum-Pa", 18)
+        with pytest.raises(ConfigurationError, match="divisible by 4"):
+            pendulum.refinement_oracle(problem, grid, solve)
+        assert grids == [] == engine_runs
 
 class TestMainArgparse:
     def test_solve_via_argv(self, tmp_path):
