@@ -43,7 +43,7 @@ from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, DomainError
 from .numerics import (MIDPOINTS, Grid, GridFunction, cell_edge_cumulative, cumulative_integral,
                        evaluate)
-from .reports import HypothesisReport
+from .reports import Certificate, HypothesisReport
 
 _Z_SLACK = 1e-9
 _LAMBDA_SLACK = 1e-12
@@ -306,29 +306,30 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
     ``auto`` runs Picard with certified modulus Lambda when the Lipschitz
     hypothesis holds with Lambda < 1, and falls back to averaged iteration
     otherwise (including the boundary case Lambda = 1, where existence
-    holds but no rate is available).  ``averaged`` and ``resolvent`` run as
-    requested; every scheme stops at ``tol`` or after ``max_iter`` steps.
-    The report embeds the reconstructed u and u' and the certificate that
-    was computed.
+    holds but no rate is available); so does ``picard`` when the hypothesis
+    was checked and failed.  ``averaged`` and ``resolvent`` run as
+    requested; every scheme stops at ``tol`` or after ``max_iter`` steps,
+    and the report's ``scheme`` is the one that ran.  The report embeds the
+    reconstructed u and u'; its certificate holds the ``check_h1`` report
+    (``None`` without H1 data) in the L2 norm, with modulus Lambda when
+    Picard ran certified and ``None`` otherwise, and no bound.
     """
     _require_problem_grid(grid)
     if scheme not in _SOLVERS and scheme != "auto":
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    certificate = None
-    lam = None
-    if p.h1_data is not None:
-        certificate = check_h1(p)
-        lam = certificate.constants["Lambda"]
-    certified = certificate is not None and certificate.passed and lam is not None and lam < 1.0 - _LAMBDA_SLACK
+    check = check_h1(p) if p.h1_data is not None else None
+    certified = (check is not None and check.passed
+                 and check.constants["Lambda"] < 1.0 - _LAMBDA_SLACK)
 
     chosen = scheme
     if scheme == "auto":
         chosen = engine.PICARD if certified else engine.AVERAGED
-    elif scheme == engine.PICARD and lam is not None and not certified:
+    elif scheme == engine.PICARD and check is not None and not certified:
         # at Lambda = 1 the map is only nonexpansive; refuse the rate claim
         chosen = engine.AVERAGED
 
-    handle = coincidence_operator(p, grid, modulus=lam if (certified and chosen == engine.PICARD) else None)
+    modulus = check.constants["Lambda"] if certified and chosen == engine.PICARD else None
+    handle = coincidence_operator(p, grid, modulus=modulus)
     report = getattr(engine, _SOLVERS[chosen])(handle, GridFunction.zeros(grid), tol, max_iter)
 
     u, u_prime = apply_T_inverse(grid, report.solution.values, p.delta, p.eta)
@@ -336,15 +337,10 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
     report.extras.update({
         "u": GridFunction(grid, u),
         "u_prime": GridFunction(grid, u_prime),
-        "certified_modulus": handle.modulus,
-        "lambda_constant": lam,
-        "scheme_requested": scheme,
-        "scheme_used": chosen,
         "eta_snapped_to": snapped,
         "eta_snap_distance": snap_dist,
     })
-    if certificate is not None:
-        report.extras["hypothesis_check"] = certificate
+    report.certificate = Certificate(check, handle.norm_kind, handle.modulus)
     return report
 
 

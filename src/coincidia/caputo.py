@@ -43,7 +43,7 @@ from . import engine
 from .engine import OperatorHandle, SolveReport
 from .errors import CertificateError, ConfigurationError, DomainError
 from .numerics import NODES, Grid, GridFunction, evaluate, gamma
-from .reports import HypothesisReport
+from .reports import Certificate, HypothesisReport
 
 _LAMBDA_MAX = 1e8  # the lambda search of the contraction certificate stops here
 
@@ -246,9 +246,10 @@ def solve(
     """Picard-iterate the Volterra equation from a constant initial iterate.
 
     The contraction certificate must pass unless ``override_certificate``
-    is set.  Stopping is on the sup norm of successive iterate differences;
-    when certified, the report also carries the a-posteriori bound
-    rho / (1 - rho) * (last weighted step difference).
+    is set.  Stopping is on the sup norm of successive iterate differences.
+    The report's certificate holds the contraction check in the weighted
+    sup norm; when it passed, ``modulus`` is rho and ``bound`` the
+    a-posteriori bound rho / (1 - rho) * (last weighted step difference).
 
     Two-start agreement (distinct initial iterates converging to the same
     function) is the package's uniqueness evidence; it is evidence, not a
@@ -269,16 +270,14 @@ def solve(
     handle = volterra_operator(p, grid)
     start = x_init if x_init is not None else GridFunction.constant(grid, p.x0)
     report = engine.solve_picard(handle, start, tol, max_iter)
-    report.extras["certificate"] = certificate
     report.extras["nonlocal_snap_distances"] = [d for _, d in snap_nonlocal_points(p, grid)]
+    report.certificate = Certificate(certificate, "weighted_sup")
     if certificate.passed:
-        lam = certificate.constants["lambda"]
-        rho = certificate.constants["rho"]
-        step = handle.apply(report.solution)
-        d_w = weighted_sup_norm(step - report.solution, lam, p.L_f, p.t_N)
-        bound = rho / (1.0 - rho) * d_w
-        report.extras["posterior_weighted_error_bound"] = bound
-        report.stability_radius = bound  # in the weighted sup norm
+        rho, lam = certificate.constants["rho"], certificate.constants["lambda"]
+        d_w = weighted_sup_norm(handle.apply(report.solution) - report.solution, lam, p.L_f, p.t_N)
+        report.certificate = Certificate(certificate, "weighted_sup", rho, rho / (1.0 - rho) * d_w,
+                                         "weighted-sup distance of the next Picard iterate "
+                                         "to the discrete fixed point")
     return report
 
 
@@ -289,23 +288,3 @@ PROBLEM_CLASS = engine.ProblemClass(
     columns=lambda report: {"t": report.solution.grid.points(), "u": report.solution.values,
                             "y": report.solution.values},
 )
-
-
-def brute_force_kernel_integral(
-    t: float,
-    q: float,
-    phi: Callable[[np.ndarray], np.ndarray],
-    panels: int = 1_000_000,
-) -> float:
-    """Independent oracle for int_0^t (t - s)^(q-1) phi(s) ds.
-
-    Substituting u = (t - s)^q removes the singularity:
-    the integral equals (1/q) int_0^{t^q} phi(t - u^(1/q)) du, evaluated
-    with a plain midpoint Riemann sum.
-    """
-    if t <= 0.0:
-        return 0.0
-    u = (np.arange(panels) + 0.5) * (t ** q / panels)
-    s = t - u ** (1.0 / q)
-    vals = np.asarray(phi(np.clip(s, 0.0, t)), dtype=float)
-    return float((t ** q / panels) * vals.sum() / q)

@@ -12,14 +12,16 @@ commands that solve make every solve with the problem class's ``solve`` and
 the run's ``--scheme``, ``--tol`` and ``--max-iter``, built once per run, so
 each refuses a scheme as ``solve`` does; ``check`` ignores these flags.
 
-Every run writes ``report.json`` (schema-versioned, deterministic for a
-fixed config and seed).  Solves additionally write ``solution.csv``;
-stability runs write ``table.csv`` plus ``localization.csv`` with the
-band data for plotting.  Per-point arrays are written only to these CSV
-files; ``report.json`` holds the scalars, residual histories, stages,
-certificates and the grid of the solution.  Exit codes: 0 ok,
-2 configuration error, 3 certificate/hypothesis failure, 4 numeric failure
-(including running out of memory).
+Every run writes ``report.json`` (schema 3, deterministic for a fixed
+config and seed).  Solves additionally write ``solution.csv``; stability
+runs write ``table.csv`` plus ``localization.csv`` with the band data for
+plotting.  Per-point arrays are written only to these CSV files;
+``report.json`` holds the scalars, residual histories, stages, hypothesis
+checks and the grid of the solution.  A solve's ``scheme`` is the scheme
+that ran, and its ``certificate`` is the one record of the hypothesis check,
+norm, certified modulus and labelled error bound its claim rests on.
+Exit codes: 0 ok, 2 configuration error, 3 certificate/hypothesis failure,
+4 numeric failure (including running out of memory).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
     RangeError,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

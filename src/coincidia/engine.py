@@ -29,7 +29,7 @@ from typing import Callable
 
 from .errors import ConfigurationError, NumericError
 from .numerics import Grid, GridFunction, l2_norm, sup_norm
-from .reports import HypothesisReport
+from .reports import Certificate, HypothesisReport
 from .stability import PhiFunction, invert
 
 PICARD = "picard"
@@ -68,15 +68,16 @@ class OperatorHandle:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: iterates, residual history and certificates.
+    """Outcome of one solve: iterates, residual history and certificate.
 
-    ``converged`` holds exactly when ``final_residual <= tol``.  For the
-    resolvent scheme ``iterations`` counts the inner steps of all stages,
-    the history holds one outer residual per stage, and ``extras["stages"]``
-    lists each stage's ``n``, ``inner_steps`` and ``outer_residual``.
-    The per-point arrays (``solution`` and every :class:`GridFunction` in
-    ``extras``, such as ``u`` and ``u_prime``) stay on the object; front
-    ends write them as table columns, see ``ProblemClass.columns``.
+    ``converged`` holds exactly when ``final_residual <= tol``; ``scheme`` is
+    the scheme that ran.  For the resolvent scheme ``iterations`` counts the
+    inner steps of all stages, the history holds one outer residual per
+    stage, and ``extras["stages"]`` lists each stage's ``n``, ``inner_steps``
+    and ``outer_residual``.  A family's ``solve`` sets ``certificate``;
+    ``extras`` holds only family data.  The per-point arrays (``solution``
+    and every :class:`GridFunction` in ``extras``, such as ``u``) stay on the
+    object; front ends write them as columns, see ``ProblemClass.columns``.
     """
 
     solution: GridFunction
@@ -86,12 +87,12 @@ class SolveReport:
     scheme: str
     converged: bool
     tol: float
-    stability_radius: float | None = None
+    certificate: Certificate | None = None
     stagnated: bool = False
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """The report's scalars, histories and certificates, and the
+        """The report's scalars, histories and certificate, and the
         solution's grid; the per-point arrays are left out."""
         grid = self.solution.grid
         payload = {
@@ -101,13 +102,12 @@ class SolveReport:
             "final_residual": float(self.final_residual),
             "converged": bool(self.converged),
             "tol": self.tol,
-            "stability_radius": self.stability_radius,
+            "certificate": None if self.certificate is None else self.certificate.to_dict(),
             "stagnated": bool(self.stagnated),
             "solution": {"grid": {"a": grid.a, "b": grid.b, "n": grid.n, "style": grid.style}},
         }
-        for key, value in self.extras.items():
-            if not isinstance(value, GridFunction):
-                payload[key] = value.to_dict() if hasattr(value, "to_dict") else value
+        payload.update((key, value) for key, value in self.extras.items()
+                       if not isinstance(value, GridFunction))
         return payload
 
 

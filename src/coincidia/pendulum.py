@@ -36,7 +36,7 @@ from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, RangeError
 from .numerics import (NODES, Grid, GridFunction, _require_samples, bracket_root,
                        cumulative_integral, evaluate, sup_norm)
-from .reports import HypothesisReport
+from .reports import Certificate, HypothesisReport
 from .stability import PhiFunction
 
 GREEN_MODULUS = 0.125
@@ -171,21 +171,19 @@ def solve(
     The contraction modulus 1/8 comes from the Green kernel bound and the
     1-Lipschitz inverse of A, so roughly log(tol) / log(1/8) iterations
     are expected.  The reconstructed u and u' are embedded in the report.
+    Its certificate has no hypothesis check: its modulus is 1/8 in the sup
+    norm, and its bound the Ulam-Hyers radius psi(final_residual).
     """
     itol = max(1e-14, min(1e-12, 1e-3 * tol))
     handle = coincidence_operator(p, grid, itol)
     start = y0 if y0 is not None else GridFunction.sample(grid, p.driving)
     report = engine.solve_picard(handle, start, tol, max_iter)
     u, u_prime = green_apply_with_derivative(grid, invert_A(p, report.solution.values, itol))
-    # defect of the returned iterate localizes the true solution within
-    # phi^{-1}(defect) in the sup norm
-    report.stability_radius = engine.error_bound(phi_pendulum(), report.final_residual)
-    report.extras.update({
-        "u": GridFunction(grid, u),
-        "u_prime": GridFunction(grid, u_prime),
-        "certified_modulus": GREEN_MODULUS,
-        "inversion_tol": itol,
-    })
+    report.extras.update({"u": GridFunction(grid, u), "u_prime": GridFunction(grid, u_prime),
+                          "inversion_tol": itol})
+    report.certificate = Certificate(
+        None, "sup", GREEN_MODULUS, engine.error_bound(phi_pendulum(), report.final_residual),
+        "Ulam-Hyers radius psi(final_residual)")
     return report
 
 

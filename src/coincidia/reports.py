@@ -1,4 +1,5 @@
-"""Structured pass/fail reports for hypothesis and certificate checks."""
+"""Structured pass/fail reports for hypothesis checks, and the certificate
+record of a solve."""
 
 from __future__ import annotations
 
@@ -36,3 +37,23 @@ class HypothesisReport:
             "margins": {k: float(v) for k, v in sorted(self.margins.items())},
             "witnesses": list(self.witnesses),
         }
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """The claim a solve rests on: the hypothesis report ``check``, the
+    ``norm`` of the claim (``"sup"``, ``"l2"``, or ``"weighted_sup"`` with its
+    weight's ``lambda`` in ``check.constants``), the certified contraction
+    ``modulus`` in that norm, and the family's error ``bound``, with
+    ``bound_of`` saying what it bounds; all but ``norm`` may be ``None``.
+    """
+
+    check: HypothesisReport | None
+    norm: str
+    modulus: float | None = None
+    bound: float | None = None
+    bound_of: str | None = None
+
+    def to_dict(self) -> dict:
+        return {"check": None if self.check is None else self.check.to_dict(), "norm": self.norm,
+                "modulus": self.modulus, "bound": self.bound, "bound_of": self.bound_of}

@@ -51,9 +51,6 @@ class PhiFunction:
         if np.any(np.diff(vals) < -1e-12):
             raise ConfigurationError("comparison function must be nondecreasing")
 
-    def __call__(self, r: float) -> float:
-        return float(self.eval(r))
-
 
 def geraghty_phi(alpha: Callable[[float], float]) -> PhiFunction:
     """Comparison function ``phi(t) = (1 - alpha(t)) t`` from a Geraghty modulus.

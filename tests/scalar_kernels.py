@@ -1,6 +1,7 @@
 """The index-gather Simpson kernel and the per-point bisection that the
 array kernels in ``coincidia`` replaced, kept unchanged as references:
-the array kernels must return the same bits."""
+the array kernels must return the same bits.  Also the brute-force
+weakly singular integral that the Volterra weights are checked against."""
 
 import math
 
@@ -86,3 +87,18 @@ def invert_A_scalar(A, y, tol):
     else:
         raise RangeError(f"A does not appear to reach {y} below the start bracket")
     return bracket_root_scalar(oriented, target, lo, hi, tol)
+
+
+def brute_force_kernel_integral(t, q, phi, panels=1_000_000):
+    """Independent oracle for int_0^t (t - s)^(q-1) phi(s) ds.
+
+    Substituting u = (t - s)^q removes the singularity:
+    the integral equals (1/q) int_0^{t^q} phi(t - u^(1/q)) du, evaluated
+    with a plain midpoint Riemann sum.
+    """
+    if t <= 0.0:
+        return 0.0
+    u = (np.arange(panels) + 0.5) * (t ** q / panels)
+    s = t - u ** (1.0 / q)
+    vals = np.asarray(phi(np.clip(s, 0.0, t)), dtype=float)
+    return float((t ** q / panels) * vals.sum() / q)

@@ -271,8 +271,8 @@ class TestSolve:
         p = bvp3_example(0.4)
         rep = bvp3.solve(p, self.GRID, tol=1e-9)
         assert rep.converged
-        assert rep.extras["scheme_used"] == "picard"
-        assert rep.extras["certified_modulus"] == pytest.approx(0.98244, abs=1e-3)
+        assert rep.scheme == "picard"
+        assert rep.certificate.modulus == pytest.approx(0.98244, abs=1e-3)
         # pointwise equation defect at the midpoints
         t = self.GRID.points()
         u = rep.extras["u"].values
@@ -290,8 +290,8 @@ class TestSolve:
         p = bvp3_example(KAPPA_CRITICAL)  # Lambda = 1 exactly
         rep = bvp3.solve(p, Grid(0.0, 1.0, 64, MIDPOINTS), scheme="picard",
                          tol=1e-6, max_iter=400)
-        assert rep.extras["scheme_used"] == "averaged"
-        assert rep.extras["certified_modulus"] is None
+        assert rep.scheme == "averaged"
+        assert rep.certificate.modulus is None
 
     def test_resolvent_scheme(self):
         p = bvp3_example(0.4)

@@ -19,6 +19,7 @@ from coincidia.cli import (
 from coincidia.errors import ConfigurationError
 from coincidia.numerics import NODES, Grid
 from coincidia.registry import REGISTRY, lookup
+from test_golden import GOLDEN
 
 TABLE1 = {
     "w1": (1.0, 2.994600778191),
@@ -126,7 +127,7 @@ class TestSolveCommand:
         assert len(rows) == 1001
         report = read_report(tmp_path)
         assert report["result"]["converged"] is True
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
 
     @pytest.mark.parametrize("command, problem", [
         ("solve", "pendulum-Pa"),
@@ -140,7 +141,7 @@ class TestSolveCommand:
         assert main([command, "--problem", problem, "--grid-n", str(grid_n),
                      "--out", str(tmp_path)]) == EXIT_OK
         report = read_report(tmp_path)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
 
         def longest_list(value):
             if isinstance(value, dict):
@@ -493,3 +494,82 @@ class TestParser:
         error = read_report(out)["error"]
         assert error["type"] == "ConfigurationError" and error["exit_code"] == EXIT_CONFIG
         assert error["message"].startswith("problem 'pendulum-Pa' does not take parameters")
+
+
+def all_keys(value):
+    """Every key of every object inside ``value``, at any depth."""
+    if isinstance(value, dict):
+        return set(value).union(*map(all_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(all_keys, value))
+    return set()
+
+
+class TestCertificateRecord:
+    """Schema 3: each solve reports one ``certificate`` record, and none of
+    schema 2's per-family certificate keys."""
+
+    OLD_KEYS = {"stability_radius", "posterior_weighted_error_bound", "lambda_constant",
+                "scheme_requested", "scheme_used", "hypothesis_check", "certified_modulus"}
+    SOLVE_KEYS = {"scheme", "iterations", "residual_history", "final_residual", "converged",
+                  "tol", "certificate", "stagnated", "solution"}
+    FAMILY_KEYS = {"bvp3": {"eta_snapped_to", "eta_snap_distance"},
+                   "caputo": {"nonlocal_snap_distances"}, "pendulum": {"inversion_tol"}}
+
+    def solve_block(self, tmp_path, argv, exit_code=EXIT_OK):
+        assert main([*argv, "--out", str(tmp_path)]) == exit_code
+        report = read_report(tmp_path)
+        assert report["schema_version"] == 3
+        assert not all_keys(report) & self.OLD_KEYS
+        result = report.get("result")
+        if argv[0] not in ("solve", "stability") or result is None:
+            return None
+        if argv[0] == "stability":
+            assert set(result) == {"rows", "solver"}
+            result = result["solver"]
+        family = argv[argv.index("--problem") + 1].split("-")[0]
+        stages = {"stages"} if result["scheme"] == "resolvent" else set()
+        assert set(result) == self.SOLVE_KEYS | self.FAMILY_KEYS[family] | stages
+        assert set(result["certificate"]) == {"check", "norm", "modulus", "bound", "bound_of"}
+        return result
+
+    @pytest.mark.parametrize("command, exit_code", [g[:2] for g in GOLDEN],
+                             ids=[g[0] for g in GOLDEN])
+    def test_golden_reports(self, tmp_path, command, exit_code):
+        result = self.solve_block(tmp_path, command.split(), exit_code)
+        if result is None:
+            return
+        certificate = result["certificate"]
+        if "caputo" in command:
+            assert certificate["norm"] == "weighted_sup"
+            assert certificate["modulus"] == certificate["check"]["constants"]["rho"]
+            assert certificate["bound"] >= 0.0 and certificate["bound_of"]
+        elif "pendulum" in command:
+            assert certificate["check"] is None and certificate["modulus"] == 0.125
+            assert certificate["norm"] == "sup" and certificate["bound"] > 0.0
+            assert certificate["bound_of"] == "Ulam-Hyers radius psi(final_residual)"
+        else:
+            lam = certificate["check"]["constants"]["Lambda"]
+            assert certificate["modulus"] == (lam if "--scheme" not in command else None)
+            assert certificate["norm"] == "l2"
+            assert certificate["bound"] is None and certificate["bound_of"] is None
+
+    @pytest.mark.parametrize("kappa, scheme, ran, passed", [
+        ("0.4", "auto", "picard", True),
+        ("0.4", "averaged", "averaged", True),
+        ("0.45", "auto", "averaged", False),
+        ("0.45", "picard", "averaged", False),
+    ])
+    def test_bvp3_certificate_is_the_h1_check(self, tmp_path, kappa, scheme, ran, passed):
+        result = self.solve_block(tmp_path / "solve", ["solve", "--problem", "bvp3-example",
+                                                       "--kappa", kappa, "--scheme", scheme,
+                                                       "--grid-n", "64"])
+        assert main(["check", "--problem", "bvp3-example", "--kappa", kappa, "--seed", "0",
+                     "--out", str(tmp_path / "check")]) == (EXIT_OK if passed else EXIT_CERTIFICATE)
+        h1 = read_report(tmp_path / "check")["result"]["checks"][0]
+        assert h1["condition"].startswith("H1") and h1["passed"] is passed
+        assert result["certificate"]["check"] == h1
+        assert result["scheme"] == ran
+        # Lambda is the certified modulus only when Picard ran on a passed check
+        expected = h1["constants"]["Lambda"] if ran == "picard" else None
+        assert result["certificate"]["modulus"] == expected

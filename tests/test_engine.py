@@ -239,4 +239,4 @@ class TestErrorBound:
         rng = np.random.default_rng(5)
         for phi in phis:
             for r in rng.uniform(0.0, 5.0, 30):
-                assert error_bound(phi, phi(r)) == pytest.approx(r, abs=1e-8)
+                assert error_bound(phi, phi.eval(r)) == pytest.approx(r, abs=1e-8)

@@ -13,30 +13,30 @@ import pytest
 from coincidia.cli import main
 
 GOLDEN = [
-    ('check --problem bvp3-example', 0, {'report.json': 'caba20172fb6e8363199ab1d28059c8d0008ad4548a886f7a234fd80f320eb29'}),
-    ('check --problem bvp3-example --kappa 0.45', 3, {'report.json': 'df256e50f5bb73a4b823c52f01d5cec9d5f87e30f6a537dd3e02459d1b1751ff'}),
-    ('check --problem pendulum-Pa', 0, {'report.json': 'b8ac9e7793847fe083264d771fb786e87947177945b8f6a1ceb7d440d16a69e0'}),
-    ('check --problem caputo-linear', 0, {'report.json': '299fd89ddfbe4fc280fcf704e22c73eb584362ead864d5f3bfd14e02d173dcf9'}),
-    ('check --problem caputo-linear --lf 1e308', 3, {'report.json': '146cc307a90b57dc454583e407492de037559eb58704342328b24649b2ce110c'}),
-    ('solve --problem bvp3-example --grid-n 256', 0, {'report.json': '34d11c7bce132016af5831dcf15297f3c77be06b6c9d5a477b09696b8b11644a', 'solution.csv': '433573726616e52b7956cebd843be41a67fdc086df20c684d5f5eda97f9906d7'}),
-    ('solve --problem pendulum-Pa --grid-n 256', 0, {'report.json': '4c8a9f863ce5ce8c65138c602cbc0c2c78ceb292d509f7fb7ee94ffc3f61f7f7', 'solution.csv': '25d2827be875feee7294f2133cce23b954ee22c27674f4569a1c32583de01990'}),
-    ('solve --problem caputo-constant --grid-n 256', 0, {'report.json': 'e3f2dc74d1cbc8414037921a204b01d14060ab344f23fb443cfd6dffffe74448', 'solution.csv': '78d42479f1af3b2a403b2559e4ee2da6767b4aa6435e81e6462c845cdc0a46ea'}),
-    ('solve --problem caputo-linear --grid-n 256', 0, {'report.json': '2226fe2ddc56dd8e9ea42dea1ee11293cbd10cc842a3e69a36a4e53c351a02c9', 'solution.csv': 'd0cfef5d32efac493084f2cafe55f9fc83fc1b7e395dcc5ecf7891ba9573ebb1'}),
-    ('solve --problem caputo-nonlocal --grid-n 256', 0, {'report.json': '899a5cbc49c80b1cc160438c1cf514a92781d7485596e3b94ca63cd84851aed1', 'solution.csv': '5b932ceecc690ef281967ba7ab83b5df0d17fb7dac85ca3df1a54892e9e0320c'}),
-    ('solve --problem bvp3-example --grid-n 256 --scheme averaged', 0, {'report.json': '7b7c1a2fce0a5f671a2417004b418e4cf3a86bece578b6828b2e869f18be5734', 'solution.csv': 'a811b85d19b9a3a564dbbc2d657d459c1e8588f4bcc50cd894833a1807fb0749'}),
-    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': '19a408d3c018c8c78a03dde1c8aba8e9028e33ba04101d5a0443e1171181596d', 'solution.csv': '48b14901a80fe39c0dd4cf59b98f3622326274f7e56880f265dc53c0326af728'}),
-    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent', 0, {'report.json': '90097c10e4a66058817ae1a3018ab98d88c17bc4986bb358b7926d556139e7d5', 'solution.csv': '16c62899f7628eeb038dd828346cd8d19b01fa2ef6d208f31b1dd47e11c93a49'}),
-    ('solve --problem caputo-linear --grid-n 256 --scheme averaged', 2, {'report.json': 'e7598bdfcaf0d861a442bfcae4ba58e9a01de314be587880bed62a878872180e'}),
-    ('stability --problem pendulum-Pa --grid-n 256', 0, {'localization.csv': 'ec37d364c9d9e56470b0b7b19db7695982ee2862ab7f81127c372d42c152646e', 'report.json': '1441c496af5ecbc74189cfe5c263e16c9858993359e50798a4b4c2a9fa6b2c0f', 'table.csv': 'f2ba3027fe443c333b3a6b40814ef1f3c665e3ca3121f0cbc6ab56bb5e313be2'}),
-    ('stability --problem caputo-linear --grid-n 256', 2, {'report.json': 'f24ede234afd2cc7cf60ae292d61763c177cad31f467e0b66f360e897fbebf68'}),
-    ('oracle --problem bvp3-example --grid-n 256', 0, {'report.json': '9c6eb074075492ff5f3032eac57c36fea71e732c846b27ee16ae1bd142fb40f7'}),
-    ('oracle --problem pendulum-Pa --grid-n 256', 0, {'report.json': 'aa733dcf828aef7da65e15ca09f46b27eb111998f126f377912425762cc8c9fb'}),
-    ('oracle --problem caputo-constant --grid-n 256', 0, {'report.json': '5fdd869ec665513938dae828a684ca49ae8b6c47b5da6264bd63002d089d0c44'}),
-    ('oracle --problem caputo-nonlocal --grid-n 256', 0, {'report.json': 'b9de768fb70faf8f3d103e73396eb150870b3fac7252672d8c65e9f357b12e2a'}),
-    ('oracle --problem caputo-linear --grid-n 1024', 0, {'report.json': '09fbcdd7ca4a4f7fba19398266c0c3782670b320e6250ee2220837621dd3ed3b'}),
-    ('check --problem bvp3-example --seed 7', 0, {'report.json': '64d799a9b9a6f7eade6809370cc63386c2d06768c0dc35ef387a19b9a676dbe8'}),
-    ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '3fddb557b6f1bdcaf619cd7cd8757542c5fb51cd47fe26ee0681f2fdf6c0a467', 'solution.csv': 'e3d0e332115438bc840ba85cc228a05deab986895be4cd5a0784d57aa626bb8a'}),
-    ('solve --problem nope', 2, {'report.json': '0c640e3bf405af9117f2035ae51b98e5d426b931489b457a283e4196b3f312cc'}),
+    ('check --problem bvp3-example', 0, {'report.json': '1d6dfd23eb2528bd1f6c847ccd1af955f57df3dfd431b068d2e8ccfe5640bc84'}),
+    ('check --problem bvp3-example --kappa 0.45', 3, {'report.json': '0650ebb7b299ee15f84ff14769861428a7264bbe0db9e1322774dd739ec6cce6'}),
+    ('check --problem pendulum-Pa', 0, {'report.json': '19d5910848faedb748884bff691270046600d225544797521c74761bc5f5c74f'}),
+    ('check --problem caputo-linear', 0, {'report.json': '5075caaff3105c905c5f97825c3c075f2142c92f2e55c80ee351000c11f534e1'}),
+    ('check --problem caputo-linear --lf 1e308', 3, {'report.json': 'e821f87da8eed8db224852c112a435ee62919c0578c01da8544f7382fd1bb604'}),
+    ('solve --problem bvp3-example --grid-n 256', 0, {'report.json': '3be13b1a3a130534c43fca86640950116f9afbd10a5a81a3c4069b0e5d874597', 'solution.csv': '433573726616e52b7956cebd843be41a67fdc086df20c684d5f5eda97f9906d7'}),
+    ('solve --problem pendulum-Pa --grid-n 256', 0, {'report.json': 'a3dc90107c18c0eb0df7e955bb8833154e17f9b4ef33f91cae67002e2fcadcc4', 'solution.csv': '25d2827be875feee7294f2133cce23b954ee22c27674f4569a1c32583de01990'}),
+    ('solve --problem caputo-constant --grid-n 256', 0, {'report.json': 'f5569b98bd5b59ca4984949e232b52fdcc7693d2f83e4d6d245c7097fc602bdc', 'solution.csv': '78d42479f1af3b2a403b2559e4ee2da6767b4aa6435e81e6462c845cdc0a46ea'}),
+    ('solve --problem caputo-linear --grid-n 256', 0, {'report.json': 'ffeeb965dabc7ff41cb3bdbeb5d98d4e73a2726578505e2c38035124d1dd5a8d', 'solution.csv': 'd0cfef5d32efac493084f2cafe55f9fc83fc1b7e395dcc5ecf7891ba9573ebb1'}),
+    ('solve --problem caputo-nonlocal --grid-n 256', 0, {'report.json': '478c5cd181232da12faebab52e979dda98659a7768df07676fc2ebd54847b408', 'solution.csv': '5b932ceecc690ef281967ba7ab83b5df0d17fb7dac85ca3df1a54892e9e0320c'}),
+    ('solve --problem bvp3-example --grid-n 256 --scheme averaged', 0, {'report.json': '863e800acbf5410a3418f1fcf1d7d2213c84f69f933b81d3e2b07cfa621bad3b', 'solution.csv': 'a811b85d19b9a3a564dbbc2d657d459c1e8588f4bcc50cd894833a1807fb0749'}),
+    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': '5a57cc463bb87b76e5bdbd71e6caf26910becc3114219ac6b31a5ad79115505f', 'solution.csv': '48b14901a80fe39c0dd4cf59b98f3622326274f7e56880f265dc53c0326af728'}),
+    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent', 0, {'report.json': '2a69ed60a2de679dc293d4c0e606139af30a63b7520250fe4a13efa392d2e0c0', 'solution.csv': '16c62899f7628eeb038dd828346cd8d19b01fa2ef6d208f31b1dd47e11c93a49'}),
+    ('solve --problem caputo-linear --grid-n 256 --scheme averaged', 2, {'report.json': '2bdded383567cf7b153639d060bb4b619990880b8aa85b005dacba3ecd7ccdff'}),
+    ('stability --problem pendulum-Pa --grid-n 256', 0, {'localization.csv': 'ec37d364c9d9e56470b0b7b19db7695982ee2862ab7f81127c372d42c152646e', 'report.json': 'c221b85b33a175451fe3421123f77150fc154cf40d7f32c7198dfb828468b6a5', 'table.csv': 'f2ba3027fe443c333b3a6b40814ef1f3c665e3ca3121f0cbc6ab56bb5e313be2'}),
+    ('stability --problem caputo-linear --grid-n 256', 2, {'report.json': 'b9869f3b4f967609dac6edd73a673017e505b45a80f349587544cb280ec630e2'}),
+    ('oracle --problem bvp3-example --grid-n 256', 0, {'report.json': '3b1b66cc2a55e4093e7baf4690bb71a635c27798d9cc85d72531351e93ac9776'}),
+    ('oracle --problem pendulum-Pa --grid-n 256', 0, {'report.json': 'cef9efcbd65742a3499363740c137ff8e3fcd624dcc7d1f4f80780953ef03a24'}),
+    ('oracle --problem caputo-constant --grid-n 256', 0, {'report.json': 'dcff0dba5d21bbfcddaca42817868c18b6bd54d165fe81f63f4a1c7a3cb264d7'}),
+    ('oracle --problem caputo-nonlocal --grid-n 256', 0, {'report.json': 'd5108af75c84ae33d2dcf5e50be3d908fe99dea67cf684098685df76ef244d0c'}),
+    ('oracle --problem caputo-linear --grid-n 1024', 0, {'report.json': '0cce6099b01da60806239030c9d72a876ef0e8a7fc0ffa3a97d27a4999c41f3d'}),
+    ('check --problem bvp3-example --seed 7', 0, {'report.json': 'cee32c0faec03508b46c02046c84fe9363243b6b47fc615e92698cd2bff7f9b1'}),
+    ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '9297e7f53f79193a2776f0bb42bc24bae464a70fdd199d4194eeef457b4a814a', 'solution.csv': 'e3d0e332115438bc840ba85cc228a05deab986895be4cd5a0784d57aa626bb8a'}),
+    ('solve --problem nope', 2, {'report.json': 'a3798dad0d22c4acc9c4c0592c4799fdee4888046fde2a55287dd2994fc52990'}),
 ]
 
 

@@ -199,11 +199,18 @@ class TestSolve:
     def test_bisection_path_report_unchanged(self):
         # digest of json.dumps(report.to_dict()) recorded with the per-point
         # scalar bisection, before the array kernels replaced it; to_dict()
-        # then also held the arrays, so they go back in at their old places
+        # then also held the arrays, so they go back in at their old places,
+        # and the certificate's bound and modulus go back to the old keys
         rep = pendulum.solve(pendulum_sqrt_linear(3.0), Grid(0.0, 1.0, 200, NODES))
-        payload = rep.to_dict()
+        payload, tail = {}, {}
+        for key, value in rep.to_dict().items():
+            if key == "certificate":
+                payload["stability_radius"] = value["bound"]
+                tail["certified_modulus"] = value["modulus"]
+            else:
+                payload[key] = value
         payload["solution"]["values"] = rep.solution.values.tolist()
-        tail = {key: payload.pop(key) for key in ("certified_modulus", "inversion_tol")}
+        tail["inversion_tol"] = payload.pop("inversion_tol")
         payload.update(u=rep.extras["u"].values.tolist(),
                        u_prime=rep.extras["u_prime"].values.tolist(), **tail)
         digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
@@ -301,12 +308,12 @@ class TestEpsilonDefect:
 
 class TestPhiPendulum:
     def test_zero(self):
-        assert phi_pendulum()(0.0) == 0.0
+        assert phi_pendulum().eval(0.0) == 0.0
 
     def test_junction_continuity(self):
         phi = phi_pendulum()
-        below = phi(math.pi - 1e-12)
-        above = phi(math.pi + 1e-12)
+        below = phi.eval(math.pi - 1e-12)
+        above = phi.eval(math.pi + 1e-12)
         assert below == pytest.approx(math.pi - 2.0, abs=1e-10)
         assert above == pytest.approx(math.pi - 2.0, abs=1e-10)
 
@@ -320,7 +327,7 @@ class TestPhiPendulum:
         for _ in range(200):
             r = rng.uniform(0.0, 10.0)
             delta = rng.uniform(1e-6, 1.0)
-            assert phi(r + delta) > phi(r)
+            assert phi.eval(r + delta) > phi.eval(r)
 
 
 class TestStabilityTable:

@@ -35,13 +35,13 @@ class TestPhiFunction:
 class TestGeraghtyPhi:
     def test_constant_modulus(self):
         phi = geraghty_phi(lambda t: 0.5)
-        assert phi(2.0) == pytest.approx(1.0)
-        assert phi(0.0) == 0.0
+        assert phi.eval(2.0) == pytest.approx(1.0)
+        assert phi.eval(0.0) == 0.0
 
     def test_decaying_modulus(self):
         phi = geraghty_phi(lambda t: 1.0 / (1.0 + t))
-        assert phi(1.0) == pytest.approx(0.5)
-        assert phi(0.0) == 0.0
+        assert phi.eval(1.0) == pytest.approx(0.5)
+        assert phi.eval(0.0) == 0.0
 
     def test_rejects_modulus_reaching_one(self):
         with pytest.raises(ConfigurationError):
@@ -126,7 +126,7 @@ class TestInvert:
         phi = phi_pendulum()
         rng = np.random.default_rng(17)
         for r in rng.uniform(0.0, 5.0, 50):
-            assert invert(phi, phi(r), 1e-9) == pytest.approx(r, abs=1e-8)
+            assert invert(phi, phi.eval(r), 1e-9) == pytest.approx(r, abs=1e-8)
 
     def test_psi_monotone(self):
         from coincidia.pendulum import phi_pendulum
