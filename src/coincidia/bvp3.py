@@ -299,6 +299,17 @@ def ode_defect(p: Bvp3Problem, y: GridFunction) -> float:
     return engine.residual(coincidence_operator(p, y.grid), y)
 
 
+def make_grid(p: Bvp3Problem, n: int) -> Grid:
+    return Grid(0.0, 1.0, n, MIDPOINTS)
+
+
+def check(p: Bvp3Problem, seed: int) -> list[HypothesisReport]:
+    return [check_h1(p, rng_seed=seed), check_h2(p, rng_seed=seed)]
+
+
+columns = engine.solution_columns
+
+
 def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
           max_iter: int = 5000) -> SolveReport:
     """Solve the boundary value problem by fixed-point iteration on y = x''.
@@ -317,18 +328,17 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
     _require_problem_grid(grid)
     if scheme not in _SOLVERS and scheme != "auto":
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    check = check_h1(p) if p.h1_data is not None else None
-    certified = (check is not None and check.passed
-                 and check.constants["Lambda"] < 1.0 - _LAMBDA_SLACK)
+    h1 = check_h1(p) if p.h1_data is not None else None
+    certified = h1 is not None and h1.passed and h1.constants["Lambda"] < 1.0 - _LAMBDA_SLACK
 
     chosen = scheme
     if scheme == "auto":
         chosen = engine.PICARD if certified else engine.AVERAGED
-    elif scheme == engine.PICARD and check is not None and not certified:
+    elif scheme == engine.PICARD and h1 is not None and not certified:
         # at Lambda = 1 the map is only nonexpansive; refuse the rate claim
         chosen = engine.AVERAGED
 
-    modulus = check.constants["Lambda"] if certified and chosen == engine.PICARD else None
+    modulus = h1.constants["Lambda"] if certified and chosen == engine.PICARD else None
     handle = coincidence_operator(p, grid, modulus=modulus)
     report = getattr(engine, _SOLVERS[chosen])(handle, GridFunction.zeros(grid), tol, max_iter)
 
@@ -340,7 +350,7 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
         "eta_snapped_to": snapped,
         "eta_snap_distance": snap_dist,
     })
-    report.certificate = Certificate(check, handle.norm_kind, handle.modulus)
+    report.certificate = Certificate(h1, handle.norm_kind, handle.modulus)
     return report
 
 
@@ -349,11 +359,3 @@ def defect_oracle(p: Bvp3Problem, grid: Grid, solve: Callable[[Grid], SolveRepor
     report = solve(grid)
     return {"reference": "pointwise equation defect of the returned iterate",
             "max_error": ode_defect(p, report.solution), "tolerance": 10.0 * report.tol}
-
-
-PROBLEM_CLASS = engine.ProblemClass(
-    grid=lambda p, n: Grid(0.0, 1.0, n, MIDPOINTS),
-    check=lambda p, seed: [check_h1(p, rng_seed=seed), check_h2(p, rng_seed=seed)],
-    solve=solve,
-    columns=engine.solution_columns,
-)

@@ -235,56 +235,60 @@ def volterra_operator(p: CaputoProblem, grid: Grid) -> OperatorHandle:
                           modulus=None)
 
 
+def make_grid(p: CaputoProblem, n: int) -> Grid:
+    return Grid(0.0, p.horizon, n, NODES)
+
+
+def check(p: CaputoProblem, seed: int) -> list[HypothesisReport]:
+    return [contraction_certificate(p)]
+
+
+def columns(report: SolveReport) -> dict:
+    x = report.solution
+    return {"t": x.grid.points(), "u": x.values, "y": x.values}
+
+
 def solve(
     p: CaputoProblem,
     grid: Grid,
+    scheme: str = "auto",
     tol: float = 1e-10,
     max_iter: int = 200,
     x_init: GridFunction | None = None,
-    override_certificate: bool = False,
 ) -> SolveReport:
-    """Picard-iterate the Volterra equation from a constant initial iterate.
+    """Picard-iterate the Volterra equation from a constant initial iterate;
+    Picard is the only scheme, which ``auto`` selects.
 
-    The contraction certificate must pass unless ``override_certificate``
-    is set.  Stopping is on the sup norm of successive iterate differences.
-    The report's certificate holds the contraction check in the weighted
-    sup norm; when it passed, ``modulus`` is rho and ``bound`` the
-    a-posteriori bound rho / (1 - rho) * (last weighted step difference).
+    The contraction certificate must pass, or the solve raises
+    :class:`CertificateError`.  Stopping is on the sup norm of successive
+    iterate differences.  The report's certificate holds the contraction
+    check in the weighted sup norm, its ``modulus`` rho and its ``bound``
+    the a-posteriori bound rho / (1 - rho) * (last weighted step difference).
 
     Two-start agreement (distinct initial iterates converging to the same
     function) is the package's uniqueness evidence; it is evidence, not a
     proof.
     """
+    if scheme not in ("auto", engine.PICARD):
+        raise ConfigurationError("Volterra solves support only the picard scheme")
     _require_volterra_grid(grid)
     for term in p.nonlocal_terms:
         if term.t > grid.b + 1e-12:
             raise ConfigurationError("nonlocal points must lie inside the grid interval")
     certificate = contraction_certificate(p)
-    if not certificate.passed and not override_certificate:
+    if not certificate.passed:
         margins = certificate.margins
         cause = (f"limit_margin {margins['limit_margin']:.6g} <= 0" if "rho_margin" not in margins
                  else f"rho_margin {margins['rho_margin']:.6g} <= 0: the lambda search "
                  f"reached lambda_max {_LAMBDA_MAX:.6g} with rho >= 1")
-        raise CertificateError(f"the contraction certificate failed ({cause}); "
-                               "pass override_certificate=True to iterate anyway")
+        raise CertificateError(f"the contraction certificate failed ({cause})")
     handle = volterra_operator(p, grid)
     start = x_init if x_init is not None else GridFunction.constant(grid, p.x0)
     report = engine.solve_picard(handle, start, tol, max_iter)
     report.extras["nonlocal_snap_distances"] = [d for _, d in snap_nonlocal_points(p, grid)]
-    report.certificate = Certificate(certificate, "weighted_sup")
-    if certificate.passed:
-        rho, lam = certificate.constants["rho"], certificate.constants["lambda"]
-        d_w = weighted_sup_norm(handle.apply(report.solution) - report.solution, lam, p.L_f, p.t_N)
-        report.certificate = Certificate(certificate, "weighted_sup", rho, rho / (1.0 - rho) * d_w,
-                                         "weighted-sup distance of the next Picard iterate "
-                                         "to the discrete fixed point")
+    rho, lam = certificate.constants["rho"], certificate.constants["lambda"]
+    d_w = weighted_sup_norm(handle.apply(report.solution) - report.solution, lam, p.L_f, p.t_N)
+    report.certificate = Certificate(certificate, "weighted_sup", rho, rho / (1.0 - rho) * d_w,
+                                     "weighted-sup distance of the next Picard iterate "
+                                     "to the discrete fixed point")
     return report
-
-
-PROBLEM_CLASS = engine.ProblemClass(
-    grid=lambda p, n: Grid(0.0, p.horizon, n, NODES),
-    check=lambda p, seed: [contraction_certificate(p)],
-    solve=engine.picard_only(solve, "Volterra"),
-    columns=lambda report: {"t": report.solution.grid.points(), "u": report.solution.values,
-                            "y": report.solution.values},
-)

@@ -8,9 +8,9 @@
 One option set serves every command.  The problem parameter flags are the
 registry's parameter names (``--kappa``, ``--a``, ...); each problem takes
 only its own, and only ``stability`` reads ``--builtin-candidates``.  The
-commands that solve make every solve with the problem class's ``solve`` and
-the run's ``--scheme``, ``--tol`` and ``--max-iter``, built once per run, so
-each refuses a scheme as ``solve`` does; ``check`` ignores these flags.
+commands call the functions of the entry's family module by name; those
+that solve make every solve with its ``solve`` and the run's ``--scheme``,
+``--tol`` and ``--max-iter``, so each refuses a scheme as ``solve`` does.
 
 Every run writes ``report.json`` (schema 3, deterministic for a fixed
 config and seed).  Solves additionally write ``solution.csv``; stability
@@ -157,7 +157,7 @@ def _solve_status(report) -> tuple[int, str, str]:
 
 
 def _run_check(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
-    reports = entry.problem_class.check(problem, config.seed)
+    reports = entry.family.check(problem, config.seed)
     all_pass = all(r.passed for r in reports)
     failed = ", ".join(r.condition for r in reports if not r.passed)
     return _finish(config, out_dir, {"passed": all_pass, "checks": [r.to_dict() for r in reports]},
@@ -166,20 +166,20 @@ def _run_check(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
 
 
 def _run_solve(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
-    report = solve(entry.problem_class.grid(problem, config.grid_n))
-    columns = entry.problem_class.columns(report)
+    report = solve(entry.family.make_grid(problem, config.grid_n))
+    columns = entry.family.columns(report)
     _write_csv(out_dir / "solution.csv", list(columns), list(columns.values()))
     return _finish(config, out_dir, report.to_dict(), *_solve_status(report))
 
 
 def _run_stability(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
-    family = entry.problem_class
-    if family.stability is None:
+    table1_stability = getattr(entry.family, "table1_stability", None)
+    if table1_stability is None:
         raise ConfigurationError("stability tables are defined for the pendulum problem class")
     if config.candidates != "table1":
         raise ConfigurationError(f"unknown candidate set {config.candidates!r}")
-    grid = family.grid(problem, config.grid_n)
-    named, rows, solve_report = family.stability(problem, grid, solve)
+    grid = entry.family.make_grid(problem, config.grid_n)
+    named, rows, solve_report = table1_stability(problem, grid, solve)
     names = [name for name, _, _ in named]
     _write_csv(out_dir / "table.csv", ["name", "epsilon", "psi", "sup_distance_to_solution"],
                [names, *np.array([(r.epsilon, r.psi, r.sup_distance) for r in rows]).T])
@@ -204,7 +204,7 @@ def _run_stability(config: RunConfig, entry, problem, solve, out_dir: Path) -> i
 
 def _run_oracle(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
     """Compare a solve against the problem's independent reference."""
-    grid = entry.problem_class.grid(problem, config.grid_n)
+    grid = entry.family.make_grid(problem, config.grid_n)
     result = {"problem": config.problem, **entry.oracle(problem, grid, solve)}
     result["ok"] = result["max_error"] <= result["tolerance"]
     return _finish(config, out_dir, result, EXIT_OK if result["ok"] else EXIT_NUMERIC,
@@ -231,8 +231,8 @@ def run(config: RunConfig) -> int:
         entry = registry.lookup(config.problem)
         problem = entry.make(**config.params)
         def solve(grid):  # every solve of the run goes through here
-            return entry.problem_class.solve(problem, grid, config.scheme, config.tol,
-                                             config.max_iter)
+            return entry.family.solve(problem, grid, config.scheme, tol=config.tol,
+                                      max_iter=config.max_iter)
         return _RUNNERS[config.command](config, entry, problem, solve, out_dir)
     except (ConfigurationError, DomainError) as exc:
         return fail(exc, EXIT_CONFIG)

@@ -20,6 +20,11 @@ tol, max_iter)`` and never take more than ``max_iter`` steps.
 Every scheme records the full residual history ``|y_k - h(y_k)|`` in the
 operator's declared norm, and the reported solution always satisfies
 ``residual(h, y) == final_residual`` under recomputation.
+
+Each family module (``bvp3``, ``pendulum``, ``caputo``) is a problem class:
+``make_grid(p, n)``, ``check(p, seed)``, ``columns(report)`` and
+``solve(p, grid, scheme, tol, max_iter, ...)``, which raises
+:class:`ConfigurationError` for a scheme the family does not run.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ConfigurationError, NumericError
-from .numerics import Grid, GridFunction, l2_norm, sup_norm
-from .reports import Certificate, HypothesisReport
+from .numerics import GridFunction, l2_norm, sup_norm
+from .reports import Certificate
 from .stability import PhiFunction, invert
 
 PICARD = "picard"
@@ -70,26 +75,33 @@ class OperatorHandle:
 class SolveReport:
     """Outcome of one solve: iterates, residual history and certificate.
 
-    ``converged`` holds exactly when ``final_residual <= tol``; ``scheme`` is
-    the scheme that ran.  For the resolvent scheme ``iterations`` counts the
-    inner steps of all stages, the history holds one outer residual per
-    stage, and ``extras["stages"]`` lists each stage's ``n``, ``inner_steps``
-    and ``outer_residual``.  A family's ``solve`` sets ``certificate``;
+    ``final_residual`` is the last entry of the history and ``converged``
+    holds exactly when it is at most ``tol``; ``scheme`` is the scheme that
+    ran.  For the resolvent scheme ``iterations`` counts the inner steps of
+    all stages, the history holds one outer residual per stage, and
+    ``extras["stages"]`` lists each stage's ``n``, ``inner_steps`` and
+    ``outer_residual``.  A family's ``solve`` sets ``certificate``;
     ``extras`` holds only family data.  The per-point arrays (``solution``
     and every :class:`GridFunction` in ``extras``, such as ``u``) stay on the
-    object; front ends write them as columns, see ``ProblemClass.columns``.
+    object; front ends write them as columns, see the family's ``columns``.
     """
 
     solution: GridFunction
     iterations: int
     residual_history: list[float]
-    final_residual: float
     scheme: str
-    converged: bool
     tol: float
     certificate: Certificate | None = None
     stagnated: bool = False
     extras: dict = field(default_factory=dict)
+
+    @property
+    def final_residual(self) -> float:
+        return self.residual_history[-1]
+
+    @property
+    def converged(self) -> bool:
+        return self.final_residual <= self.tol
 
     def to_dict(self) -> dict:
         """The report's scalars, histories and certificate, and the
@@ -109,41 +121,6 @@ class SolveReport:
         payload.update((key, value) for key, value in self.extras.items()
                        if not isinstance(value, GridFunction))
         return payload
-
-
-@dataclass(frozen=True)
-class ProblemClass:
-    """What a front end needs of one family of coincidence problems.
-
-    * ``grid(problem, n)``: the grid with ``n`` cells that iterates live on.
-    * ``check(problem, seed)``: the family's hypothesis reports.
-    * ``solve(problem, grid, scheme, tol, max_iter)``: a solve with the
-      requested scheme, and the only way a command solves; a family that
-      supports only some schemes raises :class:`ConfigurationError` for the
-      others.
-    * ``columns(report)``: the named columns of the solution table.
-    * ``stability(problem, grid, solve)``: the built-in candidates
-      ``(name, w, w'')``, their stability rows and the report of
-      ``solve(grid)``, the run's bound class solve, they were measured
-      against; ``None`` for a family without stability tables.
-    """
-
-    grid: Callable[[object, int], Grid]
-    check: Callable[[object, int], list[HypothesisReport]]
-    solve: Callable[[object, Grid, str, float, int], SolveReport]
-    columns: Callable[[SolveReport], dict]
-    stability: Callable | None = None
-
-
-def picard_only(solve: Callable, family: str) -> Callable:
-    """A ``ProblemClass.solve`` running ``solve`` for the auto and picard schemes only."""
-
-    def solve_class(p, grid: Grid, scheme: str, tol: float, max_iter: int) -> SolveReport:
-        if scheme not in ("auto", PICARD):
-            raise ConfigurationError(f"{family} solves support only the picard scheme")
-        return solve(p, grid, tol=tol, max_iter=max_iter)
-
-    return solve_class
 
 
 def solution_columns(report: SolveReport) -> dict:
@@ -220,11 +197,8 @@ def _iterate(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int, sch
                 if flat_steps >= _STAGNATION_WINDOW:
                     stagnated = True
                     break
-    return SolveReport(
-        solution=y, iterations=iterations, residual_history=history,
-        final_residual=history[-1], scheme=scheme,
-        converged=history[-1] <= tol, tol=tol, stagnated=stagnated,
-    )
+    return SolveReport(solution=y, iterations=iterations, residual_history=history,
+                       scheme=scheme, tol=tol, stagnated=stagnated)
 
 
 def _image(y: GridFunction, hy: GridFunction) -> GridFunction:
@@ -303,10 +277,8 @@ def solve_resolvent(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: i
         if history[-1] <= tol:
             break
         n *= 2
-    return SolveReport(
-        solution=y, iterations=total_inner, residual_history=history, final_residual=history[-1],
-        scheme=RESOLVENT, converged=history[-1] <= tol, tol=tol, extras={"stages": stages},
-    )
+    return SolveReport(solution=y, iterations=total_inner, residual_history=history,
+                       scheme=RESOLVENT, tol=tol, extras={"stages": stages})
 
 
 def error_bound(phi: PhiFunction, eps: float) -> float:

@@ -159,14 +159,27 @@ def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 
     return OperatorHandle(apply=apply, norm_kind="sup", modulus=GREEN_MODULUS)
 
 
+def make_grid(p: PendulumProblem, n: int) -> Grid:
+    return Grid(0.0, 1.0, n, NODES)
+
+
+def check(p: PendulumProblem, seed: int) -> list[HypothesisReport]:
+    return [check_expansive(p, seed)]
+
+
+columns = engine.solution_columns
+
+
 def solve(
     p: PendulumProblem,
     grid: Grid,
+    scheme: str = "auto",
     tol: float = 1e-10,
     max_iter: int = 100,
     y0: GridFunction | None = None,
 ) -> SolveReport:
-    """Picard iteration on y = A(u''), starting from the driving force.
+    """Picard iteration on y = A(u''), starting from the driving force; the
+    only scheme, which ``auto`` selects.
 
     The contraction modulus 1/8 comes from the Green kernel bound and the
     1-Lipschitz inverse of A, so roughly log(tol) / log(1/8) iterations
@@ -174,6 +187,8 @@ def solve(
     Its certificate has no hypothesis check: its modulus is 1/8 in the sup
     norm, and its bound the Ulam-Hyers radius psi(final_residual).
     """
+    if scheme not in ("auto", engine.PICARD):
+        raise ConfigurationError("pendulum solves support only the picard scheme")
     itol = max(1e-14, min(1e-12, 1e-3 * tol))
     handle = coincidence_operator(p, grid, itol)
     start = y0 if y0 is not None else GridFunction.sample(grid, p.driving)
@@ -371,12 +386,3 @@ def refinement_oracle(p: PendulumProblem, grid: Grid, solve: Callable[[Grid], So
     diff = float(np.max(np.abs(fine.extras["u"].values[::2] - coarse.extras["u"].values)))
     return {"reference": f"cross-grid refinement n={coarse_n} vs n={grid.n}",
             "max_error": diff, "tolerance": 1e-5}
-
-
-PROBLEM_CLASS = engine.ProblemClass(
-    grid=lambda p, n: Grid(0.0, 1.0, n, NODES),
-    check=lambda p, seed: [check_expansive(p, seed)],
-    solve=engine.picard_only(solve, "pendulum"),
-    columns=engine.solution_columns,
-    stability=table1_stability,
-)

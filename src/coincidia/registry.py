@@ -1,7 +1,7 @@
 """Built-in problems with their default parameters.
 
 Each entry names the parameters a caller may override, builds a fully
-wired problem object, points at the problem class that grids, checks and
+wired problem object, points at the family module that grids, checks and
 solves it, and carries an oracle that compares a solve against an
 independent reference.  Nonlinearities beyond these built-ins are a
 library concern: plain-text configuration cannot safely encode functions.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from . import bvp3, caputo, pendulum
 from .bvp3 import Bvp3Problem, H1Data, H2Data
 from .caputo import CaputoProblem, NonlocalTerm
-from .engine import ProblemClass
 from .errors import ConfigurationError
 from .numerics import Grid, mittag_leffler
 from .pendulum import PendulumProblem, sqrt_linear_A, sqrt_linear_inverse
@@ -146,13 +146,13 @@ def _exact_oracle(reference: str, exact: Callable, tolerance: Callable) -> Calla
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """A built-in problem: its class, builder, default parameters and
-    oracle ``oracle(problem, grid, solve)``, which solves only by
-    ``solve(grid)``, the run's bound class solve, and returns the
+    """A built-in problem: its family module, builder, default parameters
+    and oracle ``oracle(problem, grid, solve)``, which solves only by
+    ``solve(grid)``, the run's bound family solve, and returns the
     ``reference`` it compares with, the ``max_error`` and the ``tolerance``."""
 
     name: str
-    problem_class: ProblemClass
+    family: ModuleType
     description: str
     build: Callable
     oracle: Callable
@@ -178,7 +178,7 @@ class RegistryEntry:
 _ENTRIES = [
     RegistryEntry(
         name="bvp3-example",
-        problem_class=bvp3.PROBLEM_CLASS,
+        family=bvp3,
         description="three-point BVP with rational/log nonlinearity; delta=-1/10, eta=1/2",
         build=bvp3_example,
         oracle=bvp3.defect_oracle,
@@ -186,7 +186,7 @@ _ENTRIES = [
     ),
     RegistryEntry(
         name="pendulum-Pa",
-        problem_class=pendulum.PROBLEM_CLASS,
+        family=pendulum,
         description="forced pendulum u'' - a^2 sin(u) = sin(pi t), Dirichlet conditions",
         build=pendulum_pa,
         oracle=pendulum.refinement_oracle,
@@ -194,7 +194,7 @@ _ENTRIES = [
     ),
     RegistryEntry(
         name="caputo-constant",
-        problem_class=caputo.PROBLEM_CLASS,
+        family=caputo,
         description="D^q x = 1, x(0) = x0; analytic solution x0 + t^q/Gamma(q+1)",
         build=caputo_constant,
         oracle=_exact_oracle("closed form x0 + t^q/Gamma(q+1)",
@@ -204,7 +204,7 @@ _ENTRIES = [
     ),
     RegistryEntry(
         name="caputo-linear",
-        problem_class=caputo.PROBLEM_CLASS,
+        family=caputo,
         description="D^q x = x, x(0) = x0; Mittag-Leffler solution x0 E_q(t^q)",
         build=caputo_linear,
         # the product-trapezoid error is first order, 0.15 / n to 0.2 / n
@@ -215,7 +215,7 @@ _ENTRIES = [
     ),
     RegistryEntry(
         name="caputo-nonlocal",
-        problem_class=caputo.PROBLEM_CLASS,
+        family=caputo,
         description="D^q x = 0 with x(0) = x0 + x(1/2)/2; constant solution 2 x0",
         build=caputo_nonlocal,
         oracle=_exact_oracle("scalar fixed point 2 x0", lambda p, t: 2.0 * p.x0,

@@ -1,9 +1,10 @@
+import inspect
 import json
 from dataclasses import asdict
 
 import pytest
 
-from coincidia import engine, pendulum
+from coincidia import bvp3, caputo, engine, pendulum
 from coincidia.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -18,7 +19,7 @@ from coincidia.cli import (
 )
 from coincidia.errors import ConfigurationError
 from coincidia.numerics import NODES, Grid
-from coincidia.registry import REGISTRY, lookup
+from coincidia.registry import REGISTRY, caputo_linear, lookup, pendulum_pa
 from test_golden import GOLDEN
 
 TABLE1 = {
@@ -339,7 +340,7 @@ class TestSchemeContract:
         ("stability", "pendulum-Pa", "resolvent"),
         ("oracle", "caputo-linear", "resolvent"),
     ])
-    def test_picard_only_classes_refuse(self, tmp_path, command, problem, scheme):
+    def test_pendulum_and_caputo_refuse_other_schemes(self, tmp_path, command, problem, scheme):
         error = self.assert_refused_as_solve(tmp_path, command, problem, scheme)
         assert error is not None and "support only the picard scheme" in error["message"]
 
@@ -366,9 +367,9 @@ class TestSolvePath:
 
         def solve(grid):
             grids.append(grid)
-            return entry.problem_class.solve(problem, grid, "auto", 1e-10, 5000)
+            return entry.family.solve(problem, grid, "auto", tol=1e-10, max_iter=5000)
 
-        return entry, problem, entry.problem_class.grid(problem, n), solve, grids
+        return entry, problem, entry.family.make_grid(problem, n), solve, grids
 
     @pytest.mark.parametrize("name", list(REGISTRY))
     def test_registry_oracles(self, engine_runs, name):
@@ -389,6 +390,46 @@ class TestSolvePath:
         with pytest.raises(ConfigurationError, match="divisible by 4"):
             pendulum.refinement_oracle(problem, grid, solve)
         assert grids == [] == engine_runs
+
+
+class TestFamilyModules:
+    """A registry entry's family module is its problem class: commands call
+    the module's ``solve`` by name, so a wrapper set on the module sees
+    every solve of a run."""
+
+    @pytest.mark.parametrize("command, problem, family, calls", [
+        ("oracle", "bvp3-example", bvp3, 1),
+        ("oracle", "pendulum-Pa", pendulum, 2),
+        ("oracle", "caputo-linear", caputo, 1),
+        ("stability", "pendulum-Pa", pendulum, 1),
+    ])
+    def test_commands_call_the_module_solve(self, tmp_path, monkeypatch, command, problem,
+                                            family, calls):
+        argv = [command, "--problem", problem, "--grid-n", "64", "--out", str(tmp_path)]
+        code = main(argv)
+        expected = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        seen = []
+        for module in (bvp3, pendulum, caputo):
+            def counted(*args, _original=module.solve, _name=module.__name__, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, "solve", counted)
+        assert main(argv) == code
+        assert seen == [family.__name__] * calls
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == expected
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_solve_signature(self, name):
+        parameters = list(inspect.signature(REGISTRY[name].family.solve).parameters)
+        assert parameters[:5] == ["p", "grid", "scheme", "tol", "max_iter"]
+
+    @pytest.mark.parametrize("family, build, scheme, message", [
+        (pendulum, pendulum_pa, "averaged", "pendulum solves support only the picard scheme"),
+        (caputo, caputo_linear, "resolvent", "Volterra solves support only the picard scheme"),
+    ])
+    def test_library_solve_refuses_other_schemes(self, family, build, scheme, message):
+        with pytest.raises(ConfigurationError, match=message):
+            family.solve(build(), Grid(0.0, 1.0, 16, NODES), scheme)
 
 class TestMainArgparse:
     def test_solve_via_argv(self, tmp_path):
