@@ -32,6 +32,7 @@ from .numerics import (
     integrate,
     l2_norm,
     mittag_leffler,
+    prolong,
     sup_norm,
 )
 from .reports import HypothesisReport
@@ -65,6 +66,7 @@ __all__ = [
     "invert",
     "l2_norm",
     "mittag_leffler",
+    "prolong",
     "residual",
     "solve_averaged",
     "solve_picard",

@@ -311,8 +311,9 @@ columns = engine.solution_columns
 
 
 def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
-          max_iter: int = 5000) -> SolveReport:
-    """Solve the boundary value problem by fixed-point iteration on y = x''.
+          max_iter: int = 5000, start: GridFunction | None = None) -> SolveReport:
+    """Solve the boundary value problem by fixed-point iteration on y = x'',
+    starting from ``start`` or else from zero.
 
     ``auto`` runs Picard with certified modulus Lambda when the Lipschitz
     hypothesis holds with Lambda < 1, and falls back to averaged iteration
@@ -340,7 +341,8 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
 
     modulus = h1.constants["Lambda"] if certified and chosen == engine.PICARD else None
     handle = coincidence_operator(p, grid, modulus=modulus)
-    report = getattr(engine, _SOLVERS[chosen])(handle, GridFunction.zeros(grid), tol, max_iter)
+    start = engine.start_or(grid, start, GridFunction.zeros)
+    report = getattr(engine, _SOLVERS[chosen])(handle, start, tol, max_iter)
 
     u, u_prime = apply_T_inverse(grid, report.solution.values, p.delta, p.eta)
     _, snapped, snap_dist = snap_eta(grid, p.eta)

@@ -254,10 +254,10 @@ def solve(
     scheme: str = "auto",
     tol: float = 1e-10,
     max_iter: int = 200,
-    x_init: GridFunction | None = None,
+    start: GridFunction | None = None,
 ) -> SolveReport:
-    """Picard-iterate the Volterra equation from a constant initial iterate;
-    Picard is the only scheme, which ``auto`` selects.
+    """Picard-iterate the Volterra equation from ``start`` or else from the
+    constant x0; Picard is the only scheme, which ``auto`` selects.
 
     The contraction certificate must pass, or the solve raises
     :class:`CertificateError`.  Stopping is on the sup norm of successive
@@ -283,7 +283,7 @@ def solve(
                  f"reached lambda_max {_LAMBDA_MAX:.6g} with rho >= 1")
         raise CertificateError(f"the contraction certificate failed ({cause})")
     handle = volterra_operator(p, grid)
-    start = x_init if x_init is not None else GridFunction.constant(grid, p.x0)
+    start = engine.start_or(grid, start, lambda g: GridFunction.constant(g, p.x0))
     report = engine.solve_picard(handle, start, tol, max_iter)
     report.extras["nonlocal_snap_distances"] = [d for _, d in snap_nonlocal_points(p, grid)]
     rho, lam = certificate.constants["rho"], certificate.constants["lambda"]

@@ -11,6 +11,8 @@ only its own, and only ``stability`` reads ``--builtin-candidates``.  The
 commands call the functions of the entry's family module by name; those
 that solve make every solve with its ``solve`` and the run's ``--scheme``,
 ``--tol`` and ``--max-iter``, so each refuses a scheme as ``solve`` does.
+The pendulum ``oracle`` nests its two solves: the fine one starts from the
+cubic prolongation of the coarse iterate.  Every other solve starts cold.
 
 Every run writes ``report.json`` (schema 3, deterministic for a fixed
 config and seed).  Solves additionally write ``solution.csv``; stability
@@ -230,9 +232,9 @@ def run(config: RunConfig) -> int:
         config.validate()
         entry = registry.lookup(config.problem)
         problem = entry.make(**config.params)
-        def solve(grid):  # every solve of the run goes through here
+        def solve(grid, start=None):  # every solve of the run goes through here
             return entry.family.solve(problem, grid, config.scheme, tol=config.tol,
-                                      max_iter=config.max_iter)
+                                      max_iter=config.max_iter, start=start)
         return _RUNNERS[config.command](config, entry, problem, solve, out_dir)
     except (ConfigurationError, DomainError) as exc:
         return fail(exc, EXIT_CONFIG)

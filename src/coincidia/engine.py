@@ -23,8 +23,10 @@ operator's declared norm, and the reported solution always satisfies
 
 Each family module (``bvp3``, ``pendulum``, ``caputo``) is a problem class:
 ``make_grid(p, n)``, ``check(p, seed)``, ``columns(report)`` and
-``solve(p, grid, scheme, tol, max_iter, ...)``, which raises
-:class:`ConfigurationError` for a scheme the family does not run.
+``solve(p, grid, scheme, tol, max_iter, start=None)``, which raises
+:class:`ConfigurationError` for a scheme the family does not run.  A
+``start`` replaces the family's cold first iterate; it must live on the
+solve's grid.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ConfigurationError, NumericError
-from .numerics import GridFunction, l2_norm, sup_norm
+from .numerics import Grid, GridFunction, l2_norm, sup_norm
 from .reports import Certificate
 from .stability import PhiFunction, invert
 
@@ -131,6 +133,17 @@ def solution_columns(report: SolveReport) -> dict:
         "u_prime": report.extras["u_prime"].values,
         "y": report.solution.values,
     }
+
+
+def start_or(grid: Grid, start: GridFunction | None,
+             cold: Callable[[Grid], GridFunction]) -> GridFunction:
+    """A family solve's first iterate: ``start``, or ``cold(grid)`` without
+    one; a start on another grid raises :class:`ConfigurationError`."""
+    if start is None:
+        return cold(grid)
+    if start.grid != grid:
+        raise ConfigurationError("the start must live on the solve's grid")
+    return start
 
 
 def _apply(h: OperatorHandle, y: GridFunction) -> GridFunction:

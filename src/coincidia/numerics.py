@@ -1,5 +1,6 @@
 """Shared numeric substrate: uniform grids, composite quadrature, norms,
-bisection root finding, and the Gamma / Mittag-Leffler special functions.
+cubic prolongation to a refined grid, bisection root finding, and the
+Gamma / Mittag-Leffler special functions.
 
 All quantities are IEEE-754 doubles and every tolerance is an explicit
 argument of the operation that uses it.
@@ -213,6 +214,28 @@ def cell_edge_cumulative(grid: Grid, values: np.ndarray) -> np.ndarray:
         raise ConfigurationError("cell-edge cumulative integrals require a midpoints grid")
     _require_samples(grid, values)
     return np.concatenate(([0.0], grid.spacing * np.cumsum(values)))
+
+
+def prolong(fine_grid: Grid, coarse: GridFunction) -> GridFunction:
+    """4-point cubic interpolation of ``coarse`` onto ``fine_grid``, which must
+    be the nodes grid with twice the cells of ``coarse.grid`` (also nodes).
+
+    Even fine nodes copy the coarse samples; odd ones take
+    ``(-c[i-1] + 9 c[i] + 9 c[i+1] - c[i+2]) / 16``, and the first and last odd
+    ones use the one-sided ``(5 c0 + 15 c1 - 5 c2 + c3) / 16``, so cubics are
+    reproduced everywhere.
+    """
+    grid = coarse.grid
+    if grid.style != NODES or grid.n < 3 or fine_grid != Grid(grid.a, grid.b, 2 * grid.n, NODES):
+        raise ConfigurationError("prolongation needs a nodes grid of at least 3 cells and its "
+                                 "refinement with twice the cells")
+    c = coarse.values
+    fine = np.empty(fine_grid.size)
+    fine[::2] = c
+    fine[3:-3:2] = (-c[:-3] + 9.0 * c[1:-2] + 9.0 * c[2:-1] - c[3:]) / 16.0
+    fine[1] = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
+    fine[-2] = (5.0 * c[-1] + 15.0 * c[-2] - 5.0 * c[-3] + c[-4]) / 16.0
+    return GridFunction(fine_grid, fine)
 
 
 def sup_norm(f: GridFunction) -> float:

@@ -25,6 +25,7 @@ Green reconstruction inside it work on plain sample arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,7 +36,7 @@ from . import engine
 from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, RangeError
 from .numerics import (NODES, Grid, GridFunction, _require_samples, bracket_root,
-                       cumulative_integral, evaluate, sup_norm)
+                       cumulative_integral, evaluate, prolong, sup_norm)
 from .reports import Certificate, HypothesisReport
 from .stability import PhiFunction
 
@@ -176,10 +177,10 @@ def solve(
     scheme: str = "auto",
     tol: float = 1e-10,
     max_iter: int = 100,
-    y0: GridFunction | None = None,
+    start: GridFunction | None = None,
 ) -> SolveReport:
-    """Picard iteration on y = A(u''), starting from the driving force; the
-    only scheme, which ``auto`` selects.
+    """Picard iteration on y = A(u''), starting from ``start`` or else from
+    the driving force; the only scheme, which ``auto`` selects.
 
     The contraction modulus 1/8 comes from the Green kernel bound and the
     1-Lipschitz inverse of A, so roughly log(tol) / log(1/8) iterations
@@ -191,7 +192,7 @@ def solve(
         raise ConfigurationError("pendulum solves support only the picard scheme")
     itol = max(1e-14, min(1e-12, 1e-3 * tol))
     handle = coincidence_operator(p, grid, itol)
-    start = y0 if y0 is not None else GridFunction.sample(grid, p.driving)
+    start = engine.start_or(grid, start, lambda g: GridFunction.sample(g, p.driving))
     report = engine.solve_picard(handle, start, tol, max_iter)
     u, u_prime = green_apply_with_derivative(grid, invert_A(p, report.solution.values, itol))
     report.extras.update({"u": GridFunction(grid, u), "u_prime": GridFunction(grid, u_prime),
@@ -234,8 +235,10 @@ def epsilon_defect(p: PendulumProblem, w: GridFunction, w_second: GridFunction) 
     return float(np.max(np.abs(vals)))
 
 
+@functools.cache
 def phi_pendulum() -> PhiFunction:
-    """The comparison function of the pendulum problem.
+    """The comparison function of the pendulum problem, built (and probed)
+    once.
 
     phi(r) = r - 2 sin(r/2) on [0, pi] and r - 2 beyond; continuous at pi,
     strictly increasing, onto [0, inf).  Since phi(r) >= r - 2, the
@@ -375,14 +378,24 @@ def sqrt_linear_inverse(k: float = 2.0) -> Callable:
     return A_inv
 
 
-def refinement_oracle(p: PendulumProblem, grid: Grid, solve: Callable[[Grid], SolveReport]) -> dict:
-    """Oracle: the solution u of ``solve(grid)`` against ``solve`` on half
-    as many cells, compared at the shared nodes."""
+def refinement_oracle(p: PendulumProblem, grid: Grid,
+                      solve: Callable[..., SolveReport]) -> dict:
+    """Oracle: the solution u of ``solve`` on half as many cells against
+    ``solve(grid)``, compared at the shared nodes.
+
+    The solves nest: the coarse one runs first, and the fine one starts
+    from the cubic prolongation of the coarse iterate (``start=``).  The
+    fine solve still stops on its own grid's residual.  The coarse report
+    is dropped before the fine solve, keeping only its u and the start,
+    to hold down the peak memory.
+    """
     coarse_n = grid.n // 2
     if coarse_n % 2 or coarse_n < 8:
         raise ConfigurationError("oracle refinement needs grid_n divisible by 4 and >= 16")
-    fine = solve(grid)
     coarse = solve(Grid(0.0, 1.0, coarse_n, NODES))
-    diff = float(np.max(np.abs(fine.extras["u"].values[::2] - coarse.extras["u"].values)))
+    coarse_u, start = coarse.extras["u"].values, prolong(grid, coarse.solution)
+    del coarse
+    fine_u = solve(grid, start=start).extras["u"].values
+    diff = float(np.max(np.abs(fine_u[::2] - coarse_u)))
     return {"reference": f"cross-grid refinement n={coarse_n} vs n={grid.n}",
             "max_error": diff, "tolerance": 1e-5}

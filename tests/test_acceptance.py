@@ -213,13 +213,13 @@ def test_criterion_8_uniqueness_evidence(pa, pa_grid, pa_solution):
     tol = 1e-10
     grid = Grid(0.0, 1.0, 256, NODES)
     p = caputo_linear()
-    lo = caputo.solve(p, grid, tol=tol, x_init=GridFunction.constant(grid, p.x0 - 5.0))
-    hi = caputo.solve(p, grid, tol=tol, x_init=GridFunction.constant(grid, p.x0 + 5.0))
+    lo = caputo.solve(p, grid, tol=tol, start=GridFunction.constant(grid, p.x0 - 5.0))
+    hi = caputo.solve(p, grid, tol=tol, start=GridFunction.constant(grid, p.x0 + 5.0))
     caputo_gap = sup_norm(lo.solution - hi.solution)
     pend_gap = 0.0
     for start in (GridFunction.zeros(pa_grid),
                   GridFunction.sample(pa_grid, lambda t: -np.sin(np.pi * t))):
-        rep = pendulum.solve(pa, pa_grid, tol=tol, y0=start)
+        rep = pendulum.solve(pa, pa_grid, tol=tol, start=start)
         pend_gap = max(pend_gap, sup_norm(rep.extras["u"] - pa_solution.extras["u"]))
     ok = caputo_gap <= 10.0 * tol and pend_gap <= 10.0 * tol
     _report(8, f"two-start gaps: caputo {caputo_gap:.2e}, pendulum {pend_gap:.2e} "

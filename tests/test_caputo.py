@@ -295,8 +295,8 @@ class TestSolve:
     def test_two_start_agreement(self):
         tol = 1e-10
         p = caputo_linear()
-        lo = caputo.solve(p, GRID, tol=tol, x_init=GridFunction.constant(GRID, p.x0 - 5.0))
-        hi = caputo.solve(p, GRID, tol=tol, x_init=GridFunction.constant(GRID, p.x0 + 5.0))
+        lo = caputo.solve(p, GRID, tol=tol, start=GridFunction.constant(GRID, p.x0 - 5.0))
+        hi = caputo.solve(p, GRID, tol=tol, start=GridFunction.constant(GRID, p.x0 + 5.0))
         assert sup_norm(lo.solution - hi.solution) <= 10.0 * tol
 
     def test_posterior_bound_reported(self):

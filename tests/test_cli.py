@@ -18,7 +18,7 @@ from coincidia.cli import (
     run,
 )
 from coincidia.errors import ConfigurationError
-from coincidia.numerics import NODES, Grid
+from coincidia.numerics import NODES, Grid, GridFunction
 from coincidia.registry import REGISTRY, caputo_linear, lookup, pendulum_pa
 from test_golden import GOLDEN
 
@@ -363,30 +363,43 @@ class TestSolvePath:
     def recording(name, n):
         entry = REGISTRY[name]
         problem = entry.make()
-        grids = []
+        grids, starts = [], []
 
-        def solve(grid):
+        def solve(grid, start=None):
             grids.append(grid)
-            return entry.family.solve(problem, grid, "auto", tol=1e-10, max_iter=5000)
+            starts.append(start)
+            return entry.family.solve(problem, grid, "auto", tol=1e-10, max_iter=5000,
+                                      start=start)
 
-        return entry, problem, entry.family.make_grid(problem, n), solve, grids
+        return entry, problem, entry.family.make_grid(problem, n), solve, grids, starts
 
     @pytest.mark.parametrize("name", list(REGISTRY))
     def test_registry_oracles(self, engine_runs, name):
-        entry, problem, grid, solve, grids = self.recording(name, 16)
+        entry, problem, grid, solve, grids, starts = self.recording(name, 16)
         entry.oracle(problem, grid, solve)
         half = [Grid(0.0, 1.0, 8, NODES)] if name == "pendulum-Pa" else []
-        assert grids == [grid, *half]
+        assert grids == [*half, grid]
         assert engine_runs == grids
+        if name != "pendulum-Pa":
+            assert starts == [None]
+
+    def test_pendulum_oracle_nests(self, engine_runs):
+        # coarse first, then fine from the prolonged coarse iterate
+        entry, problem, grid, solve, grids, starts = self.recording("pendulum-Pa", 16)
+        entry.oracle(problem, grid, solve)
+        assert grids == [Grid(0.0, 1.0, 8, NODES), grid]
+        assert starts[0] is None
+        assert starts[1] is not None and starts[1].grid == grid
 
     def test_table1_stability(self, engine_runs):
-        _, problem, grid, solve, grids = self.recording("pendulum-Pa", 16)
+        _, problem, grid, solve, grids, starts = self.recording("pendulum-Pa", 16)
         *_, report = pendulum.table1_stability(problem, grid, solve)
         assert grids == [grid] == engine_runs
+        assert starts == [None]
         assert report.solution.grid == grid
 
     def test_refinement_oracle_refuses_before_solving(self, engine_runs):
-        _, problem, grid, solve, grids = self.recording("pendulum-Pa", 18)
+        _, problem, grid, solve, grids, _ = self.recording("pendulum-Pa", 18)
         with pytest.raises(ConfigurationError, match="divisible by 4"):
             pendulum.refinement_oracle(problem, grid, solve)
         assert grids == [] == engine_runs
@@ -420,8 +433,19 @@ class TestFamilyModules:
 
     @pytest.mark.parametrize("name", list(REGISTRY))
     def test_solve_signature(self, name):
-        parameters = list(inspect.signature(REGISTRY[name].family.solve).parameters)
-        assert parameters[:5] == ["p", "grid", "scheme", "tol", "max_iter"]
+        parameters = inspect.signature(REGISTRY[name].family.solve).parameters
+        assert list(parameters)[:5] == ["p", "grid", "scheme", "tol", "max_iter"]
+        assert parameters["start"].default is None
+
+    @pytest.mark.parametrize("name", ["bvp3-example", "pendulum-Pa", "caputo-linear"])
+    def test_start_on_another_grid_is_refused(self, name):
+        entry = REGISTRY[name]
+        problem = entry.make()
+        grid = entry.family.make_grid(problem, 16)
+        for other in (entry.family.make_grid(problem, 8),
+                      Grid(grid.a, grid.b + 1.0, grid.n, grid.style)):
+            with pytest.raises(ConfigurationError, match="start must live on the solve's grid"):
+                entry.family.solve(problem, grid, start=GridFunction.zeros(other))
 
     @pytest.mark.parametrize("family, build, scheme, message", [
         (pendulum, pendulum_pa, "averaged", "pendulum solves support only the picard scheme"),

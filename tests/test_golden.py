@@ -30,7 +30,7 @@ GOLDEN = [
     ('stability --problem pendulum-Pa --grid-n 256', 0, {'localization.csv': 'ec37d364c9d9e56470b0b7b19db7695982ee2862ab7f81127c372d42c152646e', 'report.json': 'c221b85b33a175451fe3421123f77150fc154cf40d7f32c7198dfb828468b6a5', 'table.csv': 'f2ba3027fe443c333b3a6b40814ef1f3c665e3ca3121f0cbc6ab56bb5e313be2'}),
     ('stability --problem caputo-linear --grid-n 256', 2, {'report.json': 'b9869f3b4f967609dac6edd73a673017e505b45a80f349587544cb280ec630e2'}),
     ('oracle --problem bvp3-example --grid-n 256', 0, {'report.json': '3b1b66cc2a55e4093e7baf4690bb71a635c27798d9cc85d72531351e93ac9776'}),
-    ('oracle --problem pendulum-Pa --grid-n 256', 0, {'report.json': 'cef9efcbd65742a3499363740c137ff8e3fcd624dcc7d1f4f80780953ef03a24'}),
+    ('oracle --problem pendulum-Pa --grid-n 256', 0, {'report.json': '87d152af77d3b5130f3cd9de5b5919a15bb2dec5f90d1f4a48fe3659518abe30'}),
     ('oracle --problem caputo-constant --grid-n 256', 0, {'report.json': 'dcff0dba5d21bbfcddaca42817868c18b6bd54d165fe81f63f4a1c7a3cb264d7'}),
     ('oracle --problem caputo-nonlocal --grid-n 256', 0, {'report.json': 'd5108af75c84ae33d2dcf5e50be3d908fe99dea67cf684098685df76ef244d0c'}),
     ('oracle --problem caputo-linear --grid-n 1024', 0, {'report.json': '0cce6099b01da60806239030c9d72a876ef0e8a7fc0ffa3a97d27a4999c41f3d'}),

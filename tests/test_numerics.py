@@ -24,6 +24,7 @@ from coincidia.numerics import (
     integrate,
     l2_norm,
     mittag_leffler,
+    prolong,
     sup_norm,
 )
 from coincidia.registry import caputo_linear, caputo_nonlocal, pendulum_pa
@@ -176,6 +177,33 @@ class TestCumulativeIntegral:
         nodes = Grid(0.0, 1.0, 8, NODES)
         with pytest.raises(ConfigurationError):
             cell_edge_cumulative(nodes, np.zeros(nodes.size))
+
+
+class TestProlong:
+    @pytest.mark.parametrize("n", [3, 4, 17, 64])
+    def test_reproduces_cubics_including_both_ends(self, n):
+        def cubic(t):
+            return 2.0 - 3.0 * t + 5.0 * t ** 2 - 4.0 * t ** 3
+
+        coarse = GridFunction.sample(Grid(-1.0, 2.0, n, NODES), cubic)
+        fine = Grid(-1.0, 2.0, 2 * n, NODES)
+        out = prolong(fine, coarse)
+        assert out.grid == fine
+        np.testing.assert_allclose(out.values, cubic(fine.points()), rtol=0.0, atol=1e-13)
+        # the even nodes are the coarse samples, bit for bit
+        assert np.array_equal(out.values[::2], coarse.values)
+
+    @pytest.mark.parametrize("coarse, fine", [
+        (Grid(0.0, 1.0, 8, MIDPOINTS), Grid(0.0, 1.0, 16, MIDPOINTS)),
+        (Grid(0.0, 1.0, 8, NODES), Grid(0.0, 1.0, 16, MIDPOINTS)),
+        (Grid(0.0, 1.0, 8, NODES), Grid(0.0, 1.0, 24, NODES)),
+        (Grid(0.0, 1.0, 8, NODES), Grid(0.0, 1.0, 8, NODES)),
+        (Grid(0.0, 1.0, 8, NODES), Grid(0.0, 2.0, 16, NODES)),
+        (Grid(0.0, 1.0, 2, NODES), Grid(0.0, 1.0, 4, NODES)),
+    ])
+    def test_rejects_all_but_the_2x_nodes_refinement(self, coarse, fine):
+        with pytest.raises(ConfigurationError, match="prolongation"):
+            prolong(fine, GridFunction.zeros(coarse))
 
 
 class TestKernelSamples:

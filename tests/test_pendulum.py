@@ -9,7 +9,7 @@ import pytest
 from coincidia import pendulum
 from coincidia.engine import error_bound
 from coincidia.errors import ConfigurationError, NumericError, RangeError
-from coincidia.numerics import MIDPOINTS, NODES, Grid, GridFunction, sup_norm
+from coincidia.numerics import MIDPOINTS, NODES, Grid, GridFunction, prolong, sup_norm
 from coincidia.pendulum import (
     PendulumProblem,
     epsilon_defect,
@@ -264,7 +264,7 @@ class TestSolve:
         tol = 1e-10
         for start in (GridFunction.zeros(GRID),
                       GridFunction.sample(GRID, lambda t: -np.sin(np.pi * t))):
-            rep = pendulum.solve(pa, GRID, tol=tol, y0=start)
+            rep = pendulum.solve(pa, GRID, tol=tol, start=start)
             assert sup_norm(rep.extras["u"] - pa_solution.extras["u"]) <= 10.0 * tol
 
     def test_sampled_contraction_modulus(self, pa):
@@ -276,6 +276,32 @@ class TestSolve:
             y2 = GridFunction(GRID, rng.uniform(-2.0, 2.0, GRID.size))
             lhs = sup_norm(handle.apply(y1) - handle.apply(y2))
             assert lhs <= 0.125 * sup_norm(y1 - y2) + 1e-9
+
+
+class TestNestedStart:
+    """A fine solve started from the cubic prolongation of the n/2 solve
+    stops on its own residual at the cold solve's fixed point."""
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_prolonged_start_reaches_the_cold_solution(self, pa, n):
+        tol = 1e-10
+        grid = Grid(0.0, 1.0, n, NODES)
+        coarse = pendulum.solve(pa, Grid(0.0, 1.0, n // 2, NODES), tol=tol)
+        warm = pendulum.solve(pa, grid, tol=tol, start=prolong(grid, coarse.solution))
+        cold = pendulum.solve(pa, grid, tol=tol)
+        assert warm.converged and warm.final_residual <= tol
+        assert warm.solution.grid == grid
+        # both iterates lie within tol k / (1 - k) of the discrete fixed point
+        bound = tol * 0.125 / (1.0 - 0.125)
+        assert sup_norm(warm.extras["u"] - cold.extras["u"]) <= bound
+        assert warm.iterations < cold.iterations
+
+    def test_fine_start_already_meets_tol(self, pa):
+        grid = Grid(0.0, 1.0, 4096, NODES)
+        coarse = pendulum.solve(pa, Grid(0.0, 1.0, 2048, NODES), tol=1e-10)
+        warm = pendulum.solve(pa, grid, tol=1e-10, start=prolong(grid, coarse.solution))
+        assert warm.iterations == 0 and len(warm.residual_history) == 1
+        assert warm.final_residual <= 1e-10
 
 
 class TestEpsilonDefect:
