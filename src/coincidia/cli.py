@@ -12,7 +12,9 @@ commands call the functions of the entry's family module by name; those
 that solve make every solve with its ``solve`` and the run's ``--scheme``,
 ``--tol`` and ``--max-iter``, so each refuses a scheme as ``solve`` does.
 The pendulum ``oracle`` nests its two solves: the fine one starts from the
-cubic prolongation of the coarse iterate.  Every other solve starts cold.
+cubic prolongation of the coarse iterate.  Every other solve starts from the
+family's cold start, which for a pendulum solve on a large even grid is a
+cascade of coarser solves (see ``pendulum.solve``).
 
 Every run writes ``report.json`` (schema 3, deterministic for a fixed
 config and seed).  Solves additionally write ``solution.csv``; stability

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +41,12 @@ from .reports import Certificate, HypothesisReport
 from .stability import PhiFunction
 
 GREEN_MODULUS = 0.125
+# Coarsest grid of the cold-start cascade: a solve on n cells starts from the
+# n/2 solve when n is even and n/2 >= this.  Measured (README, "Pendulum cold
+# start"): with 4096, the cascade beat the cold solve at every n where it ran,
+# for each problem whose cold start had iterations to do; smaller values lost
+# at their smallest n.
+CASCADE_COARSEST_N = 4096
 
 _EXPANSIVE_PROBE_SEED = 74207
 _EXPANSIVE_PROBE_PAIRS = 200
@@ -148,16 +154,40 @@ def green_apply_with_derivative(grid: Grid, w: np.ndarray) -> tuple[np.ndarray, 
     return t_minus_1 * P + t * tail, P + tail
 
 
-def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 1e-12) -> OperatorHandle:
-    """The sup-norm map h(y) = sin(Green(A^{-1} y)) + g with modulus 1/8."""
+@dataclass(frozen=True)
+class GreenOperator(OperatorHandle):
+    """The pendulum map's handle.  ``reconstruction(y)`` returns the
+    (u, u') of A^{-1}(y); for the last input of ``apply`` (matched by
+    identity) it hands back that application's arrays without recomputing."""
+
+    reconstruction: Callable[[GridFunction], tuple[np.ndarray, np.ndarray]] = field(kw_only=True)
+
+
+def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 1e-12) -> GreenOperator:
+    """The sup-norm map h(y) = sin(Green(A^{-1} y)) + g with modulus 1/8.
+
+    The handle keeps the input and the (u, u') of its last application
+    only, and frees them before the next application allocates.
+    """
     _require_green_grid(grid)
     g_vals = evaluate(p.driving, grid.points(), name="driving")
+    last: list = []
+
+    def reconstruct(y: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+        last.clear()
+        u, u_prime = green_apply_with_derivative(grid, invert_A(p, y.values, inversion_tol))
+        last[:] = [y, u, u_prime]
+        return u, u_prime
 
     def apply(y: GridFunction) -> GridFunction:
-        u, _ = green_apply_with_derivative(grid, invert_A(p, y.values, inversion_tol))
+        u, _ = reconstruct(y)
         return GridFunction(grid, np.sin(u) + g_vals)
 
-    return OperatorHandle(apply=apply, norm_kind="sup", modulus=GREEN_MODULUS)
+    def reconstruction(y: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+        return (last[1], last[2]) if last and last[0] is y else reconstruct(y)
+
+    return GreenOperator(apply=apply, norm_kind="sup", modulus=GREEN_MODULUS,
+                         reconstruction=reconstruction)
 
 
 def make_grid(p: PendulumProblem, n: int) -> Grid:
@@ -171,6 +201,32 @@ def check(p: PendulumProblem, seed: int) -> list[HypothesisReport]:
 columns = engine.solution_columns
 
 
+def _cascade_start(p: PendulumProblem, grid: Grid, tol: float, max_iter: int,
+                   inversion_tol: float) -> GridFunction:
+    """The first iterate of a solve without ``start``: the cubic
+    prolongation of the Picard iterate on the grid of n/2 cells, which
+    starts the same way.  The levels end at a grid with odd ``n`` or with
+    ``n/2`` below :data:`CASCADE_COARSEST_N`, whose start is the sampled
+    driving force, as is ``grid``'s when that cold start already meets
+    ``tol`` on the coarsest grid.
+
+    Nested iteration without coarse-grid correction: each coarse level
+    stops on its own residual at ``tol`` (or after ``max_iter`` steps) and
+    keeps only its iterate, with no reconstruction, report or bound.
+    """
+    levels = [grid]
+    while levels[0].n % 2 == 0 and levels[0].n // 2 >= CASCADE_COARSEST_N:
+        levels.insert(0, Grid(0.0, 1.0, levels[0].n // 2, NODES))
+    y = GridFunction.sample(levels[0], p.driving)
+    for coarse, fine in zip(levels, levels[1:]):
+        report = engine.solve_picard(coincidence_operator(p, coarse, inversion_tol), y, tol, max_iter)
+        if coarse is levels[0] and report.iterations == 0:
+            # the cold start already meets tol: no coarse level improves on it
+            return GridFunction.sample(grid, p.driving)
+        y = prolong(fine, report.solution)
+    return y
+
+
 def solve(
     p: PendulumProblem,
     grid: Grid,
@@ -180,21 +236,25 @@ def solve(
     start: GridFunction | None = None,
 ) -> SolveReport:
     """Picard iteration on y = A(u''), starting from ``start`` or else from
-    the driving force; the only scheme, which ``auto`` selects.
+    :func:`_cascade_start`; the only scheme, which ``auto`` selects.
 
     The contraction modulus 1/8 comes from the Green kernel bound and the
     1-Lipschitz inverse of A, so roughly log(tol) / log(1/8) iterations
-    are expected.  The reconstructed u and u' are embedded in the report.
-    Its certificate has no hypothesis check: its modulus is 1/8 in the sup
-    norm, and its bound the Ulam-Hyers radius psi(final_residual).
+    are expected from a cold start.  The solve stops on the residual of
+    its own grid; ``iterations`` and ``residual_history`` count the steps
+    on that grid only, not those of the cascade's coarser levels.  The
+    reconstructed u and u' of the solution, taken from the last
+    application of h, are embedded in the report.  Its certificate has no
+    hypothesis check: its modulus is 1/8 in the sup norm, and its bound
+    the Ulam-Hyers radius psi(final_residual).
     """
     if scheme not in ("auto", engine.PICARD):
         raise ConfigurationError("pendulum solves support only the picard scheme")
     itol = max(1e-14, min(1e-12, 1e-3 * tol))
     handle = coincidence_operator(p, grid, itol)
-    start = engine.start_or(grid, start, lambda g: GridFunction.sample(g, p.driving))
+    start = engine.start_or(grid, start, lambda g: _cascade_start(p, g, tol, max_iter, itol))
     report = engine.solve_picard(handle, start, tol, max_iter)
-    u, u_prime = green_apply_with_derivative(grid, invert_A(p, report.solution.values, itol))
+    u, u_prime = handle.reconstruction(report.solution)
     report.extras.update({"u": GridFunction(grid, u), "u_prime": GridFunction(grid, u_prime),
                           "inversion_tol": itol})
     report.certificate = Certificate(
@@ -383,11 +443,12 @@ def refinement_oracle(p: PendulumProblem, grid: Grid,
     """Oracle: the solution u of ``solve`` on half as many cells against
     ``solve(grid)``, compared at the shared nodes.
 
-    The solves nest: the coarse one runs first, and the fine one starts
-    from the cubic prolongation of the coarse iterate (``start=``).  The
-    fine solve still stops on its own grid's residual.  The coarse report
-    is dropped before the fine solve, keeping only its u and the start,
-    to hold down the peak memory.
+    The solves nest: the coarse one runs first, from its own cold start
+    (on a large grid, the cascade of :func:`solve`), and the fine one
+    starts from the cubic prolongation of the coarse iterate (``start=``),
+    so it runs no cascade of its own.  The fine solve still stops on its
+    own grid's residual.  The coarse report is dropped before the fine
+    solve, keeping only its u and the start, to hold down the peak memory.
     """
     coarse_n = grid.n // 2
     if coarse_n % 2 or coarse_n < 8:

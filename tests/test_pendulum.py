@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from coincidia import pendulum
+from coincidia.cli import EXIT_NUMERIC, main
 from coincidia.engine import error_bound
 from coincidia.errors import ConfigurationError, NumericError, RangeError
 from coincidia.numerics import MIDPOINTS, NODES, Grid, GridFunction, prolong, sup_norm
@@ -288,7 +290,7 @@ class TestNestedStart:
         grid = Grid(0.0, 1.0, n, NODES)
         coarse = pendulum.solve(pa, Grid(0.0, 1.0, n // 2, NODES), tol=tol)
         warm = pendulum.solve(pa, grid, tol=tol, start=prolong(grid, coarse.solution))
-        cold = pendulum.solve(pa, grid, tol=tol)
+        cold = pendulum.solve(pa, grid, tol=tol, start=GridFunction.sample(grid, pa.driving))
         assert warm.converged and warm.final_residual <= tol
         assert warm.solution.grid == grid
         # both iterates lie within tol k / (1 - k) of the discrete fixed point
@@ -302,6 +304,160 @@ class TestNestedStart:
         warm = pendulum.solve(pa, grid, tol=1e-10, start=prolong(grid, coarse.solution))
         assert warm.iterations == 0 and len(warm.residual_history) == 1
         assert warm.final_residual <= 1e-10
+
+
+def _sin_driving(t):
+    return np.sin(math.pi * np.asarray(t, dtype=float))
+
+
+CASCADE_PROBLEMS = {
+    "pa(1)": lambda: pendulum_pa(1.0),
+    "pa(0.1)": lambda: pendulum_pa(0.1),
+    # zero driving: the cold start is already the solution
+    "sqrt_linear(3)": lambda: pendulum_sqrt_linear(3.0),
+    # the bisection path with iterations to do
+    "sqrt_linear(3)+sin": lambda: pendulum_sqrt_linear(3.0, driving=_sin_driving),
+}
+COARSEST = pendulum.CASCADE_COARSEST_N
+
+
+def _cold(p, grid, **kwargs):
+    return pendulum.solve(p, grid, start=GridFunction.sample(grid, p.driving), **kwargs)
+
+
+def _outputs(report):
+    arrays = [report.solution, *(v for v in report.extras.values() if isinstance(v, GridFunction))]
+    return json.dumps(report.to_dict()), [f.values.tobytes() for f in arrays]
+
+
+@pytest.fixture
+def picard_runs(monkeypatch):
+    """The grid of every engine.solve_picard call, in call order."""
+    runs = []
+
+    def counted(h, y0, *args, _original=pendulum.engine.solve_picard):
+        runs.append(y0.grid)
+        return _original(h, y0, *args)
+
+    monkeypatch.setattr(pendulum.engine, "solve_picard", counted)
+    return runs
+
+
+class TestCascade:
+    """Without ``start`` a solve on an even grid with n/2 >= the coarsest
+    cascade grid starts from the prolonged n/2 iterate; it still stops on
+    its own grid's residual."""
+
+    @pytest.mark.parametrize("n", [2 * COARSEST, 4 * COARSEST])
+    @pytest.mark.parametrize("name", list(CASCADE_PROBLEMS))
+    def test_default_reaches_the_cold_solution(self, name, n):
+        p, grid, tol = CASCADE_PROBLEMS[name](), Grid(0.0, 1.0, n, NODES), 1e-10
+        default, cold = pendulum.solve(p, grid, tol=tol), _cold(p, grid, tol=tol)
+        assert default.converged and default.solution.grid == grid
+        assert len(default.residual_history) == default.iterations + 1
+        # both iterates lie within tol k / (1 - k) of the discrete fixed point
+        bound = tol * pendulum.GREEN_MODULUS / (1.0 - pendulum.GREEN_MODULUS)
+        assert sup_norm(default.extras["u"] - cold.extras["u"]) <= bound
+
+    @pytest.mark.parametrize("name, n", [
+        ("pa(1)", 2 * COARSEST - 2),      # n/2 below the coarsest grid
+        ("pa(1)", 2 * COARSEST + 1),      # odd n
+        ("pa(0.1)", 4 * COARSEST + 1),
+        ("sqrt_linear(3)+sin", 2 * COARSEST - 2),
+        # engaged, but the cold start already meets tol on the coarsest grid
+        ("sqrt_linear(3)", 2 * COARSEST),
+    ])
+    def test_default_is_the_cold_solve_without_a_cascade(self, name, n):
+        p, grid = CASCADE_PROBLEMS[name](), Grid(0.0, 1.0, n, NODES)
+        assert _outputs(pendulum.solve(p, grid)) == _outputs(_cold(p, grid))
+
+    def test_one_engine_loop_per_level(self, pa, picard_runs):
+        grid = Grid(0.0, 1.0, 8 * COARSEST, NODES)
+        pendulum.solve(pa, grid)
+        assert picard_runs == [Grid(0.0, 1.0, n, NODES)
+                               for n in (COARSEST, 2 * COARSEST, 4 * COARSEST, 8 * COARSEST)]
+        picard_runs.clear()
+        pendulum.solve(pa, grid, start=GridFunction.sample(grid, pa.driving))
+        assert picard_runs == [grid]
+
+    @pytest.mark.parametrize("failing_n", [COARSEST, 2 * COARSEST])
+    def test_a_coarse_level_fails_as_the_fine_grid_does(self, failing_n):
+        # failing_n = COARSEST fails on the cascade's coarsest level
+        def A_inverse(y):
+            if np.size(y) == failing_n + 1:
+                raise ZeroDivisionError("no inverse here")
+            return np.asarray(y, dtype=float)
+
+        p = PendulumProblem(A=lambda r: np.asarray(r, dtype=float), A_inverse=A_inverse,
+                            driving=_sin_driving)
+        with pytest.raises(NumericError, match="A_inverse raised ZeroDivisionError"):
+            pendulum.solve(p, Grid(0.0, 1.0, 2 * COARSEST, NODES))
+
+    @pytest.mark.parametrize("grid_n", [COARSEST, 2 * COARSEST])
+    def test_a_coarse_level_failure_exits_as_on_the_fine_grid(self, monkeypatch, tmp_path,
+                                                             grid_n):
+        def invert(p, y, tol, _original=pendulum.invert_A):
+            if np.size(y) == COARSEST + 1:
+                raise RangeError("A does not reach the iterate")
+            return _original(p, y, tol)
+
+        monkeypatch.setattr(pendulum, "invert_A", invert)
+        # at 2 * COARSEST the failing grid is the cascade's coarsest level
+        argv = ["solve", "--problem", "pendulum-Pa", "--grid-n", str(grid_n), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_NUMERIC
+        error = json.loads((tmp_path / "report.json").read_text())["error"]
+        assert error["type"] == "RangeError" and error["exit_code"] == EXIT_NUMERIC
+
+
+class TestTracerContract:
+    """Every application of h in a solve, cascaded or not, and in the
+    refinement oracle goes through the ``apply`` of the handle that
+    ``coincidence_operator`` returns, so a wrapper installed the way the
+    layer tracer does it (``dataclasses.replace`` on the handle) sees all
+    of them, and no Green reconstruction happens outside one."""
+
+    @pytest.fixture
+    def applications(self, monkeypatch):
+        counts = {"apply": 0, "green": 0, "outside": 0}
+        inside = []
+
+        def factory(*args, _original=pendulum.coincidence_operator, **kwargs):
+            handle = _original(*args, **kwargs)
+
+            @functools.wraps(handle.apply)
+            def traced(y, _apply=handle.apply):
+                counts["apply"] += 1
+                inside.append(True)
+                try:
+                    return _apply(y)
+                finally:
+                    inside.pop()
+
+            return dataclasses.replace(handle, apply=traced)
+
+        def green(grid, w, _original=pendulum.green_apply_with_derivative):
+            counts["green"] += 1
+            counts["outside"] += not inside
+            return _original(grid, w)
+
+        monkeypatch.setattr(pendulum, "coincidence_operator", factory)
+        monkeypatch.setattr(pendulum, "green_apply_with_derivative", green)
+        return counts
+
+    def test_cascaded_solve(self, pa, applications):
+        report = pendulum.solve(pa, Grid(0.0, 1.0, 4 * COARSEST, NODES))
+        # one application per coarse level at least, and the fine grid's
+        assert applications["apply"] >= 3 + report.iterations
+        assert applications["green"] == applications["apply"]
+        assert applications["outside"] == 0
+
+    def test_refinement_oracle(self, pa, applications):
+        grid = Grid(0.0, 1.0, 4 * COARSEST, NODES)
+        result = pendulum.refinement_oracle(
+            pa, grid, lambda g, start=None: pendulum.solve(pa, g, start=start))
+        assert result["max_error"] <= result["tolerance"]
+        assert applications["green"] == applications["apply"] > 0
+        assert applications["outside"] == 0
 
 
 class TestEpsilonDefect:
