@@ -283,15 +283,14 @@ def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float,
 
 
 def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = None) -> OperatorHandle:
-    """The iterated map h(y)(t) = g(t, v(t), v'(t), y(t)) in the L2 norm."""
+    """The iterated map h(y)(t) = g(t, v(t), v'(t), y(t)) in the L2 norm;
+    ``preimage`` is :func:`apply_T_inverse`, kept for the last application."""
     _require_problem_grid(grid)
     pts = grid.points()
-
-    def apply(y: GridFunction) -> GridFunction:
-        v, v_prime = apply_T_inverse(grid, y.values, p.delta, p.eta)
-        return GridFunction(grid, evaluate(p.g, pts, v, v_prime, y.values, name="g"))
-
-    return OperatorHandle(apply=apply, norm_kind="l2", modulus=modulus)
+    preimage = engine.remember_last(lambda y: apply_T_inverse(grid, y.values, p.delta, p.eta))
+    return OperatorHandle(
+        apply=lambda y: GridFunction(grid, evaluate(p.g, pts, *preimage(y), y.values, name="g")),
+        norm_kind="l2", modulus=modulus, preimage=preimage)
 
 
 def ode_defect(p: Bvp3Problem, y: GridFunction) -> float:
@@ -322,7 +321,8 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
     was checked and failed.  ``averaged`` and ``resolvent`` run as
     requested; every scheme stops at ``tol`` or after ``max_iter`` steps,
     and the report's ``scheme`` is the one that ran.  The report embeds the
-    reconstructed u and u'; its certificate holds the ``check_h1`` report
+    reconstructed u and u', the handle's ``preimage`` of the last
+    application of h; its certificate holds the ``check_h1`` report
     (``None`` without H1 data) in the L2 norm, with modulus Lambda when
     Picard ran certified and ``None`` otherwise, and no bound.
     """
@@ -344,14 +344,10 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
     start = engine.start_or(grid, start, GridFunction.zeros)
     report = getattr(engine, _SOLVERS[chosen])(handle, start, tol, max_iter)
 
-    u, u_prime = apply_T_inverse(grid, report.solution.values, p.delta, p.eta)
+    u, u_prime = handle.preimage(report.solution)
     _, snapped, snap_dist = snap_eta(grid, p.eta)
-    report.extras.update({
-        "u": GridFunction(grid, u),
-        "u_prime": GridFunction(grid, u_prime),
-        "eta_snapped_to": snapped,
-        "eta_snap_distance": snap_dist,
-    })
+    report.extras.update({"u": GridFunction(grid, u), "u_prime": GridFunction(grid, u_prime),
+                          "eta_snapped_to": snapped, "eta_snap_distance": snap_dist})
     report.certificate = Certificate(h1, handle.norm_kind, handle.modulus)
     return report
 

@@ -228,11 +228,11 @@ def weighted_sup_norm(x: GridFunction, lam: float, L_f: float, t_N: float) -> fl
 
 
 def volterra_operator(p: CaputoProblem, grid: Grid) -> OperatorHandle:
-    """Sup-norm handle around :func:`picard_step`; the convolution kernel is
-    built once per handle."""
+    """Sup-norm handle around :func:`picard_step`, with the kernel built once;
+    ``apply`` keeps its last step (:func:`engine.remember_last`)."""
     kernel = VolterraKernel.build(grid, p.q)
-    return OperatorHandle(apply=lambda x: picard_step(p, x, kernel), norm_kind="sup",
-                          modulus=None)
+    return OperatorHandle(apply=engine.remember_last(lambda x: picard_step(p, x, kernel)),
+                          norm_kind="sup", modulus=None)
 
 
 def make_grid(p: CaputoProblem, n: int) -> Grid:

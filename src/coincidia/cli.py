@@ -103,7 +103,8 @@ class RunConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
         if "command" not in data or "problem" not in data:
-            raise ConfigurationError("a config needs at least 'command' and 'problem'")
+            raise ConfigurationError("a config needs at least 'command' and 'problem'; "
+                                     "pass --problem or set it in --config")
         if not isinstance(data.get("output_dir", "."), str):
             raise ConfigurationError("output_dir must be a string")
         return cls(**data)
@@ -292,9 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     data.update(ns)
     # a malformed params value is left for RunConfig.validate to report
     data["params"] = {**params, **flags} if isinstance(params, dict) else params
-    if "problem" not in data:
-        print("error: --problem is required (or supply it in --config)", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         config = RunConfig.from_json_dict(data)
     except (ConfigurationError, TypeError) as exc:

@@ -27,6 +27,10 @@ Each family module (``bvp3``, ``pendulum``, ``caputo``) is a problem class:
 :class:`ConfigurationError` for a scheme the family does not run.  A
 ``start`` replaces the family's cold first iterate; it must live on the
 solve's grid.
+
+A loop's last application of ``h`` is at its solution; :func:`remember_last`
+keeps it, so a family reads back the handle's ``preimage`` ``T^{-1}(y)``
+(pendulum, bvp3) or the image ``h(y)`` (Caputo) without recomputing it.
 """
 
 from __future__ import annotations
@@ -54,14 +58,17 @@ class OperatorHandle:
     """A self-map of grid functions together with its working norm.
 
     ``apply`` must be a pure function that returns a function on the same
-    grid.  A declared ``modulus`` asserts that the map is a contraction
-    with that constant in the declared norm; leave it ``None`` for maps
-    that are merely nonexpansive or of Geraghty type.
+    grid; :func:`remember_last` relies on it.  An optional ``preimage``
+    maps ``y`` to the arrays ``T^{-1}(y)`` that ``apply`` computes.  A
+    declared ``modulus`` asserts that the map is a contraction with that
+    constant in the declared norm; leave it ``None`` for maps that are
+    merely nonexpansive or of Geraghty type.
     """
 
     apply: Callable[[GridFunction], GridFunction]
     norm_kind: str = "l2"
     modulus: float | None = None
+    preimage: Callable[[GridFunction], tuple] | None = None
 
     def __post_init__(self) -> None:
         if self.norm_kind not in _NORM_KINDS:
@@ -144,6 +151,20 @@ def start_or(grid: Grid, start: GridFunction | None,
     if start.grid != grid:
         raise ConfigurationError("the start must live on the solve's grid")
     return start
+
+
+def remember_last(fn: Callable) -> Callable:
+    """``fn`` with a memo of its last input (matched by identity) and
+    result; a new input drops the kept pair before ``fn`` runs on it."""
+    last: list = []
+
+    def remembered(x):
+        if not (last and last[0] is x):
+            last.clear()
+            last.extend((x, fn(x)))
+        return last[1]
+
+    return remembered
 
 
 def _apply(h: OperatorHandle, y: GridFunction) -> GridFunction:
@@ -264,18 +285,11 @@ def solve_resolvent(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: i
     ``max_iter`` or when ``n / (n + 1)`` rounds to 1.
 
     A stage's last image, the outer residual and the next stage's first
-    image all need ``h`` of the same iterate, so within one call ``h``'s
-    last input (matched by identity) and its image are kept and reused.
+    image all need ``h`` of the same iterate, so ``h`` runs through
+    :func:`remember_last`: once per distinct iterate.
     """
     _validate_stopping(tol, max_iter)
-    apply_h, last = h.apply, [None, None]
-
-    def apply_once(w: GridFunction) -> GridFunction:
-        if w is not last[0]:
-            last[:] = [w, apply_h(w)]
-        return last[1]
-
-    h = replace(h, apply=apply_once)
+    h = replace(h, apply=remember_last(h.apply))
     y, n = y0, 1
     history: list[float] = []
     stages: list[dict] = []

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -154,40 +154,15 @@ def green_apply_with_derivative(grid: Grid, w: np.ndarray) -> tuple[np.ndarray, 
     return t_minus_1 * P + t * tail, P + tail
 
 
-@dataclass(frozen=True)
-class GreenOperator(OperatorHandle):
-    """The pendulum map's handle.  ``reconstruction(y)`` returns the
-    (u, u') of A^{-1}(y); for the last input of ``apply`` (matched by
-    identity) it hands back that application's arrays without recomputing."""
-
-    reconstruction: Callable[[GridFunction], tuple[np.ndarray, np.ndarray]] = field(kw_only=True)
-
-
-def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 1e-12) -> GreenOperator:
-    """The sup-norm map h(y) = sin(Green(A^{-1} y)) + g with modulus 1/8.
-
-    The handle keeps the input and the (u, u') of its last application
-    only, and frees them before the next application allocates.
-    """
+def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 1e-12) -> OperatorHandle:
+    """The sup-norm map h(y) = sin(Green(A^{-1} y)) + g with modulus 1/8;
+    ``preimage`` is y -> (u, u') = Green(A^{-1} y), kept for the last application."""
     _require_green_grid(grid)
     g_vals = evaluate(p.driving, grid.points(), name="driving")
-    last: list = []
-
-    def reconstruct(y: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-        last.clear()
-        u, u_prime = green_apply_with_derivative(grid, invert_A(p, y.values, inversion_tol))
-        last[:] = [y, u, u_prime]
-        return u, u_prime
-
-    def apply(y: GridFunction) -> GridFunction:
-        u, _ = reconstruct(y)
-        return GridFunction(grid, np.sin(u) + g_vals)
-
-    def reconstruction(y: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-        return (last[1], last[2]) if last and last[0] is y else reconstruct(y)
-
-    return GreenOperator(apply=apply, norm_kind="sup", modulus=GREEN_MODULUS,
-                         reconstruction=reconstruction)
+    preimage = engine.remember_last(
+        lambda y: green_apply_with_derivative(grid, invert_A(p, y.values, inversion_tol)))
+    return OperatorHandle(apply=lambda y: GridFunction(grid, np.sin(preimage(y)[0]) + g_vals),
+                          norm_kind="sup", modulus=GREEN_MODULUS, preimage=preimage)
 
 
 def make_grid(p: PendulumProblem, n: int) -> Grid:
@@ -243,10 +218,10 @@ def solve(
     are expected from a cold start.  The solve stops on the residual of
     its own grid; ``iterations`` and ``residual_history`` count the steps
     on that grid only, not those of the cascade's coarser levels.  The
-    reconstructed u and u' of the solution, taken from the last
-    application of h, are embedded in the report.  Its certificate has no
-    hypothesis check: its modulus is 1/8 in the sup norm, and its bound
-    the Ulam-Hyers radius psi(final_residual).
+    reconstructed u and u' of the solution, read from the handle's
+    ``preimage`` of the last application of h, are embedded in the report.
+    Its certificate has no hypothesis check: its modulus is 1/8 in the sup
+    norm, and its bound the Ulam-Hyers radius psi(final_residual).
     """
     if scheme not in ("auto", engine.PICARD):
         raise ConfigurationError("pendulum solves support only the picard scheme")
@@ -254,7 +229,7 @@ def solve(
     handle = coincidence_operator(p, grid, itol)
     start = engine.start_or(grid, start, lambda g: _cascade_start(p, g, tol, max_iter, itol))
     report = engine.solve_picard(handle, start, tol, max_iter)
-    u, u_prime = handle.reconstruction(report.solution)
+    u, u_prime = handle.preimage(report.solution)
     report.extras.update({"u": GridFunction(grid, u), "u_prime": GridFunction(grid, u_prime),
                           "inversion_tol": itol})
     report.certificate = Certificate(

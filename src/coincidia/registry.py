@@ -153,7 +153,6 @@ class RegistryEntry:
 
     name: str
     family: ModuleType
-    description: str
     build: Callable
     oracle: Callable
     defaults: dict = field(default_factory=dict)
@@ -179,7 +178,6 @@ _ENTRIES = [
     RegistryEntry(
         name="bvp3-example",
         family=bvp3,
-        description="three-point BVP with rational/log nonlinearity; delta=-1/10, eta=1/2",
         build=bvp3_example,
         oracle=bvp3.defect_oracle,
         defaults={"kappa": 0.4},
@@ -187,7 +185,6 @@ _ENTRIES = [
     RegistryEntry(
         name="pendulum-Pa",
         family=pendulum,
-        description="forced pendulum u'' - a^2 sin(u) = sin(pi t), Dirichlet conditions",
         build=pendulum_pa,
         oracle=pendulum.refinement_oracle,
         defaults={"a": 1.0},
@@ -195,7 +192,6 @@ _ENTRIES = [
     RegistryEntry(
         name="caputo-constant",
         family=caputo,
-        description="D^q x = 1, x(0) = x0; analytic solution x0 + t^q/Gamma(q+1)",
         build=caputo_constant,
         oracle=_exact_oracle("closed form x0 + t^q/Gamma(q+1)",
                              lambda p, t: p.x0 + t ** p.q / math.gamma(p.q + 1.0),
@@ -205,7 +201,6 @@ _ENTRIES = [
     RegistryEntry(
         name="caputo-linear",
         family=caputo,
-        description="D^q x = x, x(0) = x0; Mittag-Leffler solution x0 E_q(t^q)",
         build=caputo_linear,
         # the product-trapezoid error is first order, 0.15 / n to 0.2 / n
         oracle=_exact_oracle("Mittag-Leffler series x0 E_q(t^q)",
@@ -216,7 +211,6 @@ _ENTRIES = [
     RegistryEntry(
         name="caputo-nonlocal",
         family=caputo,
-        description="D^q x = 0 with x(0) = x0 + x(1/2)/2; constant solution 2 x0",
         build=caputo_nonlocal,
         oracle=_exact_oracle("scalar fixed point 2 x0", lambda p, t: 2.0 * p.x0,
                              lambda n, tol: 10.0 * tol),

@@ -424,3 +424,50 @@ class TestResolventOnExampleMap:
         # warm-started outer residuals decay roughly like 1/n down to tol
         rep = solve_resolvent(h, y0, tol, 5000)
         assert rep.converged and rep.residual_history[-1] < rep.residual_history[0]
+
+
+class TestTracerContract:
+    """A wrapper installed the way the layer tracer does it
+    (``dataclasses.replace`` on the handle ``coincidence_operator``
+    returns) sees every application of h, each application runs one
+    boundary inversion, and the solve takes u and u' from the last one
+    instead of inverting again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"apply": 0, "inverse": 0, "outside": 0}
+        inside = []
+
+        def factory(*args, _original=bvp3.coincidence_operator, **kwargs):
+            handle = _original(*args, **kwargs)
+
+            def traced(y, _apply=handle.apply):
+                counts["apply"] += 1
+                inside.append(True)
+                try:
+                    return _apply(y)
+                finally:
+                    inside.pop()
+
+            return dataclasses.replace(handle, apply=traced)
+
+        def inverse(*args, _original=bvp3.apply_T_inverse):
+            counts["inverse"] += 1
+            counts["outside"] += not inside
+            return _original(*args)
+
+        monkeypatch.setattr(bvp3, "coincidence_operator", factory)
+        monkeypatch.setattr(bvp3, "apply_T_inverse", inverse)
+        return counts
+
+    @pytest.mark.parametrize("scheme", ["picard", "averaged", "resolvent"])
+    def test_one_inversion_per_application(self, calls, scheme):
+        p = bvp3_example(0.4)
+        grid = Grid(0.0, 1.0, 64, MIDPOINTS)
+        rep = bvp3.solve(p, grid, scheme, tol=1e-6, max_iter=200)
+        assert rep.scheme == scheme
+        assert calls["inverse"] == calls["apply"] > rep.iterations
+        assert calls["outside"] == 0
+        u, u_prime = apply_T_inverse(grid, rep.solution.values, p.delta, p.eta)
+        assert rep.extras["u"].values.tobytes() == u.tobytes()
+        assert rep.extras["u_prime"].values.tobytes() == u_prime.tobytes()

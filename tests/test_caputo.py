@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -341,3 +342,51 @@ class TestProblemValidation:
                 q=0.5, f=lambda t, x: x, L_f=1.0, x0=0.0, horizon=1.0,
                 nonlocal_terms=(NonlocalTerm(t=2.0, g=lambda v: v, c=0.1),),
             )
+
+
+class TestTracerContract:
+    """A wrapper installed the way the layer tracer does it
+    (``dataclasses.replace`` on the handle ``volterra_operator`` returns)
+    sees every application of h, and every Picard step runs inside one.
+    The bound's application at the solution is the loop's last one, kept
+    by the handle, so a solve makes one Picard step fewer than
+    applications."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"apply": 0, "step": 0, "outside": 0}
+        inside = []
+
+        def factory(*args, _original=caputo.volterra_operator, **kwargs):
+            handle = _original(*args, **kwargs)
+
+            def traced(x, _apply=handle.apply):
+                counts["apply"] += 1
+                inside.append(True)
+                try:
+                    return _apply(x)
+                finally:
+                    inside.pop()
+
+            return dataclasses.replace(handle, apply=traced)
+
+        def step(*args, _original=caputo.picard_step):
+            counts["step"] += 1
+            counts["outside"] += not inside
+            return _original(*args)
+
+        monkeypatch.setattr(caputo, "volterra_operator", factory)
+        monkeypatch.setattr(caputo, "picard_step", step)
+        return counts
+
+    @pytest.mark.parametrize("build", [caputo_constant, caputo_linear, caputo_nonlocal])
+    def test_bound_reuses_the_last_step(self, calls, build):
+        p = build()
+        rep = caputo.solve(p, GRID, tol=1e-10)
+        assert rep.converged
+        assert calls["step"] == calls["apply"] - 1 == rep.iterations + 1
+        assert calls["outside"] == 0
+        rho, lam = rep.certificate.modulus, rep.certificate.check.constants["lambda"]
+        step = picard_step(p, rep.solution, VolterraKernel.build(GRID, p.q))
+        assert rep.certificate.bound == rho / (1.0 - rho) * weighted_sup_norm(
+            step - rep.solution, lam, p.L_f, p.t_N)

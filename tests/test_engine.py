@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from coincidia.engine import (
     OperatorHandle,
     error_bound,
+    remember_last,
     residual,
     resolvent_stage,
     solve_averaged,
@@ -206,6 +208,42 @@ class TestResolvent:
             solve_resolvent(identity_handle(), y0, -1.0, 10)
         with pytest.raises(ConfigurationError):
             solve_resolvent(identity_handle(), y0, 1e-9, 0)
+
+
+class TestRememberLast:
+    def test_same_input_is_not_recomputed(self):
+        calls = []
+        double = remember_last(lambda y: calls.append(y) or 2.0 * y)
+        x = GridFunction.constant(GRID, 1.0)
+        out = double(x)
+        assert double(x) is out and calls == [x]
+        # an equal but distinct input is a new input
+        assert double(GridFunction.constant(GRID, 1.0)) is not out and len(calls) == 2
+
+    def test_previous_pair_freed_before_the_next_call(self):
+        kept, refs = [], []
+
+        def double(y):
+            kept.append([ref() is not None for ref in refs])
+            return 2.0 * y
+
+        remembered = remember_last(double)
+        x = GridFunction.constant(GRID, 1.0)
+        out = remembered(x)
+        refs += [weakref.ref(x), weakref.ref(out)]
+        del x, out
+        assert all(ref() is not None for ref in refs)  # the memo holds them
+        remembered(GridFunction.constant(GRID, 2.0))
+        assert kept == [[], [False, False]]
+
+    def test_resolvent_applies_h_once_per_distinct_iterate(self):
+        seen = []
+        base = affine_handle()
+        h = OperatorHandle(apply=lambda y: seen.append(y) or base.apply(y), norm_kind="sup")
+        rep = solve_resolvent(h, GridFunction.zeros(GRID), 1e-6, 200)
+        assert len(rep.extras["stages"]) > 2
+        # seen keeps every input alive, so distinct ids mean distinct inputs
+        assert len({id(y) for y in seen}) == len(seen) == rep.iterations + 1
 
 
 class TestErrorBound:
