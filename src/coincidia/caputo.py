@@ -141,27 +141,28 @@ def weight_matrix(grid: Grid, q: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VolterraKernel:
-    """The weights of :func:`weight_matrix` as a convolution: ``col0`` is
-    the first column past row 0 and ``spectrum`` the real FFT of the Toeplitz
-    coefficients ``c``, zero-padded to length 2n so that the circular
-    convolution of length 2n is the linear one."""
+    """The weights of :func:`weight_matrix` on ``grid`` as a convolution:
+    ``col0`` is the first column past row 0 and ``spectrum`` the real FFT of
+    the Toeplitz coefficients ``c``, zero-padded to length 2n so that the
+    circular convolution of length 2n is the linear one.  ``t`` holds the
+    grid points, sampled once for every step, read-only."""
 
+    grid: Grid
     col0: np.ndarray
     spectrum: np.ndarray
+    t: np.ndarray
 
     @classmethod
     def build(cls, grid: Grid, q: float) -> "VolterraKernel":
         col0, c = _trapezoid_coefficients(grid, q)
-        return cls(col0, np.fft.rfft(c, 2 * grid.n))
-
-    @property
-    def n(self) -> int:
-        return self.col0.size
+        t = grid.points()
+        t.flags.writeable = False
+        return cls(grid, col0, np.fft.rfft(c, 2 * grid.n), t)
 
     def integrate(self, fv: np.ndarray) -> np.ndarray:
         """``weight_matrix(grid, q) @ fv`` in O(n log n) time and O(n) memory:
         entry j >= 1 is col0[j-1] fv[0] + sum_{i=1..j} c[j-i] fv[i]."""
-        n = self.n
+        n = self.grid.n
         conv = np.fft.irfft(np.fft.rfft(fv[1:], 2 * n) * self.spectrum, 2 * n)[:n]
         return np.concatenate(([0.0], self.col0 * fv[0] + conv))
 
@@ -179,14 +180,14 @@ def snap_nonlocal_points(p: CaputoProblem, grid: Grid) -> list[tuple[int, float]
 def picard_step(p: CaputoProblem, x: GridFunction, kernel: VolterraKernel) -> GridFunction:
     """One Volterra iteration
     x+(t_j) = x0 + sum_i g_i(x(t_i)) + (1/Gamma(q)) sum_i W[j, i] f(t_i, x(t_i))
-    with the weights W applied by ``kernel`` as a convolution.
+    with the weights W applied by ``kernel`` as a convolution; the points
+    t_i are the kernel's, which must be built on ``x``'s grid.
     """
     grid = x.grid
     _require_volterra_grid(grid)
-    if kernel.n != grid.n:
+    if kernel.grid != grid:
         raise ConfigurationError("weights do not match the grid")
-    t = grid.points()
-    fv = evaluate(p.f, t, x.values, name="f")
+    fv = evaluate(p.f, kernel.t, x.values, name="f")
     nonlocal_sum = 0.0
     for (idx, _), term in zip(snap_nonlocal_points(p, grid), p.nonlocal_terms):
         nonlocal_sum += float(evaluate(term.g, x.values[idx:idx + 1], name="g")[0])

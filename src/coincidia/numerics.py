@@ -9,7 +9,9 @@ argument of the operation that uses it.
 inputs and outputs, iterates, reported functions).  Inside one operator
 application the quadrature kernels take ``(grid, values)`` with a plain
 sample array and return plain floats or arrays; they work on whole arrays
-through slices, with no per-point Python loop.  :func:`bracket_root`
+through slices, with no per-point Python loop.  They never write to their
+inputs, which may be read-only views; to hold down the peak memory they
+compute in place only in buffers they allocate themselves.  :func:`bracket_root`
 bisects one bracket per array element, evaluating the function once per
 step on all elements still bisecting.
 """
@@ -186,6 +188,12 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     whole cells plus a linearly interpolated half cell, which is exact for
     linear integrands.  Non-finite samples propagate; the next
     :class:`GridFunction` or :func:`evaluate` rejects them.
+
+    ``values`` is only read.  On nodes grids the result is the one buffer
+    the panels are built in: the panel sums go into its odd slots and are
+    accumulated into the even ones, then the odd slots take the half-panel
+    values, so at most one half-length temporary is allocated.  Each
+    in-place step keeps the operation order of the plain expression.
     """
     _require_samples(grid, values)
     v, h = values, grid.spacing
@@ -199,8 +207,21 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     e = 2 * (n // 2)
     F = np.zeros(n + 1)
     left, centre, right = v[0:e - 1:2], v[1:e:2], v[2:e + 1:2]
-    F[2:e + 1:2] = np.cumsum(h / 3.0 * (left + 4.0 * centre + right))
-    F[1:e:2] = F[0:e - 1:2] + h * (5.0 * left + 8.0 * centre - right) / 12.0
+    odd = F[1:e:2]
+    # panel sums h/3 (left + 4 centre + right), built in the still empty odd
+    # slots and accumulated into the even ones
+    np.multiply(centre, 4.0, out=odd)
+    odd += left
+    odd += right
+    odd *= h / 3.0
+    np.cumsum(odd, out=F[2:e + 1:2])
+    # odd points: F[j-1] + h (5 left + 8 centre - right) / 12
+    np.multiply(left, 5.0, out=odd)
+    odd += 8.0 * centre
+    odd -= right
+    odd *= h
+    odd /= 12.0
+    odd += F[0:e - 1:2]
     if n % 2:
         F[n] = F[n - 1] + h * (-v[n - 2] + 8.0 * v[n - 1] + 5.0 * v[n]) / 12.0
     return F

@@ -143,15 +143,30 @@ def green_apply_with_derivative(grid: Grid, w: np.ndarray) -> tuple[np.ndarray, 
     P(t) = int_0^t s w(s) ds and Q(t) = int_0^t (s - 1) w(s) ds, so both
     running integrands stay smooth and the endpoints vanish exactly.
     Non-finite samples propagate; the caller's GridFunction rejects them.
+
+    ``w`` is only read (it may be a read-only view) and is dropped once the
+    second integrand is formed.  Four n-arrays are live: the points ``t``,
+    which turn into ``t - 1`` once ``t * tail`` is taken; one integrand
+    buffer, which ends as u'; ``P``, which ends as u; and ``Q``, which
+    becomes the tail.  Each in-place step keeps the operation order of
+    the plain expression, so the bits are those of the out-of-place form.
     """
     _require_green_grid(grid)
     _require_samples(grid, w)
     t = grid.points()
-    t_minus_1 = t - 1.0
-    P = cumulative_integral(grid, t * w)
-    Q = cumulative_integral(grid, t_minus_1 * w)
-    tail = Q[-1] - Q
-    return t_minus_1 * P + t * tail, P + tail
+    integrand = t * w
+    P = cumulative_integral(grid, integrand)
+    np.subtract(t, 1.0, out=integrand)
+    integrand *= w
+    del w  # a fresh input, such as the caller's A^{-1}(y), is freed here
+    Q = cumulative_integral(grid, integrand)
+    tail = np.subtract(Q[-1], Q, out=Q)
+    u_prime = np.add(P, tail, out=integrand)
+    tail *= t
+    t -= 1.0
+    P *= t
+    P += tail
+    return P, u_prime
 
 
 def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 1e-12) -> OperatorHandle:
@@ -161,8 +176,13 @@ def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 
     g_vals = evaluate(p.driving, grid.points(), name="driving")
     preimage = engine.remember_last(
         lambda y: green_apply_with_derivative(grid, invert_A(p, y.values, inversion_tol)))
-    return OperatorHandle(apply=lambda y: GridFunction(grid, np.sin(preimage(y)[0]) + g_vals),
-                          norm_kind="sup", modulus=GREEN_MODULUS, preimage=preimage)
+
+    def apply(y: GridFunction) -> GridFunction:
+        hy = np.sin(preimage(y)[0])
+        hy += g_vals
+        return GridFunction(grid, hy)
+
+    return OperatorHandle(apply=apply, norm_kind="sup", modulus=GREEN_MODULUS, preimage=preimage)
 
 
 def make_grid(p: PendulumProblem, n: int) -> Grid:

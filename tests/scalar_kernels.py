@@ -1,7 +1,8 @@
-"""The index-gather Simpson kernel and the per-point bisection that the
-array kernels in ``coincidia`` replaced, kept unchanged as references:
-the array kernels must return the same bits.  Also the brute-force
-weakly singular integral that the Volterra weights are checked against."""
+"""The index-gather Simpson kernel, the out-of-place Green reconstruction
+and the per-point bisection that the array and in-place kernels in
+``coincidia`` replaced, kept unchanged as references: the kernels must
+return the same bits.  Also the brute-force weakly singular integral that
+the Volterra weights are checked against."""
 
 import math
 
@@ -30,6 +31,18 @@ def cumulative_integral_gather(grid, values):
     if n % 2:
         F[n] = F[n - 1] + h * (-v[n - 2] + 8.0 * v[n - 1] + 5.0 * v[n]) / 12.0
     return F
+
+
+def green_apply_reference(grid, w):
+    """(u, u') of u'' = w, u(0) = u(1) = 0, from fresh arrays for every
+    intermediate, with the running integrals of
+    :func:`cumulative_integral_gather`."""
+    t = grid.points()
+    t_minus_1 = t - 1.0
+    P = cumulative_integral_gather(grid, t * w)
+    Q = cumulative_integral_gather(grid, t_minus_1 * w)
+    tail = Q[-1] - Q
+    return t_minus_1 * P + t * tail, P + tail
 
 
 def bracket_root_scalar(g, target, lo, hi, tol):

@@ -138,6 +138,23 @@ class TestVolterraKernel:
         with pytest.raises(ConfigurationError, match="weights do not match"):
             picard_step(p, GridFunction.zeros(GRID), VolterraKernel.build(Grid(0.0, 1.0, 128), 0.5))
 
+    def test_grid_mismatch_at_the_same_cell_count(self):
+        # another horizon: the kernel's weights and points differ
+        p = caputo_linear()
+        with pytest.raises(ConfigurationError, match="weights do not match"):
+            picard_step(p, GridFunction.zeros(GRID), VolterraKernel.build(Grid(0.0, 2.0, GRID.n), 0.5))
+
+    def test_points_are_sampled_once_read_only(self, monkeypatch):
+        kernel = VolterraKernel.build(GRID, 0.5)
+        np.testing.assert_array_equal(kernel.t, GRID.points())
+        assert not kernel.t.flags.writeable
+        calls = []
+        sample = Grid.points
+        monkeypatch.setattr(Grid, "points", lambda grid: calls.append(grid) or sample(grid))
+        rep = caputo.solve(caputo_linear(), GRID)
+        # the kernel's build and the certificate's weighted norm, not once per step
+        assert rep.iterations > 10 and len(calls) == 2
+
     def test_bounded_memory_at_16384(self):
         # the dense weights alone would take 8 * 16385^2 bytes, about 2.1 GB
         g = Grid(0.0, 1.0, 16384, NODES)

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +25,14 @@ from coincidia.pendulum import (
     table1_candidates,
 )
 from coincidia.registry import pendulum_pa, pendulum_sqrt_linear
-from scalar_kernels import invert_A_scalar
+from scalar_kernels import green_apply_reference, invert_A_scalar
 
 GRID = Grid(0.0, 1.0, 1000, NODES)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
 
 TABLE1 = {
     "w1": (1.0, 2.994600778191),
@@ -181,6 +187,84 @@ class TestGreenApply:
     def test_midpoints_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             green_apply_with_derivative(Grid(0.0, 1.0, 16, MIDPOINTS), np.zeros(16))
+
+
+class TestGreenBuffers:
+    """The in-place Green reconstruction against the out-of-place reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 131071, 131072])
+    def test_bits_match_the_reference(self, n):
+        g = Grid(0.0, 1.0, n, NODES)
+        w = np.random.default_rng(n).standard_normal(g.size)
+        kept = w.copy()
+        u, u_prime = green_apply_with_derivative(g, w)
+        ref_u, ref_u_prime = green_apply_reference(g, kept)
+        np.testing.assert_array_equal(bits(u), bits(ref_u))
+        np.testing.assert_array_equal(bits(u_prime), bits(ref_u_prime))
+        np.testing.assert_array_equal(bits(w), bits(kept))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 131071, 131072])
+    def test_read_only_input_is_accepted(self, n):
+        g = Grid(0.0, 1.0, n, NODES)
+        w = np.random.default_rng(n).standard_normal(g.size)
+        w.flags.writeable = False
+        broadcast = np.broadcast_to(np.float64(0.3), (g.size,))  # as A^{-1} of a constant
+        for samples in (w, broadcast):
+            got = green_apply_with_derivative(g, samples)
+            want = green_apply_reference(g, np.array(samples))
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 131071, 131072])
+    def test_nan_sample_reaches_u(self, n):
+        g = Grid(0.0, 1.0, n, NODES)
+        w = np.random.default_rng(n).standard_normal(g.size)
+        w[n // 2] = np.nan
+        assert np.isnan(green_apply_with_derivative(g, w)[0]).any()
+
+    def test_nan_sample_fails_the_operator(self, pa, monkeypatch):
+        def nan_at_middle(p, y, tol):
+            out = np.ones(y.shape)
+            out[y.size // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(pendulum, "invert_A", nan_at_middle)
+        h = pendulum.coincidence_operator(pa, GRID)
+        with pytest.raises(NumericError, match="non-finite"):
+            h.apply(GridFunction.zeros(GRID))
+
+
+def _traced_peak(fn):
+    """(peak, entry) of traced memory, in bytes, over one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1], entry
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """tracemalloc counts numpy's buffers exactly, so these bounds are
+    deterministic.  One n-array is 8 (n + 1) bytes."""
+
+    def test_green_rises_at_most_five_arrays(self):
+        n = 2 ** 17
+        g = Grid(0.0, 1.0, n, NODES)
+        w = np.random.default_rng(5).standard_normal(g.size)
+        peak, entry = _traced_peak(lambda: green_apply_with_derivative(g, w))
+        assert peak - entry <= 5 * 8 * (n + 1)
+
+    def test_oracle_peak_at_131072(self, tmp_path):
+        argv = ["oracle", "--problem", "pendulum-Pa", "--out"]
+        # a small run first, so that one-time imports and caches are not counted
+        assert main([*argv, str(tmp_path / "warm"), "--grid-n", "64"]) == 0
+        codes = []
+        peak, _ = _traced_peak(
+            lambda: codes.append(main([*argv, str(tmp_path / "big"), "--grid-n", "131072"])))
+        assert codes == [0]
+        assert peak < 8.5 * 2 ** 20
 
 
 class TestSolve:
