@@ -27,7 +27,8 @@ and the growth/Lipschitz hypotheses are certified by ``check_h1`` /
 ``check_h2``.
 
 Each application of h takes and returns a GridFunction; the boundary
-inversion inside it works on plain sample arrays.
+inversion inside it works on plain sample arrays, in buffers it allocates
+itself.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from . import engine
 from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, DomainError
-from .numerics import (MIDPOINTS, Grid, GridFunction, cell_edge_cumulative, cumulative_integral,
+from .numerics import (MIDPOINTS, Grid, GridFunction, _add_half_cells, _cell_sums, _require_samples,
                        evaluate)
 from .reports import Certificate, HypothesisReport
 
@@ -258,28 +259,46 @@ def _require_problem_grid(grid: Grid) -> None:
         raise ConfigurationError("second-derivative iterates live on midpoints grids over [0, 1]")
 
 
-def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float,
-                    eta: float) -> tuple[np.ndarray, np.ndarray]:
+def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float, eta: float,
+                    points: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct the arrays (v, v') with v'' = y, v(0) = 0 and
-    v'(1) = delta v'(eta) from the samples ``y`` on ``grid``.
+    v'(1) = delta v'(eta) from the samples ``y`` on ``grid``, whose
+    ``points()`` may be passed in as ``points``.
 
     Uses v(t) = t int_0^t y - int_0^t s y(s) ds + c t with the boundary
     constant c built from exact partial sums at cell edges, so the
     identity v'(1) = delta v'(eta) holds to rounding by construction.
     Non-finite samples propagate; the caller's GridFunction rejects them.
+
+    ``y`` is only read, and the function computes in three buffers it
+    allocates itself.  The running integral of ``t y`` is finished first;
+    then one ``np.cumsum`` of ``y`` gives both the whole cells of the
+    running integral of ``y`` and the edge sums ``h S_{k-1}`` and
+    ``h S_{n-1}`` of c (``numerics._cell_sums``); v is built in the scratch
+    buffer of the half-cell corrections.  Each in-place step keeps the
+    operation order of the plain expression.
     """
     if delta == 1.0:
         raise DomainError("delta = 1 makes the boundary condition degenerate")
     _require_problem_grid(grid)
-    pts = grid.points()
-    running = cumulative_integral(grid, y)
-    edges = cell_edge_cumulative(grid, y)
+    _require_samples(grid, y)
+    pts = grid.points() if points is None else points
+    h = grid.spacing
+    scratch = np.empty(grid.n)
+    ty = np.multiply(pts, y)
+    running_sy = _add_half_cells(ty, h, _cell_sums(ty, np.empty(grid.n)), scratch)
+    cells = _cell_sums(y, ty)  # cells[j] = S_{j-1} for S = np.cumsum(y)
+    total = cells[-1] + y[-1]  # S_{n-1}
     k, _, _ = snap_eta(grid, eta)
-    c = (delta * edges[k] - edges[-1]) / (1.0 - delta)
-    running_sy = cumulative_integral(grid, pts * y)
-    v = pts * running - running_sy + c * pts
-    v_prime = running + c
-    return v, v_prime
+    edge_k = 0.0 if k == 0 else h * (cells[k] if k < grid.n else total)
+    c = (delta * edge_k - h * total) / (1.0 - delta)
+    running = _add_half_cells(y, h, cells, scratch)
+    # v = pts running - running_sy + c pts, in the scratch buffer
+    v = np.multiply(pts, running, out=scratch)
+    v -= running_sy
+    v += np.multiply(pts, c, out=running_sy)
+    running += c
+    return v, running
 
 
 def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = None) -> OperatorHandle:
@@ -287,7 +306,7 @@ def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = Non
     ``preimage`` is :func:`apply_T_inverse`, kept for the last application."""
     _require_problem_grid(grid)
     pts = grid.points()
-    preimage = engine.remember_last(lambda y: apply_T_inverse(grid, y.values, p.delta, p.eta))
+    preimage = engine.remember_last(lambda y: apply_T_inverse(grid, y.values, p.delta, p.eta, pts))
     return OperatorHandle(
         apply=lambda y: GridFunction(grid, evaluate(p.g, pts, *preimage(y), y.values, name="g")),
         norm_kind="l2", modulus=modulus, preimage=preimage)

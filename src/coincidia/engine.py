@@ -19,7 +19,12 @@ tol, max_iter)`` and never take more than ``max_iter`` steps.
 
 Every scheme records the full residual history ``|y_k - h(y_k)|`` in the
 operator's declared norm, and the reported solution always satisfies
-``residual(h, y) == final_residual`` under recomputation.
+``residual(h, y) == final_residual`` under recomputation.  The residual is
+taken on the plain difference of the samples, and one that is not finite
+raises :class:`NumericError`; each relaxed step is validated once, as one
+GridFunction.  The kernels that compute in buffers they allocate
+themselves are ``numerics.cumulative_integral`` and the inverse maps
+``pendulum.green_apply_with_derivative`` and ``bvp3.apply_T_inverse``.
 
 Each family module (``bvp3``, ``pendulum``, ``caputo``) is a problem class:
 ``make_grid(p, n)``, ``check(p, seed)``, ``columns(report)`` and
@@ -35,11 +40,12 @@ keeps it, so a family reads back the handle's ``preimage`` ``T^{-1}(y)``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ConfigurationError, NumericError
-from .numerics import Grid, GridFunction, l2_norm, sup_norm
+from .numerics import Grid, GridFunction, _l2_norm, _sup_norm, sup_norm
 from .reports import Certificate
 from .stability import PhiFunction, invert
 
@@ -77,7 +83,10 @@ class OperatorHandle:
             raise ConfigurationError(f"a declared modulus must lie in [0, 1), got {self.modulus}")
 
     def norm(self, f: GridFunction) -> float:
-        return sup_norm(f) if self.norm_kind == "sup" else l2_norm(f)
+        return self._norm(f.grid, f.values)
+
+    def _norm(self, grid: Grid, values) -> float:
+        return _sup_norm(values) if self.norm_kind == "sup" else _l2_norm(grid, values)
 
 
 @dataclass
@@ -179,9 +188,20 @@ def _guard_growth(y: GridFunction) -> None:
         raise NumericError("iterate norm grew beyond 1e14; the iteration is diverging")
 
 
+def _distance(h: OperatorHandle, y: GridFunction, hy: GridFunction) -> float:
+    """``|y - hy|`` in ``h``'s norm, taken on the plain difference of the
+    samples, which is not copied into a validated :class:`GridFunction`.
+    The difference of two finite functions is finite unless it overflows;
+    a norm that is not finite raises :class:`NumericError`."""
+    r = h._norm(y.grid, y.values - hy.values)
+    if not math.isfinite(r):
+        raise NumericError("the residual |y - h(y)| is not finite")
+    return r
+
+
 def residual(h: OperatorHandle, y: GridFunction) -> float:
     """Coincidence defect ``|y - h(y)|`` in the operator's declared norm."""
-    return h.norm(y - _apply(h, y))
+    return _distance(h, y, _apply(h, y))
 
 
 def _validate_stopping(tol: float, max_iter: int) -> None:
@@ -205,7 +225,7 @@ def _iterate(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int, sch
     _validate_stopping(tol, max_iter)
     y = y0
     hy = _apply(h, y)
-    history = [h.norm(y - hy)]
+    history = [_distance(h, y, hy)]
     iterations = 0
     best, flat_steps = history[0], 0
     stagnated = False
@@ -214,14 +234,14 @@ def _iterate(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int, sch
         iterations += 1
         _guard_growth(y)
         hy = _apply(h, y)
-        r = h.norm(y - hy)
+        r = _distance(h, y, hy)
         history.append(r)
         if r <= tol:
             if tighten and iterations < max_iter:
                 y = hy
                 iterations += 1
                 hy = _apply(h, y)
-                history.append(h.norm(y - hy))
+                history.append(_distance(h, y, hy))
             break
         if watch_stagnation:
             if r < best - _STAGNATION_EPS:
@@ -258,7 +278,8 @@ def solve_averaged(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: in
     For nonexpansive ``h`` the recorded residuals ``|y - h(y)|`` are
     nonincreasing; no rate is claimed, so the stagnation stop always applies.
     """
-    return _iterate(h, y0, tol, max_iter, AVERAGED, lambda y, hy: 0.5 * (y + hy),
+    return _iterate(h, y0, tol, max_iter, AVERAGED,
+                    lambda y, hy: GridFunction(y.grid, 0.5 * (y.values + hy.values)),
                     tighten=False, watch_stagnation=True)
 
 
@@ -270,8 +291,9 @@ def resolvent_stage(h: OperatorHandle, y0: GridFunction, n: int) -> OperatorHand
     ``|(w - h(w)) - (y0 - w) / n| <= (n + 1) / n * tol <= 2 tol``.
     """
     m = float(n)
-    return OperatorHandle(apply=lambda w: (y0 + m * _apply(h, w)) / (m + 1.0),
-                          norm_kind=h.norm_kind, modulus=m / (m + 1.0))
+    return OperatorHandle(
+        apply=lambda w: GridFunction(y0.grid, (y0.values + m * _apply(h, w).values) / (m + 1.0)),
+        norm_kind=h.norm_kind, modulus=m / (m + 1.0))
 
 
 def solve_resolvent(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int) -> SolveReport:

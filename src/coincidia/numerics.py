@@ -11,7 +11,12 @@ application the quadrature kernels take ``(grid, values)`` with a plain
 sample array and return plain floats or arrays; they work on whole arrays
 through slices, with no per-point Python loop.  They never write to their
 inputs, which may be read-only views; to hold down the peak memory they
-compute in place only in buffers they allocate themselves.  :func:`bracket_root`
+compute in place only in buffers they allocate themselves: both branches of
+:func:`cumulative_integral`, and the midpoints kernels ``_cell_sums`` and
+``_add_half_cells`` that the bvp3 boundary inversion shares with it.  The
+norms :func:`sup_norm` and :func:`l2_norm` read a function's samples; the
+engine takes the same norms of a plain difference array through
+``_sup_norm`` and ``_l2_norm``.  :func:`bracket_root`
 bisects one bracket per array element, evaluating the function once per
 step on all elements still bisecting.
 """
@@ -192,17 +197,16 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     ``values`` is only read.  On nodes grids the result is the one buffer
     the panels are built in: the panel sums go into its odd slots and are
     accumulated into the even ones, then the odd slots take the half-panel
-    values, so at most one half-length temporary is allocated.  Each
-    in-place step keeps the operation order of the plain expression.
+    values, so at most one half-length temporary is allocated.  On
+    midpoints grids the whole-cell sums are accumulated into the result and
+    the half-cell correction is built in one scratch buffer, the kernel that
+    ``bvp3.apply_T_inverse`` also runs.  Each in-place step keeps the
+    operation order of the plain expression.
     """
     _require_samples(grid, values)
     v, h = values, grid.spacing
     if grid.style == MIDPOINTS:
-        head = np.concatenate(([0.0], np.cumsum(v)[:-1]))
-        corr = np.empty_like(v)
-        corr[0] = (5.0 * v[0] - v[1]) / 8.0
-        corr[1:] = (v[:-1] + 3.0 * v[1:]) / 8.0
-        return h * (head + corr)
+        return _add_half_cells(v, h, _cell_sums(v, np.empty(grid.n)), np.empty(grid.n))
     n = grid.n
     e = 2 * (n // 2)
     F = np.zeros(n + 1)
@@ -224,6 +228,33 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     odd += F[0:e - 1:2]
     if n % 2:
         F[n] = F[n - 1] + h * (-v[n - 2] + 8.0 * v[n - 1] + 5.0 * v[n]) / 12.0
+    return F
+
+
+def _cell_sums(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The whole cells of a midpoints running integral, unscaled:
+    ``out[j] = v_0 + ... + v_{j-1}`` and ``out[0] = 0``, by one
+    ``np.cumsum`` written into ``out``.  Accumulation is sequential, so
+    ``out[j]`` has the bits of ``np.cumsum(values)[j - 1]``, and the last
+    partial sum ``np.cumsum(values)[-1]`` is ``out[-1] + values[-1]``."""
+    out[0] = 0.0
+    np.cumsum(values[:-1], out=out[1:])
+    return out
+
+
+def _add_half_cells(values: np.ndarray, h: float, F: np.ndarray,
+                    scratch: np.ndarray) -> np.ndarray:
+    """Finish a midpoints running integral in place: with ``F`` from
+    :func:`_cell_sums`, ``F <- h (F + corr)``, where the half-cell
+    correction ``corr_0 = (5 v_0 - v_1) / 8`` and
+    ``corr_j = (v_{j-1} + 3 v_j) / 8`` is built in ``scratch``."""
+    v = values
+    np.multiply(v[1:], 3.0, out=scratch[1:])
+    scratch[1:] += v[:-1]
+    scratch[1:] /= 8.0
+    scratch[0] = (5.0 * v[0] - v[1]) / 8.0
+    F += scratch
+    F *= h
     return F
 
 
@@ -260,11 +291,19 @@ def prolong(fine_grid: Grid, coarse: GridFunction) -> GridFunction:
 
 
 def sup_norm(f: GridFunction) -> float:
-    return float(np.max(np.abs(f.values)))
+    return _sup_norm(f.values)
 
 
 def l2_norm(f: GridFunction) -> float:
-    return math.sqrt(max(integrate(f.grid, f.values * f.values), 0.0))
+    return _l2_norm(f.grid, f.values)
+
+
+def _sup_norm(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values)))
+
+
+def _l2_norm(grid: Grid, values: np.ndarray) -> float:
+    return math.sqrt(max(integrate(grid, values * values), 0.0))
 
 
 def bracket_root(g: Callable, target, lo, hi, tol: float, name: str = "function"):

@@ -1,13 +1,14 @@
 """The index-gather Simpson kernel, the out-of-place Green reconstruction
-and the per-point bisection that the array and in-place kernels in
-``coincidia`` replaced, kept unchanged as references: the kernels must
-return the same bits.  Also the brute-force weakly singular integral that
-the Volterra weights are checked against."""
+and bvp3 boundary inversion, and the per-point bisection that the array and
+in-place kernels in ``coincidia`` replaced, kept unchanged as references:
+the kernels must return the same bits.  Also the brute-force weakly
+singular integral that the Volterra weights are checked against."""
 
 import math
 
 import numpy as np
 
+from coincidia.bvp3 import snap_eta
 from coincidia.errors import BracketingError, ConfigurationError, NumericError, RangeError
 from coincidia.numerics import MIDPOINTS
 
@@ -43,6 +44,22 @@ def green_apply_reference(grid, w):
     Q = cumulative_integral_gather(grid, t_minus_1 * w)
     tail = Q[-1] - Q
     return t_minus_1 * P + t * tail, P + tail
+
+
+def apply_T_inverse_reference(grid, y, delta, eta):
+    """(v, v') of v'' = y, v(0) = 0, v'(1) = delta v'(eta) on a midpoints
+    grid, from fresh arrays for every intermediate: two running integrals of
+    :func:`cumulative_integral_gather`, and the cell-edge sums taken by a
+    second cumsum of ``y``."""
+    pts = grid.points()
+    running = cumulative_integral_gather(grid, y)
+    edges = np.concatenate(([0.0], grid.spacing * np.cumsum(y)))
+    k, _, _ = snap_eta(grid, eta)
+    c = (delta * edges[k] - edges[-1]) / (1.0 - delta)
+    running_sy = cumulative_integral_gather(grid, pts * y)
+    v = pts * running - running_sy + c * pts
+    v_prime = running + c
+    return v, v_prime
 
 
 def bracket_root_scalar(g, target, lo, hi, tol):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from coincidia.numerics import (
     l2_norm,
 )
 from coincidia.registry import bvp3_example
+from scalar_kernels import apply_T_inverse_reference
 
 KAPPA_CRITICAL = (4.0 * math.pi - 6.0) / (9.0 * math.sqrt(3.0))
 PROBE = Grid(0.0, 1.0, 512, MIDPOINTS)
@@ -245,6 +248,58 @@ class TestApplyTInverse:
     def test_nodes_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             apply_T_inverse(Grid(0.0, 1.0, 16, NODES), np.zeros(17), -0.1, 0.5)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestTInverseBuffers:
+    """The inversion computes in buffers it allocates itself, with one cumsum
+    of ``y`` for the running integral and the boundary constant, and returns
+    the bits of the out-of-place reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 4096, 131072])
+    @pytest.mark.parametrize("edge", ["first", "interior", "last"])
+    def test_bits_match_reference(self, n, edge):
+        grid = Grid(0.0, 1.0, n, MIDPOINTS)
+        # eta snaps to edge 0, an interior edge or edge n (n = 2: 0.2, 0.5, 0.9)
+        eta = {"first": 0.4 / n, "interior": 0.5, "last": 1.0 - 0.2 / n}[edge]
+        k, _, _ = snap_eta(grid, eta)
+        assert {"first": k == 0, "interior": 0 < k < n, "last": k == n}[edge]
+        y = np.random.default_rng(n).standard_normal(n)
+        y.flags.writeable = False
+        before = y.copy()
+        for delta in (-0.1, 0.5, 3.0):
+            v_ref, vp_ref = apply_T_inverse_reference(grid, y, delta, eta)
+            for out in (apply_T_inverse(grid, y, delta, eta),
+                        apply_T_inverse(grid, y, delta, eta, grid.points())):
+                np.testing.assert_array_equal(bits(out[0]), bits(v_ref))
+                np.testing.assert_array_equal(bits(out[1]), bits(vp_ref))
+        np.testing.assert_array_equal(bits(y), bits(before))
+
+    @pytest.mark.parametrize("where", [0, 31, -1])
+    def test_nan_sample_raises_in_apply(self, where):
+        grid = Grid(0.0, 1.0, 64, MIDPOINTS)
+        values = np.zeros(grid.size)
+        values[where] = np.nan
+        handle = coincidence_operator(bvp3_example(0.4), grid)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            handle.apply(SimpleNamespace(grid=grid, values=values))
+
+    def test_rises_at_most_five_arrays(self):
+        # tracemalloc counts numpy's buffers exactly; one n-array is 8 n bytes
+        n = 2 ** 17
+        grid = Grid(0.0, 1.0, n, MIDPOINTS)
+        y = np.random.default_rng(5).standard_normal(n)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            apply_T_inverse(grid, y, -0.1, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry <= 5 * 8 * n
 
 
 class TestSolve:

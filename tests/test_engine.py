@@ -25,6 +25,10 @@ def identity_handle(norm="sup"):
     return OperatorHandle(apply=lambda y: y, norm_kind=norm)
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
 def affine_handle():
     # h(y) = y/2 + 1/2, contraction with modulus 1/2 and fixed point 1
     half = GridFunction.constant(GRID, 0.5)
@@ -208,6 +212,38 @@ class TestResolvent:
             solve_resolvent(identity_handle(), y0, -1.0, 10)
         with pytest.raises(ConfigurationError):
             solve_resolvent(identity_handle(), y0, 1e-9, 0)
+
+
+class TestResidualOnPlainDifference:
+    """The loop takes ``|y - h(y)|`` on the plain difference of the samples,
+    with no validated copy: a difference that overflows still raises, and a
+    solve's ``final_residual`` is the residual recomputed at its solution."""
+
+    @pytest.mark.parametrize("norm", ["sup", "l2"])
+    def test_overflowing_difference_raises(self, norm):
+        # h(y) = -y is finite wherever y is, but y - h(y) = 2e308 overflows;
+        # at tol = inf an inf residual would read as converged
+        h = OperatorHandle(apply=lambda y: -y, norm_kind=norm)
+        y = GridFunction.constant(GRID, 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="finite"):
+                residual(h, y)
+            for solve in (solve_picard, solve_averaged, solve_resolvent):
+                with pytest.raises(NumericError, match="finite"):
+                    solve(h, y, math.inf, 10)
+
+    @pytest.mark.parametrize("norm", ["sup", "l2"])
+    @pytest.mark.parametrize("solve", [solve_picard, solve_averaged, solve_resolvent])
+    def test_final_residual_recomputes_bit_for_bit(self, norm, solve):
+        b = np.random.default_rng(11).standard_normal(GRID.size)
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, 0.5 * np.sin(y.values) + b),
+                           norm_kind=norm)
+        rep = solve(h, GridFunction.zeros(GRID), 1e-9, 2000)
+        assert rep.converged
+        r = residual(h, rep.solution)
+        assert bits(r) == bits(rep.final_residual)
+        # the validated difference of the plain expression gives the same bits
+        assert bits(r) == bits(h.norm(rep.solution - h.apply(rep.solution)))
 
 
 class TestRememberLast:
