@@ -17,7 +17,13 @@ Past their first column the weights are Toeplitz, W[j, i] = c[j-i], so each
 step applies them as a convolution by zero-padded real FFT of length 2n
 (:class:`VolterraKernel`, after Hairer, Lubich and Schlichte, 1985): O(n log n)
 time per step and O(n) memory.  The dense (n+1)^2 matrix of
-:func:`weight_matrix` is kept only as a test oracle.
+:func:`weight_matrix` is kept only as a test oracle.  The kernel keeps its
+last samples and integral: a step whose samples of f repeat bit for bit,
+as every step after the first does for an f that does not depend on x,
+returns the kept integral without a convolution.  The kept integral costs
+one n-array, which the certificate's weighted norm pays back: it works in
+one buffer on the kernel's points, so a solve peaks at no more than 12
+n-arrays under ``tracemalloc`` (n = 2^17).
 
 The iteration is certified by the contraction condition
 
@@ -33,7 +39,7 @@ omega(t) = exp(lambda L_f max(t, t_N)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -42,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import engine
 from .engine import OperatorHandle, SolveReport
 from .errors import CertificateError, ConfigurationError, DomainError
-from .numerics import NODES, Grid, GridFunction, evaluate, gamma
+from .numerics import NODES, Grid, GridFunction, _sup_norm, evaluate, gamma
 from .reports import Certificate, HypothesisReport
 
 _LAMBDA_MAX = 1e8  # the lambda search of the contraction certificate stops here
@@ -145,12 +151,21 @@ class VolterraKernel:
     ``col0`` is the first column past row 0 and ``spectrum`` the real FFT of
     the Toeplitz coefficients ``c``, zero-padded to length 2n so that the
     circular convolution of length 2n is the linear one.  ``t`` holds the
-    grid points, sampled once for every step, read-only."""
+    grid points, sampled once for every step, read-only.
+
+    :meth:`integrate` keeps its last ``(samples, integral)`` pair.  Samples
+    equal to the kept ones bit for bit (``-0.0`` and ``+0.0`` differ) get
+    the kept integral back, which is exact because the integral depends on
+    the samples only; any other samples drop the pair before their
+    convolution runs.  The kept pair is replaced in one assignment, so
+    threads sharing a kernel at worst convolve again.
+    """
 
     grid: Grid
     col0: np.ndarray
     spectrum: np.ndarray
     t: np.ndarray
+    _last: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, grid: Grid, q: float) -> "VolterraKernel":
@@ -161,10 +176,24 @@ class VolterraKernel:
 
     def integrate(self, fv: np.ndarray) -> np.ndarray:
         """``weight_matrix(grid, q) @ fv`` in O(n log n) time and O(n) memory:
-        entry j >= 1 is col0[j-1] fv[0] + sum_{i=1..j} c[j-i] fv[i]."""
+        entry j >= 1 is col0[j-1] fv[0] + sum_{i=1..j} c[j-i] fv[i].
+
+        The result is read-only; it is the kept integral when ``fv`` repeats
+        the last samples.  Read-only samples (such as those of
+        :func:`picard_step`) are kept by reference and must not change
+        through another view; writable ones are kept as a copy.
+        """
+        fv = np.asarray(fv, dtype=float)
+        kept = self._last[0]
+        if kept is not None and np.array_equal(kept[0].view(np.int64), fv.view(np.int64)):
+            return kept[1]
+        self._last[0] = kept = None
         n = self.grid.n
         conv = np.fft.irfft(np.fft.rfft(fv[1:], 2 * n) * self.spectrum, 2 * n)[:n]
-        return np.concatenate(([0.0], self.col0 * fv[0] + conv))
+        out = np.concatenate(([0.0], self.col0 * fv[0] + conv))
+        out.flags.writeable = False
+        self._last[0] = (fv.copy() if fv.flags.writeable else fv, out)
+        return out
 
 
 def snap_nonlocal_points(p: CaputoProblem, grid: Grid) -> list[tuple[int, float]]:
@@ -224,14 +253,26 @@ def weighted_sup_norm(x: GridFunction, lam: float, L_f: float, t_N: float) -> fl
         raise ConfigurationError("lambda and L_f must be positive")
     if t_N < 0.0:
         raise ConfigurationError("t_N must be nonnegative")
-    t = x.grid.points()
-    return float(np.max(np.abs(x.values) * np.exp(-lam * L_f * np.maximum(t, t_N))))
+    return _weighted_sup(x.values, x.grid.points(), lam, L_f, t_N)
 
 
-def volterra_operator(p: CaputoProblem, grid: Grid) -> OperatorHandle:
-    """Sup-norm handle around :func:`picard_step`, with the kernel built once;
-    ``apply`` keeps its last step (:func:`engine.remember_last`)."""
-    kernel = VolterraKernel.build(grid, p.q)
+def _weighted_sup(values: np.ndarray, t: np.ndarray, lam: float, L_f: float,
+                  t_N: float) -> float:
+    """The weighted sup norm of the samples ``values`` at the points ``t``,
+    in one buffer: the weights exp(-lam L_f max(t, t_N)) are built in place,
+    multiplied by the samples and reduced without an absolute-value copy.
+    |x| w and |x w| have the same bits for w >= 0, so this is
+    ``max(|x| * exp(-lam * L_f * max(t, t_N)))`` bit for bit."""
+    w = np.maximum(t, t_N)
+    w *= -lam * L_f
+    np.exp(w, out=w)
+    w *= values
+    return _sup_norm(w)
+
+
+def volterra_operator(p: CaputoProblem, kernel: VolterraKernel) -> OperatorHandle:
+    """Sup-norm handle around :func:`picard_step` with the weights of
+    ``kernel``; ``apply`` keeps its last step (:func:`engine.remember_last`)."""
     return OperatorHandle(apply=engine.remember_last(lambda x: picard_step(p, x, kernel)),
                           norm_kind="sup", modulus=None)
 
@@ -283,12 +324,14 @@ def solve(
                  else f"rho_margin {margins['rho_margin']:.6g} <= 0: the lambda search "
                  f"reached lambda_max {_LAMBDA_MAX:.6g} with rho >= 1")
         raise CertificateError(f"the contraction certificate failed ({cause})")
-    handle = volterra_operator(p, grid)
+    kernel = VolterraKernel.build(grid, p.q)
+    handle = volterra_operator(p, kernel)
     start = engine.start_or(grid, start, lambda g: GridFunction.constant(g, p.x0))
     report = engine.solve_picard(handle, start, tol, max_iter)
     report.extras["nonlocal_snap_distances"] = [d for _, d in snap_nonlocal_points(p, grid)]
     rho, lam = certificate.constants["rho"], certificate.constants["lambda"]
-    d_w = weighted_sup_norm(handle.apply(report.solution) - report.solution, lam, p.L_f, p.t_N)
+    step = handle.apply(report.solution) - report.solution
+    d_w = _weighted_sup(step.values, kernel.t, lam, p.L_f, p.t_N)
     report.certificate = Certificate(certificate, "weighted_sup", rho, rho / (1.0 - rho) * d_w,
                                      "weighted-sup distance of the next Picard iterate "
                                      "to the discrete fixed point")

@@ -31,6 +31,7 @@ Exit codes: 0 ok, 2 configuration error, 3 certificate/hypothesis failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -79,7 +80,7 @@ class RunConfig:
     candidates: str = "table1"
 
     def validate(self) -> None:
-        for name, kind in get_type_hints(RunConfig).items():
+        for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")
@@ -108,6 +109,9 @@ class RunConfig:
         if not isinstance(data.get("output_dir", "."), str):
             raise ConfigurationError("output_dir must be a string")
         return cls(**data)
+
+
+_FIELD_TYPES = get_type_hints(RunConfig)  # resolved once per process
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -249,7 +253,10 @@ def run(config: RunConfig) -> int:
         return fail(MemoryError(str(exc) or "out of memory"), EXIT_NUMERIC)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="coincidia", argument_default=argparse.SUPPRESS,
         description="coincidence-problem solvers with Ulam-Hyers stability certificates",

@@ -16,9 +16,11 @@ compute in place only in buffers they allocate themselves: both branches of
 ``_add_half_cells`` that the bvp3 boundary inversion shares with it.  The
 norms :func:`sup_norm` and :func:`l2_norm` read a function's samples; the
 engine takes the same norms of a plain difference array through
-``_sup_norm`` and ``_l2_norm``.  :func:`bracket_root`
+``_sup_norm`` and ``_l2_norm``; the sup norm reads the largest and the
+negated smallest sample, with no absolute-value copy.  :func:`bracket_root`
 bisects one bracket per array element, evaluating the function once per
-step on all elements still bisecting.
+step on all elements still bisecting; a scalar bracket runs the same loop
+on Python floats.
 """
 
 from __future__ import annotations
@@ -79,9 +81,11 @@ class Grid:
         return min(max(int(round((t - self.a) / self.spacing)), 0), self.n)
 
 
-def evaluate(fn: Callable, x: np.ndarray, *args: np.ndarray, name: str = "function") -> np.ndarray:
+def evaluate(fn: Callable, x: np.ndarray | float, *args: np.ndarray,
+             name: str = "function") -> np.ndarray | float:
     """Evaluate a user callable on the sample array ``x`` (and on equally
-    shaped ``args``), returning one finite value per sample.
+    shaped ``args``), returning one finite value per sample; a float ``x``
+    is one sample, passed to ``fn`` as it is, and returns a float.
 
     A scalar result is broadcast.  A map that only accepts scalars (it
     raises TypeError/ValueError on arrays, or returns a shape that does not
@@ -90,14 +94,21 @@ def evaluate(fn: Callable, x: np.ndarray, *args: np.ndarray, name: str = "functi
     errors and ``MemoryError`` pass through unchanged.
     """
     try:
-        try:
-            vals = np.broadcast_to(np.asarray(fn(x, *args), dtype=float), x.shape)
-        except (TypeError, ValueError):
-            vals = np.array([float(fn(*map(float, point))) for point in zip(x, *args)])
+        if isinstance(x, float):
+            vals = float(fn(x, *args))
+        else:
+            try:
+                vals = np.broadcast_to(np.asarray(fn(x, *args), dtype=float), x.shape)
+            except (TypeError, ValueError):
+                vals = np.array([float(fn(*map(float, point))) for point in zip(x, *args)])
     except (CoincidiaError, MemoryError):
         raise
     except Exception as exc:
         raise NumericError(f"{name} raised {type(exc).__name__}: {exc}") from exc
+    if isinstance(vals, float):
+        if not math.isfinite(vals):
+            raise NumericError(f"{name} evaluated to a non-finite value at {x}")
+        return vals
     finite = np.isfinite(vals)
     if not finite.all():
         raise NumericError(f"{name} evaluated to a non-finite value at {x[~finite][0]}")
@@ -299,11 +310,32 @@ def l2_norm(f: GridFunction) -> float:
 
 
 def _sup_norm(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values)))
+    """``max |v|`` without an absolute-value copy: the larger of the
+    largest sample and the negated smallest one, which has the bits of
+    ``np.max(np.abs(values))``; adding 0.0 turns a ``-0.0`` result into
+    ``+0.0``, and a NaN sample propagates."""
+    return float(max(values.max(), -values.min()) + 0.0)
 
 
 def _l2_norm(grid: Grid, values: np.ndarray) -> float:
     return math.sqrt(max(integrate(grid, values * values), 0.0))
+
+
+def _pick_float(cond: bool, a: float, b: float) -> float:
+    """``np.where`` on the Python bool and floats of one bracket."""
+    return a if cond else b
+
+
+def _retire(root: np.ndarray, idx: np.ndarray, mask, values, lanes: tuple):
+    """Write ``values`` into ``root`` at the brackets where ``mask`` holds
+    and return the indices and ``lanes`` of the others.  One bracket held
+    in floats only comes here to finish."""
+    if isinstance(mask, bool):
+        root[idx] = values
+        return idx[:0], lanes
+    root[idx[mask]] = values[mask]
+    keep = ~mask
+    return idx[keep], tuple(a[keep] for a in lanes)
 
 
 def bracket_root(g: Callable, target, lo, hi, tol: float, name: str = "function"):
@@ -322,6 +354,10 @@ def bracket_root(g: Callable, target, lo, hi, tol: float, name: str = "function"
     ``tol``, the bracket stops at two adjacent doubles and the end with the
     smaller defect is returned if it meets ``tol``.  An element that does
     neither within 200 steps raises :class:`NumericError`.
+
+    A scalar bracket runs the same loop on Python floats and calls ``g`` on
+    one float per step (a numpy call on one element costs more than its
+    arithmetic); its steps are those of the array loop, bit for bit.
     """
     if tol <= 0.0:
         raise ConfigurationError("bisection tolerance must be positive")
@@ -331,7 +367,11 @@ def bracket_root(g: Callable, target, lo, hi, tol: float, name: str = "function"
     bad = np.flatnonzero(~(lo < hi))
     if bad.size:
         raise ConfigurationError(f"invalid bracket [{lo[bad[0]]}, {hi[bad[0]]}]")
-    glo, ghi = evaluate(g, lo, name=name), evaluate(g, hi, name=name)
+    one = shape == ()  # one bracket, bisected in floats
+    if one:
+        glo, ghi = (np.array([evaluate(g, float(a[0]), name=name)]) for a in (lo, hi))
+    else:
+        glo, ghi = evaluate(g, lo, name=name), evaluate(g, hi, name=name)
     bad = np.flatnonzero(~((glo <= target) & (target <= ghi)))
     if bad.size:
         i = bad[0]
@@ -341,29 +381,32 @@ def bracket_root(g: Callable, target, lo, hi, tol: float, name: str = "function"
     root = lo.copy()  # an element that starts within tol returns lo
     # the brackets still bisecting, compacted; idx maps them back to root
     idx = np.flatnonzero(~((np.abs(glo - target) <= tol) & (hi - lo <= tol)))
-    lo, hi, glo, ghi, target = (a[idx] for a in (lo, hi, glo, ghi, target))
+    lanes = tuple(a[idx] for a in (lo, hi, glo, ghi, target))
+    lo, hi, glo, ghi, target = (float(a[0]) for a in lanes) if one and idx.size else lanes
+    # the lane operations: plain Python on one bracket's floats, numpy on arrays
+    pick, any_ = (_pick_float, bool) if one else (np.where, np.any)
     for _ in range(_BISECTION_CAP):
-        mid = 0.5 * (lo + hi)
-        stuck = (mid == lo) | (mid == hi)
-        if stuck.any():
-            use_lo = np.abs(glo - target) <= np.abs(ghi - target)
-            r, gr = np.where(use_lo, lo, hi)[stuck], np.where(use_lo, glo, ghi)[stuck]
-            if not np.all(np.abs(gr - target[stuck]) <= tol):
-                break
-            root[idx[stuck]] = r
-            idx, lo, hi, glo, ghi, target, mid = (
-                a[~stuck] for a in (idx, lo, hi, glo, ghi, target, mid))
         if idx.size == 0:
             break
+        mid = 0.5 * (lo + hi)
+        stuck = (mid == lo) | (mid == hi)
+        if any_(stuck):
+            use_lo = abs(glo - target) <= abs(ghi - target)
+            r, gr = pick(use_lo, lo, hi), pick(use_lo, glo, ghi)
+            if any_(stuck & (abs(gr - target) > tol)):
+                break
+            idx, (lo, hi, glo, ghi, target, mid) = _retire(
+                root, idx, stuck, r, (lo, hi, glo, ghi, target, mid))
+            if idx.size == 0:
+                break
         gm = evaluate(g, mid, name=name)
-        done = (np.abs(gm - target) <= tol) & (hi - lo <= 2.0 * tol)
+        done = (abs(gm - target) <= tol) & (hi - lo <= 2.0 * tol)
         below = gm < target
-        lo, glo = np.where(below, mid, lo), np.where(below, gm, glo)
-        hi, ghi = np.where(below, hi, mid), np.where(below, ghi, gm)
-        if done.any():
-            root[idx[done]] = mid[done]
-            idx, lo, hi, glo, ghi, target = (
-                a[~done] for a in (idx, lo, hi, glo, ghi, target))
+        lo, glo = pick(below, mid, lo), pick(below, gm, glo)
+        hi, ghi = pick(below, hi, mid), pick(below, ghi, gm)
+        if any_(done):
+            idx, (lo, hi, glo, ghi, target) = _retire(root, idx, done, mid,
+                                                      (lo, hi, glo, ghi, target))
     if idx.size:
         raise NumericError(
             f"bisection did not reach |g(r) - target| <= {tol}; is g discontinuous at the root?"
@@ -402,20 +445,24 @@ def mittag_leffler(q: float, z, tol: float, max_terms: int = 100_000):
     flat = z_arr.reshape(-1)
     total = np.ones(flat.size)
     active = np.flatnonzero(flat)  # E_q(0) = 1; the other points sum their terms
+    # log|z| and the sign of z, taken once and compacted with the active points
+    log_abs = np.log(np.abs(flat[active]))
+    negative = flat[active] < 0.0
     for k in range(1, max_terms + 1):
         if active.size == 0:
             break
-        z_k = flat[active]
         # terms via logs so z**k and Gamma(qk+1) cannot overflow separately
-        log_mag = k * np.log(np.abs(z_k)) - math.lgamma(q * k + 1.0)
+        log_mag = k * log_abs - math.lgamma(q * k + 1.0)
         if np.any(log_mag > 700.0):
             raise NumericError("Mittag-Leffler series term overflows double precision")
         mag = np.exp(log_mag)
-        partial = total[active] + (np.where(z_k < 0.0, -mag, mag) if k % 2 else mag)
+        partial = total[active] + (np.where(negative, -mag, mag) if k % 2 else mag)
         if not np.all(np.isfinite(partial)):
             raise NumericError("Mittag-Leffler partial sums are non-finite")
         total[active] = partial
-        active = active[mag >= tol * np.maximum(1.0, np.abs(partial))]
+        going = mag >= tol * np.maximum(1.0, np.abs(partial))
+        if not going.all():
+            active, log_abs, negative = active[going], log_abs[going], negative[going]
     if active.size:
         raise NumericError(f"Mittag-Leffler series did not converge within {max_terms} terms")
     return float(total[0]) if z_arr.ndim == 0 else total.reshape(z_arr.shape)

@@ -82,17 +82,17 @@ def geraghty_phi(alpha: Callable[[float], float]) -> PhiFunction:
 
 def invert(phi: PhiFunction, eps: float, tol: float) -> float:
     """Numeric inverse ``psi(eps)`` with ``|phi(psi) - eps| <= tol``, by the
-    bisection of :func:`bracket_root` on ``[0, upper_bracket(eps)]``; a
-    scalar-only ``phi`` is evaluated point by point."""
+    bisection of :func:`bracket_root` on ``[0, upper_bracket(eps)]``, which
+    calls ``phi`` and ``upper_bracket`` on one float at a time."""
     if eps < 0.0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     if tol <= 0.0:
         raise ConfigurationError("inversion tolerance must be positive")
     if eps == 0.0:
         return 0.0
-    hi = float(evaluate(phi.upper_bracket, np.array([eps]), name="upper_bracket")[0])
+    hi = evaluate(phi.upper_bracket, float(eps), name="upper_bracket")
     if hi <= 0.0:
         raise RangeError(f"bracket generator returned an unusable upper end {hi}")
-    if evaluate(phi.eval, np.array([hi]), name="phi")[0] < eps:
+    if evaluate(phi.eval, hi, name="phi") < eps:
         raise RangeError(f"eps={eps} exceeds the reachable range of phi on [0, {hi}]")
     return bracket_root(phi.eval, eps, 0.0, hi, tol, name="phi")

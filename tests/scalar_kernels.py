@@ -1,7 +1,8 @@
 """The index-gather Simpson kernel, the out-of-place Green reconstruction
-and bvp3 boundary inversion, and the per-point bisection that the array and
-in-place kernels in ``coincidia`` replaced, kept unchanged as references:
-the kernels must return the same bits.  Also the brute-force weakly
+and bvp3 boundary inversion, the per-point bisection, and the Mittag-Leffler
+sum that takes log|z| at every term, which the array and in-place kernels in
+``coincidia`` replaced, kept unchanged as references: the kernels must
+return the same bits.  Also the brute-force weakly
 singular integral that the Volterra weights are checked against."""
 
 import math
@@ -132,3 +133,21 @@ def brute_force_kernel_integral(t, q, phi, panels=1_000_000):
     s = t - u ** (1.0 / q)
     vals = np.asarray(phi(np.clip(s, 0.0, t)), dtype=float)
     return float((t ** q / panels) * vals.sum() / q)
+
+
+def mittag_leffler_per_term(q, z, tol, max_terms=100_000):
+    """E_q(z) on an array ``z``, with log|z| of the active points taken
+    again at every term."""
+    flat = np.asarray(z, dtype=float).reshape(-1)
+    total = np.ones(flat.size)
+    active = np.flatnonzero(flat)
+    for k in range(1, max_terms + 1):
+        if active.size == 0:
+            break
+        z_k = flat[active]
+        log_mag = k * np.log(np.abs(z_k)) - math.lgamma(q * k + 1.0)
+        mag = np.exp(log_mag)
+        partial = total[active] + (np.where(z_k < 0.0, -mag, mag) if k % 2 else mag)
+        total[active] = partial
+        active = active[mag >= tol * np.maximum(1.0, np.abs(partial))]
+    return total.reshape(np.shape(z))

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -117,7 +119,7 @@ class TestVolterraKernel:
                               nonlocal_terms=nonlocal_terms)
             W = weight_matrix(g, q)
             scale = np.maximum(1.0, np.abs(W) @ np.abs(p.f(g.points(), x.values)))
-            got = volterra_operator(p, g).apply(x).values
+            got = volterra_operator(p, VolterraKernel.build(g, q)).apply(x).values
             assert np.all(np.abs(got - dense_step(p, x, W)) <= 1e-13 * scale), q
 
     @pytest.mark.parametrize("n", [256, 333, 1024])
@@ -152,8 +154,9 @@ class TestVolterraKernel:
         sample = Grid.points
         monkeypatch.setattr(Grid, "points", lambda grid: calls.append(grid) or sample(grid))
         rep = caputo.solve(caputo_linear(), GRID)
-        # the kernel's build and the certificate's weighted norm, not once per step
-        assert rep.iterations > 10 and len(calls) == 2
+        # the kernel's build only: the steps and the certificate's weighted
+        # norm read the kernel's points
+        assert rep.iterations > 10 and len(calls) == 1
 
     def test_bounded_memory_at_16384(self):
         # the dense weights alone would take 8 * 16385^2 bytes, about 2.1 GB
@@ -170,6 +173,119 @@ class TestVolterraKernel:
         assert rep.converged
         assert result["max_error"] <= result["tolerance"]
         assert peak < 16 * 2 ** 20
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestKernelMemo:
+    """The kernel keeps its last (samples, integral) pair and hands the
+    integral back for samples equal to the kept ones bit for bit."""
+
+    @pytest.fixture
+    def rfft_calls(self, monkeypatch):
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        return calls
+
+    # the kernel's build is one call; each convolution is one more
+    @pytest.mark.parametrize("build, iterations, calls", [
+        (caputo_nonlocal, 34, 2), (caputo_constant, 2, 2), (caputo_linear, 27, 29)])
+    def test_rfft_calls_per_solve(self, rfft_calls, build, iterations, calls):
+        rep = caputo.solve(build(), Grid(0.0, 1.0, 4096, NODES))
+        assert rep.converged and rep.iterations == iterations
+        assert len(rfft_calls) == calls
+
+    @pytest.mark.parametrize("build", [caputo_constant, caputo_linear, caputo_nonlocal])
+    @pytest.mark.parametrize("n", [256, 333])
+    def test_solve_matches_a_fresh_kernel_per_step(self, build, n):
+        g, p = Grid(0.0, 1.0, n, NODES), build()
+        fresh = engine.OperatorHandle(
+            apply=lambda x: picard_step(p, x, VolterraKernel.build(g, p.q)), norm_kind="sup")
+        expected = engine.solve_picard(fresh, GridFunction.constant(g, p.x0), 1e-10, 200)
+        rep = caputo.solve(p, g)
+        assert rep.iterations == expected.iterations
+        assert rep.residual_history == expected.residual_history
+        np.testing.assert_array_equal(bits(rep.solution.values), bits(expected.solution.values))
+        rho, lam = rep.certificate.modulus, rep.certificate.check.constants["lambda"]
+        step = fresh.apply(expected.solution) - expected.solution
+        assert rep.certificate.bound == rho / (1.0 - rho) * weighted_sup_norm(step, lam, p.L_f, p.t_N)
+
+    def test_repeated_samples_return_the_kept_integral(self, rfft_calls):
+        kernel = VolterraKernel.build(GRID, 0.5)
+        fv = np.sin(GRID.points())
+        first = kernel.integrate(fv)
+        assert kernel.integrate(fv.copy()) is first
+        assert len(rfft_calls) == 2
+        np.testing.assert_allclose(first, weight_matrix(GRID, 0.5) @ fv, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("change", ["ulp", "signed_zero"])
+    def test_any_changed_bit_misses(self, rfft_calls, change):
+        kernel = VolterraKernel.build(GRID, 0.5)
+        fv = np.zeros(GRID.size) if change == "signed_zero" else np.sin(GRID.points())
+        other = fv.copy()
+        other[17] = -0.0 if change == "signed_zero" else np.nextafter(fv[17], np.inf)
+        first = kernel.integrate(fv)
+        second = kernel.integrate(other)
+        assert second is not first and len(rfft_calls) == 3
+        np.testing.assert_array_equal(bits(second), bits(VolterraKernel.build(GRID, 0.5).integrate(other)))
+
+    def test_threads_sharing_a_kernel_get_their_own_integrals(self):
+        kernel = VolterraKernel.build(GRID, 0.5)
+        samples = [np.sin(GRID.points() + k) for k in range(2)]
+        expected = [VolterraKernel.build(GRID, 0.5).integrate(fv) for fv in samples]
+
+        # alternating samples: every call replaces the kept pair that the
+        # other threads are reading
+        def work(start):
+            for i in range(3000):
+                k = (start + i) % 2
+                if not np.array_equal(kernel.integrate(samples[k]), expected[k]):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, start) for start in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(results)
+
+    def test_integral_is_read_only(self):
+        out = VolterraKernel.build(GRID, 0.5).integrate(np.ones(GRID.size))
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[1] = 0.0
+
+    def test_writable_samples_are_kept_as_a_copy(self):
+        kernel = VolterraKernel.build(GRID, 0.5)
+        fv = np.ones(GRID.size)
+        kernel.integrate(fv)
+        fv *= 2.0  # written in place after the call: the memo must not see it
+        np.testing.assert_array_equal(kernel.integrate(fv),
+                                      VolterraKernel.build(GRID, 0.5).integrate(fv))
+
+    @pytest.mark.parametrize("build", [caputo_constant, caputo_linear, caputo_nonlocal])
+    def test_peak_memory_at_2_17(self, build):
+        # tracemalloc counts numpy's buffers exactly; one n-array is 8 (n + 1)
+        # bytes.  The kept integral is paid for by the one-buffer weighted
+        # norm at the end of the solve.
+        g = Grid(0.0, 1.0, 2 ** 17, NODES)
+        p = build()
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            rep = caputo.solve(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert (peak - entry) / (8 * g.size) <= 12.0
 
 
 class TestPicardStep:

@@ -550,6 +550,22 @@ class TestParser:
             ns = vars(parser.parse_args(["solve", f"--{name}", "0.25"]))
             assert ns == {"command": "solve", name: 0.25}
 
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_consecutive_calls_do_not_share_flags_or_config(self, tmp_path):
+        # the parser is built once per process; a run's flags and config
+        # must not reach the next run
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"grid_n": 64, "tol": 1e-6, "max_iter": 7}))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["check", "--problem", "bvp3-example", "--kappa", "0.45", "--seed", "3",
+                     "--config", str(cfg), "--out", str(first)]) == EXIT_CERTIFICATE
+        assert read_report(first)["config"]["params"] == {"kappa": 0.45}
+        assert main(["check", "--problem", "bvp3-example", "--out", str(second)]) == EXIT_OK
+        assert read_report(second)["config"] == asdict(
+            RunConfig(command="check", problem="bvp3-example", output_dir=str(second)))
+
     @pytest.mark.parametrize("params", [{"kappa": 0.3}, {"zeta": 1.0}])
     def test_config_parameter_the_problem_does_not_take_exits_2(self, tmp_path, params):
         cfg = tmp_path / "run.json"

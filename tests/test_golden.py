@@ -34,6 +34,9 @@ GOLDEN = [
     ('oracle --problem caputo-constant --grid-n 256', 0, {'report.json': 'dcff0dba5d21bbfcddaca42817868c18b6bd54d165fe81f63f4a1c7a3cb264d7'}),
     ('oracle --problem caputo-nonlocal --grid-n 256', 0, {'report.json': 'd5108af75c84ae33d2dcf5e50be3d908fe99dea67cf684098685df76ef244d0c'}),
     ('oracle --problem caputo-linear --grid-n 1024', 0, {'report.json': '0cce6099b01da60806239030c9d72a876ef0e8a7fc0ffa3a97d27a4999c41f3d'}),
+    ('oracle --problem caputo-linear --grid-n 4096', 0, {'report.json': 'e87420743612324480adbf727b3a1bf4057f24070c09360615e6e1e4594efda7'}),
+    ('oracle --problem caputo-nonlocal --grid-n 4096', 0, {'report.json': 'c5751b5b3732fbed474d021f488f5e5c190a3e333295d435252421db163b4730'}),
+    ('oracle --problem caputo-constant --grid-n 4096', 0, {'report.json': '0cec3857951abd2389a3dce13ce294bd0ce3b32f3505ac35d8e3e0bcc1c26402'}),
     ('check --problem bvp3-example --seed 7', 0, {'report.json': 'cee32c0faec03508b46c02046c84fe9363243b6b47fc615e92698cd2bff7f9b1'}),
     ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '9297e7f53f79193a2776f0bb42bc24bae464a70fdd199d4194eeef457b4a814a', 'solution.csv': 'e3d0e332115438bc840ba85cc228a05deab986895be4cd5a0784d57aa626bb8a'}),
     ('solve --problem nope', 2, {'report.json': 'a3798dad0d22c4acc9c4c0592c4799fdee4888046fde2a55287dd2994fc52990'}),

@@ -16,6 +16,7 @@ from coincidia.numerics import (
     NODES,
     Grid,
     GridFunction,
+    _sup_norm,
     bracket_root,
     cell_edge_cumulative,
     cumulative_integral,
@@ -27,8 +28,10 @@ from coincidia.numerics import (
     prolong,
     sup_norm,
 )
+from coincidia.pendulum import phi_pendulum
 from coincidia.registry import caputo_linear, caputo_nonlocal, pendulum_pa
-from scalar_kernels import bracket_root_scalar, cumulative_integral_gather
+from scalar_kernels import (bracket_root_scalar, cumulative_integral_gather,
+                            mittag_leffler_per_term)
 
 
 def bits(x):
@@ -235,6 +238,24 @@ class TestNorms:
         assert sup_norm(GridFunction.zeros(g)) == 0.0
         assert sup_norm(GridFunction.sample(g, lambda t: t - 1.0)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("values", [
+        [0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [-3.0, 2.0], [3.0, -2.0], [-1e-300],
+        [1.0, -np.inf], [np.inf, 0.0], [-np.inf, np.inf], [5.0, -5.0],
+    ])
+    def test_plain_sup_norm_has_the_bits_of_the_absolute_maximum(self, values):
+        v = np.array(values)
+        got = _sup_norm(v)
+        assert type(got) is float
+        assert bits(got) == bits(np.max(np.abs(v)))
+
+    def test_plain_sup_norm_of_zeros_is_positive_zero(self):
+        for v in (np.zeros(5), -np.zeros(5), np.array([-0.0, 0.0])):
+            assert math.copysign(1.0, _sup_norm(v)) == 1.0
+
+    @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan], [np.nan, -np.inf], [-2.0, np.nan, 3.0]])
+    def test_plain_sup_norm_propagates_nan(self, values):
+        assert math.isnan(_sup_norm(np.array(values)))
+
     def test_l2_norm_examples(self):
         g = Grid(0.0, 1.0, 200, NODES)
         assert l2_norm(GridFunction.constant(g, 1.0)) == pytest.approx(1.0, abs=1e-12)
@@ -306,6 +327,36 @@ class TestBracketRoot:
         got = bracket_root(lambda r: r, targets, 0.0, np.ones((2, 3)), 1e-12)
         assert got.shape == (2, 3)
         np.testing.assert_allclose(got, targets, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("eps", [3.1e-11, 1e-6, 0.3, 2.0, 2.3, 7.5, 1e3])
+    def test_scalar_bracket_calls_g_on_floats_with_the_bits_of_the_scalar_loop(self, eps):
+        phi = phi_pendulum().eval
+        seen = []
+
+        def g(r):
+            seen.append(type(r))
+            return phi(r)
+
+        got = bracket_root(g, eps, 0.0, eps + 4.0, 1e-9)
+        assert bits(got) == bits(bracket_root_scalar(phi, eps, 0.0, eps + 4.0, 1e-9))
+        assert set(seen) == {float} and len(seen) <= 202
+
+    def test_scalar_bracket_matches_a_bracket_array(self):
+        g = lambda r: r ** 3 + 0.5 * r
+        targets = np.linspace(-60.0, 60.0, 41)
+        got = bracket_root(g, targets, -4.0, 4.0, 1e-12)
+        assert bits(got).tolist() == [bits(bracket_root(g, float(t), -4.0, 4.0, 1e-12))
+                                      for t in targets]
+
+    def test_scalar_bracket_errors(self):
+        with pytest.raises(NumericError, match="^g evaluated to a non-finite value at"):
+            bracket_root(lambda r: math.inf if r > 0.7 else r, 0.8, 0.0, 1.0, 1e-9, name="g")
+        with pytest.raises(NumericError, match="^g raised ZeroDivisionError"):
+            bracket_root(lambda r: 1.0 / (r - 0.5), 0.0, 0.0, 1.0, 1e-9, name="g")
+        with pytest.raises(NumericError, match="did not reach"):
+            bracket_root(lambda r: 0.0 if r < 0.5 else 1.0, 0.5, 0.0, 1.0, 1e-9)
+        with pytest.raises(ConfigurationError):
+            bracket_root(lambda r: r, 0.5, 1.0, 1.0, 1e-9)
 
     def test_one_evaluation_per_step_on_the_active_elements(self):
         sizes = []
@@ -389,6 +440,16 @@ class TestMittagLeffler:
         np.testing.assert_array_equal(got, [mittag_leffler(q, float(v), 1e-14) for v in z])
         assert mittag_leffler(q, z.reshape(-1, 2), 1e-14).shape == (82, 2)
 
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 1.0])
+    def test_bits_of_the_per_term_logarithm(self, q):
+        # log|z| is taken once; the terms keep the bits of taking it per term
+        rng = np.random.default_rng(19)
+        t = Grid(0.0, 1.0, 4096, NODES).points()
+        for z in (t ** q, -(t ** q), rng.uniform(-1.0, 1.0, 999),
+                  np.array([0.0, -0.0, 1e-300, -1e-300, 1.0])):
+            np.testing.assert_array_equal(bits(mittag_leffler(q, z, 1e-14)),
+                                          bits(mittag_leffler_per_term(q, z, 1e-14)))
+
     def test_scalar_returns_float(self):
         assert type(mittag_leffler(0.5, 1.0, 1e-14)) is float
         assert type(mittag_leffler(0.5, np.float64(0.0), 1e-14)) is float
@@ -443,3 +504,18 @@ class TestEvaluate:
         with pytest.raises(type(exc)) as info:
             evaluate(raising, np.zeros(3))
         assert info.value is exc
+
+    def test_float_sample_returns_a_float(self):
+        assert evaluate(lambda r: r * r, 3.0) == 9.0
+        assert type(evaluate(lambda r: np.sqrt(r), 4.0)) is float
+        seen = []
+        evaluate(lambda r: seen.append(r) or 0.0, 0.25)
+        assert seen == [0.25] and type(seen[0]) is float
+
+    def test_float_sample_errors(self):
+        with pytest.raises(NumericError, match="^phi evaluated to a non-finite value at 2.0"):
+            evaluate(lambda r: math.nan, 2.0, name="phi")
+        with pytest.raises(NumericError, match="^phi raised ZeroDivisionError"):
+            evaluate(_divide_by_zero, 2.0, name="phi")
+        with pytest.raises(DomainError):
+            evaluate(lambda r: (_ for _ in ()).throw(DomainError("outside")), 2.0)
