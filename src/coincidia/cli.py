@@ -24,14 +24,17 @@ plotting.  Per-point arrays are written only to these CSV files;
 checks and the grid of the solution.  A solve's ``scheme`` is the scheme
 that ran, and its ``certificate`` is the one record of the hypothesis check,
 norm, certified modulus and labelled error bound its claim rests on.
-Exit codes: 0 ok, 2 configuration error, 3 certificate/hypothesis failure,
+Exit codes: 0 ok, 2 configuration error (an unusable output directory
+among them, reported on stderr only), 3 certificate/hypothesis failure,
 4 numeric failure (including running out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import math
 import os
@@ -116,8 +119,13 @@ _FIELD_TYPES = get_type_hints(RunConfig)  # resolved once per process
 
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
@@ -227,10 +235,20 @@ _RUNNERS = {"check": _run_check, "solve": _run_solve,
 
 def run(config: RunConfig) -> int:
     """Execute one configured run, writing report/data files to the output
-    directory and returning the process exit status."""
+    directory and returning the process exit status.  The run does no other
+    I/O, so an ``OSError`` means an output directory that cannot be made or
+    written: a configuration error, reported on stderr only, as there is
+    nowhere to write the report."""
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return _run_in(config, out_dir)
+    except OSError as exc:
+        print(f"error: cannot write to output directory {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
+
+def _run_in(config: RunConfig, out_dir: Path) -> int:
     def fail(exc: Exception, code: int) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _finish(config, out_dir, None, code, type(exc).__name__, str(exc))
@@ -309,4 +327,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    # The exit's final collections then skip the start-up heap (numpy and
+    # the package), which the OS reclaims with the process.
+    gc.freeze()
     sys.exit(main())

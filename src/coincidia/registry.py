@@ -1,28 +1,33 @@
 """Built-in problems with their default parameters.
 
 Each entry names the parameters a caller may override, builds a fully
-wired problem object, points at the family module that grids, checks and
+wired problem object, names the family module that grids, checks and
 solves it, and carries an oracle that compares a solve against an
-independent reference.  Nonlinearities beyond these built-ins are a
-library concern: plain-text configuration cannot safely encode functions.
+independent reference.  A family module is imported when an entry first
+uses it, so a command imports only its own family.  Nonlinearities beyond
+these built-ins are a library concern: plain-text configuration cannot
+safely encode functions.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import bvp3, caputo, pendulum
-from .bvp3 import Bvp3Problem, H1Data, H2Data
-from .caputo import CaputoProblem, NonlocalTerm
 from .errors import ConfigurationError
 from .numerics import Grid, mittag_leffler
-from .pendulum import PendulumProblem, sqrt_linear_A, sqrt_linear_inverse
 from .stability import PhiFunction
+
+if TYPE_CHECKING:
+    from .bvp3 import Bvp3Problem
+    from .caputo import CaputoProblem
+    from .pendulum import PendulumProblem
 
 _SLOPE_BOUND = 3.0 * math.sqrt(3.0) / 4.0  # max slope of 2 x^2 / (1 + x^2)
 
@@ -37,6 +42,7 @@ def bvp3_example(kappa: float = 0.4) -> Bvp3Problem:
     i.e. delta = -1/10, eta = 1/2.  The Lipschitz condition binds at
     |kappa| = (4 pi - 6) / (9 sqrt(3)) ~ 0.42123.
     """
+    from .bvp3 import Bvp3Problem, H1Data, H2Data
     kappa = float(kappa)
     delta, eta = -0.1, 0.5
 
@@ -71,6 +77,7 @@ def pendulum_pa(a: float = 1.0) -> PendulumProblem:
     """The forced pendulum u'' - a^2 sin(u) = f0(t) with f0(t) = sin(pi t),
     rescaled to A(r) = r / a^2 and driving f0 / a^2.  Requires 0 < |a| <= 1
     so that A is expansive."""
+    from .pendulum import PendulumProblem
     a = float(a)
     if not 0.0 < abs(a) <= 1.0:
         raise ConfigurationError("the pendulum parameter needs 0 < |a| <= 1")
@@ -86,6 +93,7 @@ def pendulum_pa(a: float = 1.0) -> PendulumProblem:
 
 def pendulum_sqrt_linear(k: float = 2.0, driving: Callable | None = None) -> PendulumProblem:
     """Pendulum-type problem with the odd sqrt-linear nonlinearity."""
+    from .pendulum import PendulumProblem, sqrt_linear_A, sqrt_linear_inverse
     return PendulumProblem(
         A=sqrt_linear_A(k),
         A_inverse=sqrt_linear_inverse(k) if k == 2.0 else None,
@@ -97,6 +105,7 @@ def pendulum_sqrt_linear(k: float = 2.0, driving: Callable | None = None) -> Pen
 def caputo_constant(q: float = 0.5, x0: float = 0.0) -> CaputoProblem:
     """D^q x = 1, x(0) = x0: for q = 1/2, x0 = 0 the solution is
     2 sqrt(t / pi)."""
+    from .caputo import CaputoProblem
     return CaputoProblem(
         q=float(q),
         f=lambda t, x: np.ones_like(np.asarray(t, dtype=float)),
@@ -109,6 +118,7 @@ def caputo_constant(q: float = 0.5, x0: float = 0.0) -> CaputoProblem:
 
 def caputo_linear(q: float = 0.5, x0: float = 1.0, lf: float = 1.0) -> CaputoProblem:
     """D^q x = x, x(0) = x0: the solution is x0 E_q(t^q)."""
+    from .caputo import CaputoProblem
     return CaputoProblem(
         q=float(q),
         f=lambda t, x: np.asarray(x, dtype=float),
@@ -122,6 +132,7 @@ def caputo_linear(q: float = 0.5, x0: float = 1.0, lf: float = 1.0) -> CaputoPro
 def caputo_nonlocal(x0: float = 1.0) -> CaputoProblem:
     """D^q x = 0 with the nonlocal datum x(0) = x0 + x(1/2) / 2; the
     solution is the constant 2 x0."""
+    from .caputo import CaputoProblem, NonlocalTerm
     return CaputoProblem(
         q=0.5,
         f=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
@@ -146,16 +157,27 @@ def _exact_oracle(reference: str, exact: Callable, tolerance: Callable) -> Calla
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """A built-in problem: its family module, builder, default parameters
-    and oracle ``oracle(problem, grid, solve)``, which solves only by
-    ``solve(grid)``, the run's bound family solve, and returns the
-    ``reference`` it compares with, the ``max_error`` and the ``tolerance``."""
+    """A built-in problem: the name of its family module, builder, default
+    parameters and oracle ``oracle(problem, grid, solve)``, which solves only
+    by ``solve(grid)``, the run's bound family solve, and returns the
+    ``reference`` it compares with, the ``max_error`` and the ``tolerance``.
+    ``family`` imports the named module on first use; ``oracle`` resolves
+    ``oracle_ref``, the oracle or the name of a family function, likewise."""
 
     name: str
-    family: ModuleType
+    family_name: str
     build: Callable
-    oracle: Callable
+    oracle_ref: Callable | str
     defaults: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def family(self) -> ModuleType:
+        return importlib.import_module(f"{__package__}.{self.family_name}")
+
+    @functools.cached_property
+    def oracle(self) -> Callable:
+        ref = self.oracle_ref
+        return getattr(self.family, ref) if isinstance(ref, str) else ref
 
     def make(self, **params):
         unknown = set(params) - set(self.defaults)
@@ -177,43 +199,43 @@ class RegistryEntry:
 _ENTRIES = [
     RegistryEntry(
         name="bvp3-example",
-        family=bvp3,
+        family_name="bvp3",
         build=bvp3_example,
-        oracle=bvp3.defect_oracle,
+        oracle_ref="defect_oracle",
         defaults={"kappa": 0.4},
     ),
     RegistryEntry(
         name="pendulum-Pa",
-        family=pendulum,
+        family_name="pendulum",
         build=pendulum_pa,
-        oracle=pendulum.refinement_oracle,
+        oracle_ref="refinement_oracle",
         defaults={"a": 1.0},
     ),
     RegistryEntry(
         name="caputo-constant",
-        family=caputo,
+        family_name="caputo",
         build=caputo_constant,
-        oracle=_exact_oracle("closed form x0 + t^q/Gamma(q+1)",
-                             lambda p, t: p.x0 + t ** p.q / math.gamma(p.q + 1.0),
-                             lambda n, tol: 1e-8),
+        oracle_ref=_exact_oracle("closed form x0 + t^q/Gamma(q+1)",
+                                 lambda p, t: p.x0 + t ** p.q / math.gamma(p.q + 1.0),
+                                 lambda n, tol: 1e-8),
         defaults={"q": 0.5, "x0": 0.0},
     ),
     RegistryEntry(
         name="caputo-linear",
-        family=caputo,
+        family_name="caputo",
         build=caputo_linear,
         # the product-trapezoid error is first order, 0.15 / n to 0.2 / n
-        oracle=_exact_oracle("Mittag-Leffler series x0 E_q(t^q)",
-                             lambda p, t: p.x0 * mittag_leffler(p.q, t ** p.q, 1e-14),
-                             lambda n, tol: max(5e-4, 0.5 / n)),
+        oracle_ref=_exact_oracle("Mittag-Leffler series x0 E_q(t^q)",
+                                 lambda p, t: p.x0 * mittag_leffler(p.q, t ** p.q, 1e-14),
+                                 lambda n, tol: max(5e-4, 0.5 / n)),
         defaults={"q": 0.5, "x0": 1.0, "lf": 1.0},
     ),
     RegistryEntry(
         name="caputo-nonlocal",
-        family=caputo,
+        family_name="caputo",
         build=caputo_nonlocal,
-        oracle=_exact_oracle("scalar fixed point 2 x0", lambda p, t: 2.0 * p.x0,
-                             lambda n, tol: 10.0 * tol),
+        oracle_ref=_exact_oracle("scalar fixed point 2 x0", lambda p, t: 2.0 * p.x0,
+                                 lambda n, tol: 10.0 * tol),
         defaults={"x0": 1.0},
     ),
 ]
