@@ -40,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
+from ._pcg64 import random_doubles
 from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, DomainError
 from .numerics import (MIDPOINTS, Grid, GridFunction, _add_half_cells, _cell_sums, _require_samples,
@@ -172,7 +173,10 @@ def _check_sampled(p: Bvp3Problem, condition: str, weight: Callable, ell: float,
     ``bound = (name, margin)`` is nonnegative, and no sample violates the
     inequality ``lhs <= rhs`` of ``sampled = (name, sides, point names)``.
     Each sample draws ``t`` from [1e-9, 1] and one point of [-5, 5]^3 per
-    point name, in the order of one ``rng.uniform`` call per coordinate;
+    point name from the doubles ``d`` of
+    ``np.random.default_rng(rng_seed).random((200, width))``, each mapped to
+    ``low + (high - low) d`` as ``rng.uniform`` maps it, so the draws are
+    those of one ``rng.uniform`` call per coordinate, sample by sample;
     ``sides(t, *points)`` returns both sides for all samples at once, each
     point as three coordinate rows.  A sample's margin is
     ``rhs - lhs + 1e-9 (1 + rhs)``; each violated sample is a witness.
@@ -183,7 +187,7 @@ def _check_sampled(p: Bvp3Problem, condition: str, weight: Callable, ell: float,
     width = 1 + 3 * len(names)
     low = np.array([1e-9] + [-5.0] * (width - 1))
     high = np.array([1.0] + [5.0] * (width - 1))
-    draws = np.random.default_rng(rng_seed).random((_SAMPLE_COUNT, width))
+    draws = random_doubles(rng_seed, _SAMPLE_COUNT * width).reshape(_SAMPLE_COUNT, width)
     columns = np.ascontiguousarray((low + (high - low) * draws).T)
     t, points = columns[0], [columns[1 + 3 * k: 4 + 3 * k] for k in range(len(names))]
     lhs, rhs = sides(t, *points)
@@ -303,12 +307,15 @@ def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float, eta: float,
 
 def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = None) -> OperatorHandle:
     """The iterated map h(y)(t) = g(t, v(t), v'(t), y(t)) in the L2 norm;
-    ``preimage`` is :func:`apply_T_inverse`, kept for the last application."""
+    ``preimage`` is :func:`apply_T_inverse`, kept for the last application.
+    ``evaluate`` scans g's samples for finiteness, so the GridFunction of
+    them is built without a second scan."""
     _require_problem_grid(grid)
     pts = grid.points()
     preimage = engine.remember_last(lambda y: apply_T_inverse(grid, y.values, p.delta, p.eta, pts))
     return OperatorHandle(
-        apply=lambda y: GridFunction(grid, evaluate(p.g, pts, *preimage(y), y.values, name="g")),
+        apply=lambda y: GridFunction._of_finite(
+            grid, evaluate(p.g, pts, *preimage(y), y.values, name="g")),
         norm_kind="l2", modulus=modulus, preimage=preimage)
 
 

@@ -121,6 +121,14 @@ def _require_samples(grid: Grid, values: np.ndarray) -> None:
         raise ConfigurationError(f"expected {grid.size} samples for this grid, got {values.size}")
 
 
+def _read_only_copy(grid: Grid, values) -> np.ndarray:
+    """A read-only float copy of the samples of a function on ``grid``."""
+    vals = np.array(values, dtype=float, copy=True).reshape(-1)
+    _require_samples(grid, vals)
+    vals.flags.writeable = False
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real function sampled on a :class:`Grid`.
@@ -133,12 +141,20 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, copy=True).reshape(-1)
-        _require_samples(self.grid, vals)
+        vals = _read_only_copy(self.grid, self.values)
         if not np.all(np.isfinite(vals)):
             raise NumericError("grid function contains non-finite samples")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _of_finite(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
+        """The GridFunction of samples already scanned for finiteness, such
+        as the result of :func:`evaluate`: one copy and the shape check,
+        with no second scan."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", _read_only_copy(grid, values))
+        return self
 
     @classmethod
     def sample(cls, grid: Grid, fn: Callable) -> "GridFunction":

@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import engine
+from ._pcg64 import random_doubles
 from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, RangeError
 from .numerics import (NODES, Grid, GridFunction, _require_samples, bracket_root,
@@ -54,10 +55,13 @@ _CHECK_PROBE_PAIRS = 500
 
 
 def _probe_pairs(A: Callable, seed: int, pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random pairs x, y in [-5, 5] with their image distances |A(x) - A(y)|."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-5.0, 5.0, pairs)
-    y = rng.uniform(-5.0, 5.0, pairs)
+    """Random pairs x, y in [-5, 5] with their image distances |A(x) - A(y)|.
+
+    x and y are the draws of ``rng.uniform(-5.0, 5.0, pairs)`` twice on
+    ``rng = np.random.default_rng(seed)``: the first and second ``pairs``
+    doubles of that generator's stream, each mapped to ``-5 + 10 d``."""
+    d = -5.0 + 10.0 * random_doubles(seed, 2 * pairs)
+    x, y = d[:pairs], d[pairs:]
     return x, y, np.abs(evaluate(A, x, name="A") - evaluate(A, y, name="A"))
 
 

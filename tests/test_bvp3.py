@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coincidia import bvp3
+from coincidia import bvp3, numerics
 from coincidia.bvp3 import (
     Bvp3Problem,
     H1Data,
@@ -300,6 +300,52 @@ class TestTInverseBuffers:
         finally:
             tracemalloc.stop()
         assert peak - entry <= 5 * 8 * n
+
+
+class TestOneScanPerApplication:
+    """An application of h scans g's samples for finiteness once, in
+    ``evaluate``, and returns a read-only copy of them with the bits of a
+    validated GridFunction."""
+
+    GRID = Grid(0.0, 1.0, 64, MIDPOINTS)
+
+    class CountingNumpy:
+        def __init__(self):
+            self.isfinite_calls = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def isfinite(self, *args, **kwargs):
+            self.isfinite_calls += 1
+            return np.isfinite(*args, **kwargs)
+
+    def test_one_scan_and_the_bits_of_a_validated_function(self, monkeypatch):
+        p = bvp3_example(0.4)
+        y = GridFunction(self.GRID, np.linspace(-1.0, 1.0, self.GRID.size))
+        v, v_prime = apply_T_inverse(self.GRID, y.values, p.delta, p.eta)
+        expected = GridFunction(self.GRID, p.g(self.GRID.points(), v, v_prime, y.values))
+        handle = coincidence_operator(p, self.GRID)
+        counting = self.CountingNumpy()
+        monkeypatch.setattr(numerics, "np", counting)
+        hy = handle.apply(y)
+        assert counting.isfinite_calls == 1
+        assert type(hy) is GridFunction and hy.grid == self.GRID
+        assert not hy.values.flags.writeable
+        np.testing.assert_array_equal(bits(hy.values), bits(expected.values))
+
+    def test_the_result_does_not_share_g_output(self):
+        out = np.arange(self.GRID.size, dtype=float)
+        p = Bvp3Problem(delta=-0.1, eta=0.5, g=lambda t, u1, u2, u3: out)
+        hy = coincidence_operator(p, self.GRID).apply(GridFunction.zeros(self.GRID))
+        out[:] = -1.0
+        np.testing.assert_array_equal(hy.values, np.arange(self.GRID.size, dtype=float))
+
+    def test_a_non_finite_sample_names_g(self):
+        p = Bvp3Problem(delta=-0.1, eta=0.5,
+                        g=lambda t, u1, u2, u3: np.where(t > 0.5, np.inf, 0.0))
+        with pytest.raises(NumericError, match="g evaluated to a non-finite value"):
+            coincidence_operator(p, self.GRID).apply(GridFunction.zeros(self.GRID))
 
 
 class TestSolve:

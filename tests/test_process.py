@@ -28,11 +28,15 @@ def python(*args, cwd):
                           text=True, timeout=TIMEOUT_S)
 
 
+def imported_modules(stderr):
+    """The modules named in ``-X importtime`` output."""
+    return {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def imported_families(stderr):
     """The family modules named in ``-X importtime`` output."""
-    names = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
-             if line.startswith("import time:")}
-    return sorted(names & set(FAMILIES))
+    return sorted(imported_modules(stderr) & set(FAMILIES))
 
 
 class TestImportSet:
@@ -56,6 +60,48 @@ class TestImportSet:
 
     def test_parameter_flags_are_unchanged(self):
         assert cli._PARAM_FLAGS == ("kappa", "a", "q", "x0", "lf")
+
+
+class TestNoNumpyRandom:
+    """The sampled checks draw from ``coincidia._pcg64``, so no command loads
+    ``numpy.random`` or, through its ``secrets`` import, OpenSSL's
+    ``_hashlib``; a caputo command, which draws nothing, does not even load
+    the generator."""
+
+    HEAVY = {"numpy.random", "_hashlib"}
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--problem", "bvp3-example"],
+        ["oracle", "--problem", "bvp3-example", "--grid-n", "64"],
+        ["solve", "--problem", "bvp3-example", "--grid-n", "64"],
+        ["check", "--problem", "pendulum-Pa"],
+        ["oracle", "--problem", "pendulum-Pa", "--grid-n", "64"],
+        ["solve", "--problem", "pendulum-Pa", "--grid-n", "64"],
+        ["stability", "--problem", "pendulum-Pa", "--grid-n", "64"],
+        ["check", "--problem", "caputo-linear"],
+        ["oracle", "--problem", "caputo-linear", "--grid-n", "64"],
+    ])
+    def test_a_command_imports_neither(self, tmp_path, argv):
+        proc = python("-X", "importtime", "-m", "coincidia", *argv, "--out", str(tmp_path / "out"),
+                      cwd=tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        names = imported_modules(proc.stderr)
+        assert "coincidia.cli" in names
+        assert not names & self.HEAVY
+        # the generator is loaded exactly where draws happen
+        assert ("coincidia._pcg64" in names) == ("caputo" not in argv[2])
+
+    def test_building_every_entry_imports_neither(self, tmp_path):
+        code = ("import sys\n"
+                "from coincidia import registry\n"
+                "for entry in registry.REGISTRY.values():\n"
+                "    entry.make()\n"
+                "print(*sorted(sys.modules))\n")
+        proc = python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "coincidia._pcg64" in loaded
+        assert not loaded & self.HEAVY
 
 
 class TestProcessPath:
