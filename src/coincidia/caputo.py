@@ -20,10 +20,8 @@ time per step and O(n) memory.  The dense (n+1)^2 matrix of
 :func:`weight_matrix` is kept only as a test oracle.  The kernel keeps its
 last samples and integral: a step whose samples of f repeat bit for bit,
 as every step after the first does for an f that does not depend on x,
-returns the kept integral without a convolution.  The kept integral costs
-one n-array, which the certificate's weighted norm pays back: it works in
-one buffer on the kernel's points, so a solve peaks at no more than 12
-n-arrays under ``tracemalloc`` (n = 2^17).
+returns the kept integral without a convolution.  The certificate's
+weighted norm works in one buffer, which pays back the kept integral.
 
 The iteration is certified by the contraction condition
 

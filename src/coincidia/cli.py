@@ -45,7 +45,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import registry
+from . import engine, registry
 from .errors import (
     BracketingError,
     CertificateError,
@@ -63,7 +63,7 @@ EXIT_CERTIFICATE = 3
 EXIT_NUMERIC = 4
 
 _COMMANDS = ("check", "solve", "stability", "oracle")
-_SCHEMES = ("auto", "picard", "averaged", "resolvent")
+_SCHEMES = ("auto", *engine.SOLVERS)
 # every parameter name a built-in problem takes, in registry order
 _PARAM_FLAGS = tuple(dict.fromkeys(name for entry in registry.REGISTRY.values()
                                    for name in entry.defaults))

@@ -52,6 +52,9 @@ from .stability import PhiFunction, invert
 PICARD = "picard"
 AVERAGED = "averaged"
 RESOLVENT = "resolvent"
+# scheme -> solver, by name: a caller looks the solver up on this module when
+# it calls it, so that a wrapped solver is the one called
+SOLVERS = {PICARD: "solve_picard", AVERAGED: "solve_averaged", RESOLVENT: "solve_resolvent"}
 
 _NORM_KINDS = ("sup", "l2")
 _GROWTH_LIMIT = 1e14

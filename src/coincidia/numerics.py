@@ -168,28 +168,10 @@ class GridFunction:
     def zeros(cls, grid: Grid) -> "GridFunction":
         return cls.constant(grid, 0.0)
 
-    def _require_same_grid(self, other: "GridFunction") -> None:
+    def __sub__(self, other: "GridFunction") -> "GridFunction":
         if self.grid != other.grid:
             raise ConfigurationError("grid functions live on different grids")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._require_same_grid(other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._require_same_grid(other)
         return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values / float(scalar))
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values)
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:

@@ -43,10 +43,8 @@ from .stability import PhiFunction
 
 GREEN_MODULUS = 0.125
 # Coarsest grid of the cold-start cascade: a solve on n cells starts from the
-# n/2 solve when n is even and n/2 >= this.  Measured (README, "Pendulum cold
-# start"): with 4096, the cascade beat the cold solve at every n where it ran,
-# for each problem whose cold start had iterations to do; smaller values lost
-# at their smallest n.
+# n/2 solve when n is even and n/2 >= this.  Smaller values lost to the cold
+# solve at their smallest n; 4096 won wherever the cascade ran (f2a4bbe).
 CASCADE_COARSEST_N = 4096
 
 _EXPANSIVE_PROBE_SEED = 74207

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import importlib
 import math
+import sys
 from dataclasses import dataclass, field
 from types import ModuleType
 from typing import TYPE_CHECKING, Callable
@@ -187,10 +188,12 @@ class RegistryEntry:
                 f"allowed: {sorted(self.defaults)}"
             )
         merged = {**self.defaults, **params}
-        try:
-            bad = sorted(k for k, v in merged.items() if not math.isfinite(float(v)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"problem parameters must be numbers: {exc}") from None
+        for key, value in merged.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(f"problem parameter {key!r} must be an int or a float, "
+                                         f"got {value!r}")
+        # nan, +-inf, or an int beyond the doubles
+        bad = sorted(k for k, v in merged.items() if not abs(v) <= sys.float_info.max)
         if bad:
             raise ConfigurationError(f"problem parameters {bad} must be finite")
         return self.build(**merged)

@@ -200,8 +200,9 @@ def test_criterion_7_engine_invariants(pa_solution):
     for n in (1, 2, 4, 8, 16, 32):
         stage = engine.solve_picard(engine.resolvent_stage(handle, y0, n), y0, tol, 10_000)
         y = stage.solution
-        gap = (y - handle.apply(y)) - (y0 - y) / float(n)
-        resolvent_ok = resolvent_ok and stage.converged and handle.norm(gap) <= 2.0 * tol
+        gap = (y.values - handle.apply(y).values) - (y0.values - y.values) / float(n)
+        resolvent_ok = (resolvent_ok and stage.converged
+                        and handle.norm(GridFunction(grid, gap)) <= 2.0 * tol)
     # geometric decay with the declared modulus on the pendulum map
     hist = pa_solution.residual_history
     decay_ok = all(b <= (0.125 + 1e-3) * a + 1e-15 for a, b in zip(hist, hist[1:]))

@@ -70,6 +70,32 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             lookup("bvp3-example").make(kappa="abc")
 
+    @pytest.mark.parametrize("value", [True, False, "0.3", None, [0.3]])
+    def test_parameter_must_be_int_or_float(self, value):
+        # a bool is an int to Python and "0.3" converts with float(), but
+        # neither is a number a config may give
+        with pytest.raises(ConfigurationError, match="int or a float"):
+            lookup("bvp3-example").make(kappa=value)
+
+    def test_int_parameter_accepted(self):
+        assert lookup("pendulum-Pa").make(a=1) is not None
+
+    def test_int_beyond_the_doubles_is_not_finite(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            lookup("bvp3-example").make(kappa=10 ** 400)
+
+    @pytest.mark.parametrize("value", [True, "0.3", 10 ** 400])
+    def test_config_parameter_type_exits_2(self, tmp_path, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"command": "check", "problem": "bvp3-example",
+                                      "params": {"kappa": value}}))
+        code = main(["check", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["error"]["type"] == "ConfigurationError"
+        assert report["error"]["exit_code"] == EXIT_CONFIG
+        assert "result" not in report
+
     @pytest.mark.parametrize("problem, flag, value", [
         ("caputo-linear", "--lf", "nan"),
         ("bvp3-example", "--kappa", "nan"),

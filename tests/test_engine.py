@@ -31,8 +31,8 @@ def bits(x):
 
 def affine_handle():
     # h(y) = y/2 + 1/2, contraction with modulus 1/2 and fixed point 1
-    half = GridFunction.constant(GRID, 0.5)
-    return OperatorHandle(apply=lambda y: 0.5 * y + half, norm_kind="sup", modulus=0.5)
+    return OperatorHandle(apply=lambda y: GridFunction(GRID, 0.5 * y.values + 0.5),
+                          norm_kind="sup", modulus=0.5)
 
 
 class TestResidual:
@@ -41,7 +41,7 @@ class TestResidual:
         assert residual(identity_handle(), y) == 0.0
 
     def test_halving(self):
-        h = OperatorHandle(apply=lambda y: 0.5 * y, norm_kind="sup")
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, 0.5 * y.values), norm_kind="sup")
         assert residual(h, GridFunction.constant(GRID, 1.0)) == pytest.approx(0.5)
 
     def test_constant_map(self):
@@ -81,14 +81,14 @@ class TestPicard:
         assert rep.iterations == 3
 
     def test_divergence_raises(self):
-        h = OperatorHandle(apply=lambda y: 2.0 * y, norm_kind="sup")
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, 2.0 * y.values), norm_kind="sup")
         with pytest.raises(NumericError):
             solve_picard(h, GridFunction.constant(GRID, 1e13), 1e-10, 50)
 
     def test_stagnation_flag_without_modulus(self):
         # map with an isolated non-origin fixed structure: h(y) = -y is
         # nonexpansive and Picard just flips signs forever
-        h = OperatorHandle(apply=lambda y: -y, norm_kind="sup")
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, -y.values), norm_kind="sup")
         rep = solve_picard(h, GridFunction.constant(GRID, 1.0), 1e-12, 500)
         assert rep.stagnated and not rep.converged
 
@@ -107,7 +107,7 @@ class TestAveraged:
         assert rep.residual_history[0] == 0.0
 
     def test_negation_one_step(self):
-        h = OperatorHandle(apply=lambda y: -y, norm_kind="l2")
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, -y.values), norm_kind="l2")
         rep = solve_averaged(h, GridFunction.constant(GRID, 1.0), 1e-12, 10)
         assert rep.converged and rep.iterations == 1
         assert sup_norm(rep.solution) == 0.0
@@ -136,7 +136,7 @@ class TestAveraged:
         np.testing.assert_allclose(hist, oracle, atol=1e-12)
 
     def test_final_residual_recomputes(self):
-        h = OperatorHandle(apply=lambda y: -y, norm_kind="l2")
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, -y.values), norm_kind="l2")
         rep = solve_averaged(h, GridFunction.sample(GRID, lambda t: np.cos(t)), 1e-9, 100)
         assert residual(h, rep.solution) == rep.final_residual
 
@@ -166,8 +166,7 @@ class TestResolvent:
     def test_translation_stops_at_max_iter(self):
         # h(y) = y + 10 has no fixed point: every stage converges, but the
         # outer residual stays at 10 until the inner steps reach max_iter
-        shift = GridFunction.constant(GRID, 10.0)
-        h = OperatorHandle(apply=lambda y: y + shift, norm_kind="sup")
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, y.values + 10.0), norm_kind="sup")
         rep = solve_resolvent(h, GridFunction.zeros(GRID), 1e-6, 500)
         assert rep.iterations == 500
         assert sum(stage["inner_steps"] for stage in rep.extras["stages"]) == 500
@@ -203,8 +202,8 @@ class TestResolvent:
             rep = solve_picard(resolvent_stage(h, y0, n), y0, tol, 1000)
             assert rep.converged
             y = rep.solution
-            gap = (y - h.apply(y)) - (y0 - y) / float(n)
-            assert h.norm(gap) <= 2.0 * tol
+            gap = (y.values - h.apply(y).values) - (y0.values - y.values) / float(n)
+            assert h.norm(GridFunction(GRID, gap)) <= 2.0 * tol
 
     def test_stopping_validation(self):
         y0 = GridFunction.zeros(GRID)
@@ -223,7 +222,7 @@ class TestResidualOnPlainDifference:
     def test_overflowing_difference_raises(self, norm):
         # h(y) = -y is finite wherever y is, but y - h(y) = 2e308 overflows;
         # at tol = inf an inf residual would read as converged
-        h = OperatorHandle(apply=lambda y: -y, norm_kind=norm)
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, -y.values), norm_kind=norm)
         y = GridFunction.constant(GRID, 1e308)
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="finite"):
@@ -249,7 +248,7 @@ class TestResidualOnPlainDifference:
 class TestRememberLast:
     def test_same_input_is_not_recomputed(self):
         calls = []
-        double = remember_last(lambda y: calls.append(y) or 2.0 * y)
+        double = remember_last(lambda y: calls.append(y) or GridFunction(GRID, 2.0 * y.values))
         x = GridFunction.constant(GRID, 1.0)
         out = double(x)
         assert double(x) is out and calls == [x]
@@ -261,7 +260,7 @@ class TestRememberLast:
 
         def double(y):
             kept.append([ref() is not None for ref in refs])
-            return 2.0 * y
+            return GridFunction(GRID, 2.0 * y.values)
 
         remembered = remember_last(double)
         x = GridFunction.constant(GRID, 1.0)

@@ -82,7 +82,7 @@ class TestGridFunction:
         f = GridFunction.zeros(Grid(0.0, 1.0, 4, NODES))
         h = GridFunction.zeros(Grid(0.0, 1.0, 8, NODES))
         with pytest.raises(ConfigurationError):
-            f + h
+            f - h
 
 
 class TestIntegrate:

@@ -621,3 +621,9 @@ class TestStabilityTable:
     def test_candidates_validated(self, pa, pa_solution):
         with pytest.raises(ConfigurationError):
             stability_table(pa, [], u_star=pa_solution.extras["u"])
+
+    def test_u_star_on_another_grid_rejected(self, pa, pa_solution):
+        other = Grid(0.0, 1.0, 500, NODES)
+        candidates = [(w, w2) for _, w, w2 in table1_candidates(other)]
+        with pytest.raises(ConfigurationError, match="different grids"):
+            stability_table(pa, candidates, u_star=pa_solution.extras["u"])
