@@ -37,6 +37,10 @@ GOLDEN = [
     ('oracle --problem caputo-linear --grid-n 4096', 0, {'report.json': 'e87420743612324480adbf727b3a1bf4057f24070c09360615e6e1e4594efda7'}),
     ('oracle --problem caputo-nonlocal --grid-n 4096', 0, {'report.json': 'c5751b5b3732fbed474d021f488f5e5c190a3e333295d435252421db163b4730'}),
     ('oracle --problem caputo-constant --grid-n 4096', 0, {'report.json': '0cec3857951abd2389a3dce13ce294bd0ce3b32f3505ac35d8e3e0bcc1c26402'}),
+    ('oracle --problem bvp3-example --grid-n 256 --scheme averaged', 0, {'report.json': 'f3b2dec06830279343ec435ce27e18a0c62890d4868b15b56c75021a7c8d3b1b'}),
+    ('oracle --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': 'd229a067ad77ae5a0a9cd4f7a63c85e824f3474a2d46c1605bd9f56df31d8230'}),
+    ('oracle --problem bvp3-example --grid-n 64 --max-iter 3', 4, {'report.json': '77190c93f4071fc02fe397fe264bbdfed9c439e69feaa419c3e2e37bf7eac95f'}),
+    ('oracle --problem pendulum-Pa --grid-n 16384', 0, {'report.json': '1e6c14ad64f674f54ea9980d46d24dbbbb0fed08ccb7fa9b0df49e54e82b6e86'}),
     ('check --problem bvp3-example --seed 7', 0, {'report.json': 'cee32c0faec03508b46c02046c84fe9363243b6b47fc615e92698cd2bff7f9b1'}),
     ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '9297e7f53f79193a2776f0bb42bc24bae464a70fdd199d4194eeef457b4a814a', 'solution.csv': 'e3d0e332115438bc840ba85cc228a05deab986895be4cd5a0784d57aa626bb8a'}),
     ('solve --problem nope', 2, {'report.json': 'a3798dad0d22c4acc9c4c0592c4799fdee4888046fde2a55287dd2994fc52990'}),
