@@ -316,11 +316,6 @@ def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = Non
         norm_kind="l2", modulus=modulus, preimage=preimage)
 
 
-def ode_defect(p: Bvp3Problem, y: GridFunction) -> float:
-    """L2 norm of the pointwise equation defect y - g(., v, v', y)."""
-    return engine.residual(coincidence_operator(p, y.grid), y)
-
-
 def make_grid(p: Bvp3Problem, n: int) -> Grid:
     return Grid(0.0, 1.0, n, MIDPOINTS)
 
@@ -374,14 +369,3 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
     report.certificate = Certificate(h1, handle.norm_kind, handle.modulus)
     return report
 
-
-def defect_oracle(p: Bvp3Problem, grid: Grid, solve: Callable[[Grid], SolveReport]) -> dict:
-    """Oracle: the pointwise equation defect of the iterate ``solve(grid)`` returns.
-
-    Not an independent check: the defect is the solve's own residual at its
-    solution, its ``final_residual`` bit for bit, so it passes whenever the
-    solve reached ``10 tol`` and cannot fail by itself.
-    """
-    report = solve(grid)
-    return {"reference": "pointwise equation defect of the returned iterate",
-            "max_error": ode_defect(p, report.solution), "tolerance": 10.0 * report.tol}

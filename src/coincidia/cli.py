@@ -8,13 +8,14 @@
 One option set serves every command.  The problem parameter flags are the
 registry's parameter names (``--kappa``, ``--a``, ...); each problem takes
 only its own, and only ``stability`` reads ``--builtin-candidates``.  The
-commands call the functions of the entry's family module by name; those
-that solve make every solve with its ``solve`` and the run's ``--scheme``,
-``--tol`` and ``--max-iter``, so each refuses a scheme as ``solve`` does.
-The pendulum ``oracle`` nests its two solves: the fine one starts from the
-cubic prolongation of the coarse iterate.  Every other solve starts from the
-family's cold start, which for a pendulum solve on a large even grid is a
-cascade of coarser solves (see ``pendulum.solve``).
+commands call the functions of the entry's family module by name, and
+``oracle`` calls the entry's oracle; those that solve make every solve with
+the family's ``solve`` and the run's ``--scheme``, ``--tol`` and
+``--max-iter``, so each refuses a scheme as ``solve`` does.  The pendulum
+oracle, ``registry.refinement_oracle``, nests its two solves: the fine one
+starts from the cubic prolongation of the coarse iterate.  Every other solve
+starts from the family's cold start, which for a pendulum solve on a large
+even grid is a cascade of coarser solves (see ``pendulum.solve``).
 
 Every run writes ``report.json`` (schema 3, deterministic for a fixed
 config and seed).  Solves additionally write ``solution.csv``; stability

@@ -434,26 +434,3 @@ def sqrt_linear_inverse(k: float = 2.0) -> Callable:
 
     return A_inv
 
-
-def refinement_oracle(p: PendulumProblem, grid: Grid,
-                      solve: Callable[..., SolveReport]) -> dict:
-    """Oracle: the solution u of ``solve`` on half as many cells against
-    ``solve(grid)``, compared at the shared nodes.
-
-    The solves nest: the coarse one runs first, from its own cold start
-    (on a large grid, the cascade of :func:`solve`), and the fine one
-    starts from the cubic prolongation of the coarse iterate (``start=``),
-    so it runs no cascade of its own.  The fine solve still stops on its
-    own grid's residual.  The coarse report is dropped before the fine
-    solve, keeping only its u and the start, to hold down the peak memory.
-    """
-    coarse_n = grid.n // 2
-    if coarse_n % 2 or coarse_n < 8:
-        raise ConfigurationError("oracle refinement needs grid_n divisible by 4 and >= 16")
-    coarse = solve(Grid(0.0, 1.0, coarse_n, NODES))
-    coarse_u, start = coarse.extras["u"].values, prolong(grid, coarse.solution)
-    del coarse
-    fine_u = solve(grid, start=start).extras["u"].values
-    diff = float(np.max(np.abs(fine_u[::2] - coarse_u)))
-    return {"reference": f"cross-grid refinement n={coarse_n} vs n={grid.n}",
-            "max_error": diff, "tolerance": 1e-5}

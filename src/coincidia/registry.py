@@ -1,12 +1,12 @@
-"""Built-in problems with their default parameters.
+"""Built-in problems with their default parameters and oracles.
 
 Each entry names the parameters a caller may override, builds a fully
 wired problem object, names the family module that grids, checks and
-solves it, and carries an oracle that compares a solve against an
-independent reference.  A family module is imported when an entry first
-uses it, so a command imports only its own family.  Nonlinearities beyond
-these built-ins are a library concern: plain-text configuration cannot
-safely encode functions.
+solves it, and carries an oracle of this module that compares a solve
+against a reference.  A family module is imported when an entry first uses
+it, so a command imports only its own family.  Nonlinearities beyond these
+built-ins are a library concern: plain-text configuration cannot safely
+encode functions.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import Grid, mittag_leffler
+from .numerics import NODES, Grid, mittag_leffler, prolong
 from .stability import PhiFunction
 
 if TYPE_CHECKING:
     from .bvp3 import Bvp3Problem
     from .caputo import CaputoProblem
+    from .engine import SolveReport
     from .pendulum import PendulumProblem
 
 _SLOPE_BOUND = 3.0 * math.sqrt(3.0) / 4.0  # max slope of 2 x^2 / (1 + x^2)
@@ -156,29 +157,56 @@ def _exact_oracle(reference: str, exact: Callable, tolerance: Callable) -> Calla
     return oracle
 
 
+def defect_oracle(p: Bvp3Problem, grid: Grid, solve: Callable[[Grid], SolveReport]) -> dict:
+    """Oracle: the solve's own ``final_residual``, the L2 equation defect
+    y - g(., v, v', y) of its iterate, against ``10 tol``.  Not an
+    independent check: it fails only when the solve stops above ``10 tol``."""
+    report = solve(grid)
+    return {"reference": "pointwise equation defect of the returned iterate",
+            "max_error": report.final_residual, "tolerance": 10.0 * report.tol}
+
+
+def refinement_oracle(p: PendulumProblem, grid: Grid,
+                      solve: Callable[..., SolveReport]) -> dict:
+    """Oracle: the solution u of ``solve`` on half as many cells against
+    ``solve(grid)``, compared at the shared nodes.
+
+    The solves nest: the coarse one runs first, from its own cold start
+    (on a large grid, the cascade of ``pendulum.solve``), and the fine one
+    starts from the cubic prolongation of the coarse iterate (``start=``),
+    so it runs no cascade of its own.  The fine solve still stops on its
+    own grid's residual.  The coarse report is dropped before the fine
+    solve, keeping only its u and the start, to hold down the peak memory.
+    """
+    if grid.n % 4 or grid.n < 16:
+        raise ConfigurationError("oracle refinement needs grid_n divisible by 4 and >= 16")
+    coarse_n = grid.n // 2
+    coarse = solve(Grid(0.0, 1.0, coarse_n, NODES))
+    coarse_u, start = coarse.extras["u"].values, prolong(grid, coarse.solution)
+    del coarse
+    fine_u = solve(grid, start=start).extras["u"].values
+    diff = float(np.max(np.abs(fine_u[::2] - coarse_u)))
+    return {"reference": f"cross-grid refinement n={coarse_n} vs n={grid.n}",
+            "max_error": diff, "tolerance": 1e-5}
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
     """A built-in problem: the name of its family module, builder, default
     parameters and oracle ``oracle(problem, grid, solve)``, which solves only
     by ``solve(grid)``, the run's bound family solve, and returns the
     ``reference`` it compares with, the ``max_error`` and the ``tolerance``.
-    ``family`` imports the named module on first use; ``oracle`` resolves
-    ``oracle_ref``, the oracle or the name of a family function, likewise."""
+    ``family`` imports the named module on first use."""
 
     name: str
     family_name: str
     build: Callable
-    oracle_ref: Callable | str
+    oracle: Callable
     defaults: dict = field(default_factory=dict)
 
     @functools.cached_property
     def family(self) -> ModuleType:
         return importlib.import_module(f"{__package__}.{self.family_name}")
-
-    @functools.cached_property
-    def oracle(self) -> Callable:
-        ref = self.oracle_ref
-        return getattr(self.family, ref) if isinstance(ref, str) else ref
 
     def make(self, **params):
         unknown = set(params) - set(self.defaults)
@@ -204,23 +232,23 @@ _ENTRIES = [
         name="bvp3-example",
         family_name="bvp3",
         build=bvp3_example,
-        oracle_ref="defect_oracle",
+        oracle=defect_oracle,
         defaults={"kappa": 0.4},
     ),
     RegistryEntry(
         name="pendulum-Pa",
         family_name="pendulum",
         build=pendulum_pa,
-        oracle_ref="refinement_oracle",
+        oracle=refinement_oracle,
         defaults={"a": 1.0},
     ),
     RegistryEntry(
         name="caputo-constant",
         family_name="caputo",
         build=caputo_constant,
-        oracle_ref=_exact_oracle("closed form x0 + t^q/Gamma(q+1)",
-                                 lambda p, t: p.x0 + t ** p.q / math.gamma(p.q + 1.0),
-                                 lambda n, tol: 1e-8),
+        oracle=_exact_oracle("closed form x0 + t^q/Gamma(q+1)",
+                             lambda p, t: p.x0 + t ** p.q / math.gamma(p.q + 1.0),
+                             lambda n, tol: 1e-8),
         defaults={"q": 0.5, "x0": 0.0},
     ),
     RegistryEntry(
@@ -228,17 +256,17 @@ _ENTRIES = [
         family_name="caputo",
         build=caputo_linear,
         # the product-trapezoid error is first order, 0.15 / n to 0.2 / n
-        oracle_ref=_exact_oracle("Mittag-Leffler series x0 E_q(t^q)",
-                                 lambda p, t: p.x0 * mittag_leffler(p.q, t ** p.q, 1e-14),
-                                 lambda n, tol: max(5e-4, 0.5 / n)),
+        oracle=_exact_oracle("Mittag-Leffler series x0 E_q(t^q)",
+                             lambda p, t: p.x0 * mittag_leffler(p.q, t ** p.q, 1e-14),
+                             lambda n, tol: max(5e-4, 0.5 / n)),
         defaults={"q": 0.5, "x0": 1.0, "lf": 1.0},
     ),
     RegistryEntry(
         name="caputo-nonlocal",
         family_name="caputo",
         build=caputo_nonlocal,
-        oracle_ref=_exact_oracle("scalar fixed point 2 x0", lambda p, t: 2.0 * p.x0,
-                                 lambda n, tol: 10.0 * tol),
+        oracle=_exact_oracle("scalar fixed point 2 x0", lambda p, t: 2.0 * p.x0,
+                             lambda n, tol: 10.0 * tol),
         defaults={"x0": 1.0},
     ),
 ]

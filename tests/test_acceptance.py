@@ -231,7 +231,7 @@ def test_criterion_9_bvp3_example():
     p = bvp3_example(0.4)
     grid = Grid(0.0, 1.0, 512, MIDPOINTS)
     rep = bvp3.solve(p, grid, tol=1e-9, max_iter=5000)
-    defect = bvp3.ode_defect(p, rep.solution)
+    defect = engine.residual(bvp3.coincidence_operator(p, grid), rep.solution)
     h1 = check_h1(p)
     h2 = check_h2(p)
     ok = (rep.converged and defect <= 1e-8

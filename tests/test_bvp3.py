@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coincidia import bvp3, numerics
+from coincidia import bvp3, engine, numerics
 from coincidia.bvp3 import (
     Bvp3Problem,
     H1Data,
@@ -18,7 +18,6 @@ from coincidia.bvp3 import (
     coincidence_operator,
     f_constant,
     lambda_constant,
-    ode_defect,
     snap_eta,
 )
 from coincidia.engine import resolvent_stage, solve_picard, solve_resolvent
@@ -382,10 +381,15 @@ class TestSolve:
         defect = np.abs(y - p.g(t, u, up, y))
         assert np.max(defect) <= 1e-8
 
-    def test_final_residual_is_ode_defect(self):
+    @pytest.mark.parametrize("scheme, max_iter", [
+        ("picard", 5000), ("averaged", 5000), ("resolvent", 5000),
+        ("picard", 3),  # stops unconverged at max_iter
+    ], ids=["picard", "averaged", "resolvent", "unconverged"])
+    def test_final_residual_is_ode_defect(self, scheme, max_iter):
         p = bvp3_example(0.4)
-        rep = bvp3.solve(p, self.GRID, tol=1e-9)
-        assert ode_defect(p, rep.solution) == rep.final_residual
+        rep = bvp3.solve(p, self.GRID, scheme=scheme, tol=1e-9, max_iter=max_iter)
+        assert rep.converged == (max_iter > 3)
+        assert engine.residual(coincidence_operator(p, self.GRID), rep.solution) == rep.final_residual
 
     def test_picard_requested_at_boundary_falls_back(self):
         p = bvp3_example(KAPPA_CRITICAL)  # Lambda = 1 exactly
@@ -418,13 +422,15 @@ class TestOdeDefect:
 
     def test_zero_vs_unit_g(self):
         p = Bvp3Problem(delta=-0.1, eta=0.5, g=lambda t, u1, u2, u3: 1.0 + 0.0 * t)
-        assert ode_defect(p, GridFunction.zeros(self.GRID)) == pytest.approx(1.0, abs=1e-12)
+        h = coincidence_operator(p, self.GRID)
+        assert engine.residual(h, GridFunction.zeros(self.GRID)) == pytest.approx(1.0, abs=1e-12)
 
     def test_perturbation_grows_on_average(self):
         p = bvp3_example(0.4)
         rep = bvp3.solve(p, self.GRID, tol=1e-10)
         y_star = rep.solution
-        base = ode_defect(p, y_star)
+        h = coincidence_operator(p, self.GRID)
+        base = engine.residual(h, y_star)
         means = []
         for eps in (1e-4, 1e-3, 1e-2, 1e-1):
             vals = []
@@ -432,7 +438,7 @@ class TestOdeDefect:
                 rng = np.random.default_rng(seed)
                 noise = rng.standard_normal(self.GRID.size)
                 noise /= np.max(np.abs(noise))
-                vals.append(ode_defect(p, GridFunction(self.GRID, y_star.values + eps * noise)))
+                vals.append(engine.residual(h, GridFunction(self.GRID, y_star.values + eps * noise)))
             means.append(float(np.mean(vals)))
         assert base < means[0]
         assert all(a < b for a, b in zip(means, means[1:]))

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from coincidia import bvp3, caputo, engine, pendulum
+from coincidia import bvp3, caputo, engine, pendulum, registry
 from coincidia.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -424,10 +424,11 @@ class TestSolvePath:
         assert starts == [None]
         assert report.solution.grid == grid
 
-    def test_refinement_oracle_refuses_before_solving(self, engine_runs):
-        _, problem, grid, solve, grids, _ = self.recording("pendulum-Pa", 18)
+    @pytest.mark.parametrize("n", [17, 18, 4 * pendulum.CASCADE_COARSEST_N + 1])
+    def test_refinement_oracle_refuses_before_solving(self, engine_runs, n):
+        _, problem, grid, solve, grids, _ = self.recording("pendulum-Pa", n)
         with pytest.raises(ConfigurationError, match="divisible by 4"):
-            pendulum.refinement_oracle(problem, grid, solve)
+            registry.refinement_oracle(problem, grid, solve)
         assert grids == [] == engine_runs
 
 

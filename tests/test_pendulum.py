@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coincidia import pendulum
+from coincidia import pendulum, registry
 from coincidia.cli import EXIT_NUMERIC, main
 from coincidia.engine import error_bound
 from coincidia.errors import ConfigurationError, NumericError, RangeError
@@ -537,7 +537,7 @@ class TestTracerContract:
 
     def test_refinement_oracle(self, pa, applications):
         grid = Grid(0.0, 1.0, 4 * COARSEST, NODES)
-        result = pendulum.refinement_oracle(
+        result = registry.refinement_oracle(
             pa, grid, lambda g, start=None: pendulum.solve(pa, g, start=start))
         assert result["max_error"] <= result["tolerance"]
         assert applications["green"] == applications["apply"] > 0

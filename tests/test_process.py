@@ -47,6 +47,16 @@ class TestImportSet:
         assert "coincidia.registry" in loaded
         assert not loaded & set(FAMILIES)
 
+    def test_reading_every_oracle_imports_no_family(self, tmp_path):
+        code = ("import sys\n"
+                "from coincidia import registry\n"
+                "oracles = [entry.oracle for entry in registry.REGISTRY.values()]\n"
+                "assert all(map(callable, oracles))\n"
+                "print(*sys.modules)\n")
+        proc = python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert not set(proc.stdout.split()) & set(FAMILIES)
+
     @pytest.mark.parametrize("problem, family", [
         ("bvp3-example", "coincidia.bvp3"),
         ("caputo-linear", "coincidia.caputo"),
