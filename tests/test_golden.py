@@ -4,9 +4,17 @@ Each command runs through ``cli.main`` inside a fresh directory with the
 relative ``--out out`` (``report.json`` embeds the output directory), and
 the sha256 of every file it writes must match the recorded digest.  Any
 refactoring of the problem classes must leave these bytes unchanged.
+
+``PYTHONPATH=src python tests/test_golden.py [COMMAND ...]`` prints the
+exit code and digests of each given command, or else of every recorded
+one, as lines of ``GOLDEN``.
 """
 
 import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -41,16 +49,33 @@ GOLDEN = [
     ('oracle --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': 'd229a067ad77ae5a0a9cd4f7a63c85e824f3474a2d46c1605bd9f56df31d8230'}),
     ('oracle --problem bvp3-example --grid-n 64 --max-iter 3', 4, {'report.json': '77190c93f4071fc02fe397fe264bbdfed9c439e69feaa419c3e2e37bf7eac95f'}),
     ('oracle --problem pendulum-Pa --grid-n 16384', 0, {'report.json': '1e6c14ad64f674f54ea9980d46d24dbbbb0fed08ccb7fa9b0df49e54e82b6e86'}),
+    ('solve --problem pendulum-Pa --grid-n 16384', 0, {'report.json': '9a2c5aebd021a9149c37efe1c44a92d2414826321e69dfd97dab4115ef2e6031', 'solution.csv': 'afaa62996323890dc82a34e44e3816af11c7fec8131354fca1646ea935512f04'}),
     ('check --problem bvp3-example --seed 7', 0, {'report.json': 'cee32c0faec03508b46c02046c84fe9363243b6b47fc615e92698cd2bff7f9b1'}),
     ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '9297e7f53f79193a2776f0bb42bc24bae464a70fdd199d4194eeef457b4a814a', 'solution.csv': 'e3d0e332115438bc840ba85cc228a05deab986895be4cd5a0784d57aa626bb8a'}),
     ('solve --problem nope', 2, {'report.json': 'a3798dad0d22c4acc9c4c0592c4799fdee4888046fde2a55287dd2994fc52990'}),
 ]
 
 
+def _run(command):
+    """Exit code of ``command`` run with ``--out out`` in the working
+    directory, and the digest of each file it writes."""
+    code = main([*command.split(), "--out", "out"])
+    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(Path("out").iterdir())}
+
+
 @pytest.mark.parametrize("command, exit_code, digests", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_outputs_are_byte_identical(tmp_path, monkeypatch, command, exit_code, digests):
     monkeypatch.chdir(tmp_path)
-    assert main([*command.split(), "--out", "out"]) == exit_code
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted((tmp_path / "out").iterdir())}
-    assert written == digests
+    assert _run(command) == (exit_code, digests)
+
+
+if __name__ == "__main__":
+    home = os.getcwd()
+    for command in sys.argv[1:] or [g[0] for g in GOLDEN]:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                print(f"    {(command, *_run(command))!r},")
+            finally:
+                os.chdir(home)
