@@ -12,10 +12,10 @@ commands call the functions of the entry's family module by name, and
 ``oracle`` calls the entry's oracle; those that solve make every solve with
 the family's ``solve`` and the run's ``--scheme``, ``--tol`` and
 ``--max-iter``, so each refuses a scheme as ``solve`` does.  The pendulum
-oracle, ``registry.refinement_oracle``, nests its two solves: the fine one
-starts from the cubic prolongation of the coarse iterate.  Every other solve
-starts from the family's cold start, which for a pendulum solve on a large
-even grid is a cascade of coarser solves (see ``pendulum.solve``).
+oracle nests its two solves by one ``engine.coarse_to_fine`` step; every
+other solve starts from the family's cold start, a cascade of that step for
+a pendulum solve on a large even grid (see ``pendulum.solve``).  An oracle
+is ``ok`` when its error is within tolerance and all its solves converged.
 
 Every run writes ``report.json`` (schema 3, deterministic for a fixed
 config and seed).  Solves additionally write ``solution.csv``; stability
@@ -221,13 +221,21 @@ def _run_stability(config: RunConfig, entry, problem, solve, out_dir: Path) -> i
 
 
 def _run_oracle(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
-    """Compare a solve against the problem's independent reference."""
+    """Compare solves against the problem's reference; fail on a mismatch,
+    else on the first unconverged solve, whose report is not kept."""
+    failed = []
+    def noted(grid, start=None):
+        report = solve(grid, start=start)
+        if not report.converged:
+            failed.append(_solve_status(report))
+        return report
     grid = entry.family.make_grid(problem, config.grid_n)
-    result = {"problem": config.problem, **entry.oracle(problem, grid, solve)}
-    result["ok"] = result["max_error"] <= result["tolerance"]
-    return _finish(config, out_dir, result, EXIT_OK if result["ok"] else EXIT_NUMERIC,
-                   "OracleMismatch", f"max error {result['max_error']:.6g} exceeds "
-                                     f"tolerance {result['tolerance']:.6g}")
+    result = {"problem": config.problem, **entry.oracle(problem, grid, noted)}
+    if not result["max_error"] <= result["tolerance"]:  # a NaN error is a mismatch
+        failed.insert(0, (EXIT_NUMERIC, "OracleMismatch", f"max error {result['max_error']:.6g} "
+                                                          f"exceeds tolerance {result['tolerance']:.6g}"))
+    result["ok"] = not failed
+    return _finish(config, out_dir, result, *(failed[0] if failed else ()))
 
 
 _RUNNERS = {"check": _run_check, "solve": _run_solve,

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ConfigurationError, NumericError
-from .numerics import Grid, GridFunction, _l2_norm, _sup_norm, sup_norm
+from .numerics import NODES, Grid, GridFunction, _l2_norm, _sup_norm, prolong, sup_norm
 from .reports import Certificate
 from .stability import PhiFunction, invert
 
@@ -163,6 +163,12 @@ def start_or(grid: Grid, start: GridFunction | None,
     if start.grid != grid:
         raise ConfigurationError("the start must live on the solve's grid")
     return start
+
+
+def coarse_to_fine(grid: Grid, solve: Callable[[Grid], SolveReport]) -> tuple[SolveReport, GridFunction]:
+    """One nested-iteration step: ``solve`` on n/2 cells, and its solution prolonged to ``grid``."""
+    coarse = solve(Grid(grid.a, grid.b, grid.n // 2, NODES))
+    return coarse, prolong(grid, coarse.solution)
 
 
 def remember_last(fn: Callable) -> Callable:

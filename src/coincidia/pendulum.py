@@ -37,14 +37,13 @@ from ._pcg64 import random_doubles
 from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, RangeError
 from .numerics import (NODES, Grid, GridFunction, _require_samples, bracket_root,
-                       cumulative_integral, evaluate, prolong, sup_norm)
+                       cumulative_integral, evaluate, sup_norm)
 from .reports import Certificate, HypothesisReport
 from .stability import PhiFunction
 
 GREEN_MODULUS = 0.125
-# Coarsest grid of the cold-start cascade: a solve on n cells starts from the
-# n/2 solve when n is even and n/2 >= this.  Smaller values lost to the cold
-# solve at their smallest n; 4096 won wherever the cascade ran (f2a4bbe).
+# Coarsest grid of the cold-start cascade (see _cascade_start).  Smaller values
+# lost to the cold solve at their smallest n; 4096 won wherever it ran (f2a4bbe).
 CASCADE_COARSEST_N = 4096
 
 _EXPANSIVE_PROBE_SEED = 74207
@@ -200,28 +199,16 @@ columns = engine.solution_columns
 
 def _cascade_start(p: PendulumProblem, grid: Grid, tol: float, max_iter: int,
                    inversion_tol: float) -> GridFunction:
-    """The first iterate of a solve without ``start``: the cubic
-    prolongation of the Picard iterate on the grid of n/2 cells, which
-    starts the same way.  The levels end at a grid with odd ``n`` or with
-    ``n/2`` below :data:`CASCADE_COARSEST_N`, whose start is the sampled
-    driving force, as is ``grid``'s when that cold start already meets
-    ``tol`` on the coarsest grid.
-
-    Nested iteration without coarse-grid correction: each coarse level
-    stops on its own residual at ``tol`` (or after ``max_iter`` steps) and
-    keeps only its iterate, with no reconstruction, report or bound.
-    """
-    levels = [grid]
-    while levels[0].n % 2 == 0 and levels[0].n // 2 >= CASCADE_COARSEST_N:
-        levels.insert(0, Grid(0.0, 1.0, levels[0].n // 2, NODES))
-    y = GridFunction.sample(levels[0], p.driving)
-    for coarse, fine in zip(levels, levels[1:]):
-        report = engine.solve_picard(coincidence_operator(p, coarse, inversion_tol), y, tol, max_iter)
-        if coarse is levels[0] and report.iterations == 0:
-            # the cold start already meets tol: no coarse level improves on it
-            return GridFunction.sample(grid, p.driving)
-        y = prolong(fine, report.solution)
-    return y
+    """The first iterate of a solve without ``start``: the sampled driving
+    force if ``n`` is odd or ``n/2`` is below :data:`CASCADE_COARSEST_N`,
+    else an :func:`engine.coarse_to_fine` step from a bare Picard solve on
+    n/2 cells (no u, u' or bound) that starts the same way and, as
+    in :func:`solve`, builds its operator before its start."""
+    if grid.n % 2 or grid.n // 2 < CASCADE_COARSEST_N:
+        return GridFunction.sample(grid, p.driving)
+    return engine.coarse_to_fine(grid, lambda coarse: engine.solve_picard(
+        coincidence_operator(p, coarse, inversion_tol),
+        _cascade_start(p, coarse, tol, max_iter, inversion_tol), tol, max_iter))[1]
 
 
 def solve(
@@ -233,7 +220,8 @@ def solve(
     start: GridFunction | None = None,
 ) -> SolveReport:
     """Picard iteration on y = A(u''), starting from ``start`` or else from
-    :func:`_cascade_start`; the only scheme, which ``auto`` selects.
+    :func:`_cascade_start`, a recursion of :func:`engine.coarse_to_fine`
+    steps; the only scheme, which ``auto`` selects.
 
     The contraction modulus 1/8 comes from the Green kernel bound and the
     1-Lipschitz inverse of A, so roughly log(tol) / log(1/8) iterations

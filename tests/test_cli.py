@@ -330,6 +330,31 @@ class TestOracleCommand:
                              tol=1e-10, max_iter=100, output_dir=str(tmp_path)))
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("argv, residual", [
+        # the error is within tolerance, but both solves stop above tol
+        ("oracle --problem pendulum-Pa --grid-n 64 --max-iter 3", "0.000104106"),
+        ("oracle --problem caputo-linear --grid-n 1024 --max-iter 16", "8.38201e-06"),
+    ])
+    def test_an_unconverged_solve_is_not_ok(self, tmp_path, argv, residual):
+        assert main([*argv.split(), "--out", str(tmp_path)]) == EXIT_NUMERIC
+        report = read_report(tmp_path)
+        assert report["result"]["max_error"] <= report["result"]["tolerance"]
+        assert report["result"]["ok"] is False
+        assert report["error"]["type"] == "NotConverged"
+        assert report["error"]["exit_code"] == EXIT_NUMERIC
+        # the first unconverged solve is the one reported
+        assert f"with residual {residual} above tol" in report["error"]["message"]
+
+    @pytest.mark.parametrize("grid_n", [16, 32])
+    @pytest.mark.parametrize("a", [0.1, 0.5, 1.0])
+    def test_pendulum_refinement_on_the_smallest_grids(self, tmp_path, a, grid_n):
+        argv = ["oracle", "--problem", "pendulum-Pa", "--a", str(a), "--grid-n", str(grid_n)]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        result = read_report(tmp_path)["result"]
+        # the tolerance is 1e-5 (64 / n)^4, about ten times the error
+        assert result["tolerance"] == pytest.approx(1e-5 * (64 / grid_n) ** 4)
+        assert result["max_error"] <= result["tolerance"] / 5
+
 
 
 class TestSchemeContract:

@@ -455,6 +455,16 @@ class TestCascade:
         p, grid = CASCADE_PROBLEMS[name](), Grid(0.0, 1.0, n, NODES)
         assert _outputs(pendulum.solve(p, grid)) == _outputs(_cold(p, grid))
 
+    @pytest.mark.parametrize("n", [2 * COARSEST, 4 * COARSEST])
+    @pytest.mark.parametrize("name", ["pa(1)", "pa(0.1)", "sqrt_linear(3)+sin"])
+    def test_default_starts_from_the_prolonged_half_solve(self, name, n):
+        # the cascade's definition, bit for bit: one coarse-to-fine step
+        # from the default solve on n/2 cells
+        p, grid = CASCADE_PROBLEMS[name](), Grid(0.0, 1.0, n, NODES)
+        half = pendulum.solve(p, Grid(0.0, 1.0, n // 2, NODES))
+        nested = pendulum.solve(p, grid, start=prolong(grid, half.solution))
+        assert _outputs(pendulum.solve(p, grid)) == _outputs(nested)
+
     def test_one_engine_loop_per_level(self, pa, picard_runs):
         grid = Grid(0.0, 1.0, 8 * COARSEST, NODES)
         pendulum.solve(pa, grid)
