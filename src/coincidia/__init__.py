@@ -36,7 +36,7 @@ from .numerics import (
     sup_norm,
 )
 from .reports import HypothesisReport
-from .stability import PhiFunction, geraghty_phi, invert
+from .stability import PhiFunction, invert
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "cumulative_integral",
     "error_bound",
     "gamma",
-    "geraghty_phi",
     "integrate",
     "invert",
     "l2_norm",

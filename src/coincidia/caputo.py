@@ -16,12 +16,12 @@ never occurs and constant integrands reproduce t^q / q to rounding.
 Past their first column the weights are Toeplitz, W[j, i] = c[j-i], so each
 step applies them as a convolution by zero-padded real FFT of length 2n
 (:class:`VolterraKernel`, after Hairer, Lubich and Schlichte, 1985): O(n log n)
-time per step and O(n) memory.  The dense (n+1)^2 matrix of
-:func:`weight_matrix` is kept only as a test oracle.  The kernel keeps its
-last samples and integral: a step whose samples of f repeat bit for bit,
-as every step after the first does for an f that does not depend on x,
-returns the kept integral without a convolution.  The certificate's
-weighted norm works in one buffer, which pays back the kept integral.
+time per step and O(n) memory; no solve builds the dense (n+1)^2 matrix.
+The kernel keeps its last samples and integral: a step whose samples of f
+repeat bit for bit, as every step after the first does for an f that does
+not depend on x, returns the kept integral without a convolution.  The
+certificate's weighted norm works in one buffer, which pays back the kept
+integral.
 
 The iteration is certified by the contraction condition
 
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import engine
 from .engine import OperatorHandle, SolveReport
@@ -125,27 +124,9 @@ def _trapezoid_coefficients(grid: Grid, q: float) -> tuple[np.ndarray, np.ndarra
     return A, np.concatenate((B[:1], A[:-1] + B[1:]))
 
 
-def weight_matrix(grid: Grid, q: float) -> np.ndarray:
-    """Dense product-trapezoidal weights, kept as the test oracle of
-    :class:`VolterraKernel`; no solve builds this (n+1)^2 matrix.
-
-    Row j of the lower-triangular matrix holds the weights of nodes 0..j;
-    row 0 is zero (an empty interval).  All weights are nonnegative and row
-    j sums to t_j^q / q.  Past the first column the matrix is Toeplitz, so
-    one strided copy of c fills it.
-    """
-    col0, c = _trapezoid_coefficients(grid, q)
-    n = grid.n
-    W = np.zeros((n + 1, n + 1))
-    W[1:, 0] = col0
-    # window n - j of [c(n-1), ..., c(0), 0, ..., 0] is row j past column 0
-    W[1:, 1:] = sliding_window_view(np.concatenate((c[::-1], np.zeros(n))), n)[n - 1::-1]
-    return W
-
-
 @dataclass(frozen=True)
 class VolterraKernel:
-    """The weights of :func:`weight_matrix` on ``grid`` as a convolution:
+    """The product-trapezoidal weights on ``grid`` as a convolution:
     ``col0`` is the first column past row 0 and ``spectrum`` the real FFT of
     the Toeplitz coefficients ``c``, zero-padded to length 2n so that the
     circular convolution of length 2n is the linear one.  ``t`` holds the
@@ -173,7 +154,7 @@ class VolterraKernel:
         return cls(grid, col0, np.fft.rfft(c, 2 * grid.n), t)
 
     def integrate(self, fv: np.ndarray) -> np.ndarray:
-        """``weight_matrix(grid, q) @ fv`` in O(n log n) time and O(n) memory:
+        """The dense weights W times ``fv`` in O(n log n) time and O(n) memory:
         entry j >= 1 is col0[j-1] fv[0] + sum_{i=1..j} c[j-i] fv[i].
 
         The result is read-only; it is the kept integral when ``fv`` repeats
@@ -243,15 +224,6 @@ def contraction_certificate(p: CaputoProblem) -> HypothesisReport:
         constants.update({"lambda": lam, "rho": rho} if passed else {"lambda_max": _LAMBDA_MAX})
     return HypothesisReport(condition="Volterra contraction", passed=passed,
                             constants=constants, margins=margins, witnesses=[])
-
-
-def weighted_sup_norm(x: GridFunction, lam: float, L_f: float, t_N: float) -> float:
-    """sup_j |x(t_j)| / omega(t_j) with omega(t) = exp(lam L_f max(t, t_N))."""
-    if lam <= 0.0 or L_f <= 0.0:
-        raise ConfigurationError("lambda and L_f must be positive")
-    if t_N < 0.0:
-        raise ConfigurationError("t_N must be nonnegative")
-    return _weighted_sup(x.values, x.grid.points(), lam, L_f, t_N)
 
 
 def _weighted_sup(values: np.ndarray, t: np.ndarray, lam: float, L_f: float,

@@ -213,7 +213,7 @@ def _run_stability(config: RunConfig, entry, problem, solve, out_dir: Path) -> i
         "rows": [
             {"name": name, "epsilon": r.epsilon, "psi": r.psi,
              "sup_distance_to_solution": r.sup_distance,
-             "localized": r.sup_distance <= r.psi}
+             "localized": r.localized}
             for (name, _, _), r in zip(named, rows)
         ],
         "solver": solve_report.to_dict(),

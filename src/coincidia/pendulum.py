@@ -305,6 +305,11 @@ class StabilityRow:
     psi: float
     sup_distance: float
 
+    @property
+    def localized(self) -> bool:
+        """Whether the candidate lies within its radius: sup_distance <= psi."""
+        return self.sup_distance <= self.psi
+
 
 def stability_table(
     p: PendulumProblem,
@@ -373,52 +378,3 @@ def table1_candidates(grid: Grid) -> list[tuple[str, GridFunction, GridFunction]
         ("w3", GridFunction(grid, w3), GridFunction(grid, w3_dd)),
         ("w4", GridFunction(grid, w4), GridFunction(grid, w4_dd)),
     ]
-
-
-def sqrt_linear_A(k: float = 2.0) -> Callable:
-    """The expansive family A(x) = 2 sqrt(x) on [0, 1], k x for x > 1
-    (k >= 2), extended to the real line as an odd function."""
-    if k < 2.0:
-        raise ConfigurationError("the sqrt-linear family needs k >= 2")
-
-    def A(x):
-        xa = np.asarray(x, dtype=float)
-        mag = np.abs(xa)
-        out = np.where(mag <= 1.0, 2.0 * np.sqrt(mag), k * mag) * np.sign(xa)
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    return A
-
-
-def sqrt_linear_f(k: float = 2.0) -> Callable:
-    """Lower comparison bound f(t) = min(t^2 / 4, t / 2) for the
-    sqrt-linear family: f(|Ax - Ay|) <= |x - y| <= |Ax - Ay|.
-
-    Only k = 2 has one: for k > 2, A jumps from 2 to k at |x| = 1, so
-    |Ax - Ay| >= k - 2 while |x - y| -> 0, and no positive f exists.
-    """
-    if k != 2.0:
-        raise ConfigurationError("a lower comparison bound exists only for k = 2")
-
-    def f(t):
-        ta = np.asarray(t, dtype=float)
-        out = np.minimum(ta * ta / 4.0, ta / 2.0)
-        return out if isinstance(t, np.ndarray) else float(out)
-
-    return f
-
-
-def sqrt_linear_inverse(k: float = 2.0) -> Callable:
-    """Closed-form inverse of the odd sqrt-linear A; continuous (onto) only
-    for k = 2."""
-    if k != 2.0:
-        raise ConfigurationError("a closed-form inverse is only provided for k = 2")
-
-    def A_inv(y):
-        ya = np.asarray(y, dtype=float)
-        mag = np.abs(ya)
-        out = np.where(mag <= 2.0, (mag / 2.0) ** 2, mag / k) * np.sign(ya)
-        return out if isinstance(y, np.ndarray) else float(out)
-
-    return A_inv
-

@@ -93,17 +93,6 @@ def pendulum_pa(a: float = 1.0) -> PendulumProblem:
     )
 
 
-def pendulum_sqrt_linear(k: float = 2.0, driving: Callable | None = None) -> PendulumProblem:
-    """Pendulum-type problem with the odd sqrt-linear nonlinearity."""
-    from .pendulum import PendulumProblem, sqrt_linear_A, sqrt_linear_inverse
-    return PendulumProblem(
-        A=sqrt_linear_A(k),
-        A_inverse=sqrt_linear_inverse(k) if k == 2.0 else None,
-        driving=driving if driving is not None else (lambda t: np.zeros_like(np.asarray(t, dtype=float))),
-        f_lower=None,
-    )
-
-
 def caputo_constant(q: float = 0.5, x0: float = 0.0) -> CaputoProblem:
     """D^q x = 1, x(0) = x0: for q = 1/2, x0 = 0 the solution is
     2 sqrt(t / pi)."""

@@ -58,34 +58,6 @@ class PhiFunction:
             raise ConfigurationError("comparison function must be nondecreasing")
 
 
-def geraghty_phi(alpha: Callable[[float], float]) -> PhiFunction:
-    """Comparison function ``phi(t) = (1 - alpha(t)) t`` from a Geraghty modulus.
-
-    ``alpha`` must map into ``[0, 1)`` and be decreasing, which makes
-    ``phi`` strictly increasing with ``phi(t) >= (1 - alpha(0)) t``.
-    Monotonicity is spot-checked on probe points.
-    """
-    alpha0, alpha1 = evaluate(alpha, np.array([0.0, 1.0]), name="alpha")
-    # alpha(0) = 1 is tolerated (the constant-modulus convention pins the
-    # value 1 at t = 0 only); away from 0 the modulus must stay below 1
-    if not 0.0 <= alpha0 <= 1.0:
-        raise ConfigurationError(f"alpha(0) must lie in [0, 1], got {alpha0}")
-    _, avals = _probe(alpha, "alpha")
-    if np.any(avals < 0.0) or np.any(avals >= 1.0):
-        raise ConfigurationError("alpha must map into [0, 1) away from 0")
-    if np.any(np.diff(avals) > 1e-12):
-        raise ConfigurationError("alpha must be decreasing but increases on probe points")
-    slope = 1.0 - alpha1
-    if slope <= 0.0:
-        raise ConfigurationError("alpha(1) must be strictly below 1")
-
-    def phi(t: float) -> float:
-        return (1.0 - float(alpha(t))) * t
-
-    # phi(t) >= slope * t for t >= 1 because alpha is decreasing
-    return PhiFunction(eval=phi, upper_bracket=lambda eps: max(1.0, eps / slope + 1.0))
-
-
 def invert(phi: PhiFunction, eps: float, tol: float) -> float:
     """Numeric inverse ``psi(eps)`` with ``|phi(psi) - eps| <= tol``, by the
     bisection of :func:`bracket_root` on ``[0, upper_bracket(eps)]``, which

@@ -2,14 +2,17 @@
 and bvp3 boundary inversion, the per-point bisection, and the Mittag-Leffler
 sum that takes log|z| at every term, which the array and in-place kernels in
 ``coincidia`` replaced, kept unchanged as references: the kernels must
-return the same bits.  Also the brute-force weakly
-singular integral that the Volterra weights are checked against."""
+return the same bits.  Also the dense Volterra weights that the FFT kernel
+is checked against, with the brute-force weakly singular integral that
+checks those weights, and the Caputo weighted sup norm written out plainly."""
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from coincidia.bvp3 import snap_eta
+from coincidia.caputo import _trapezoid_coefficients
 from coincidia.errors import BracketingError, ConfigurationError, NumericError, RangeError
 from coincidia.numerics import MIDPOINTS
 
@@ -118,6 +121,32 @@ def invert_A_scalar(A, y, tol):
     else:
         raise RangeError(f"A does not appear to reach {y} below the start bracket")
     return bracket_root_scalar(oriented, target, lo, hi, tol)
+
+
+def weight_matrix(grid, q):
+    """Dense product-trapezoidal weights, the oracle of
+    :class:`coincidia.caputo.VolterraKernel`; no solve builds this
+    (n+1)^2 matrix.
+
+    Row j of the lower-triangular matrix holds the weights of nodes 0..j;
+    row 0 is zero (an empty interval).  All weights are nonnegative and row
+    j sums to t_j^q / q.  Past the first column the matrix is Toeplitz, so
+    one strided copy of c fills it.
+    """
+    col0, c = _trapezoid_coefficients(grid, q)
+    n = grid.n
+    W = np.zeros((n + 1, n + 1))
+    W[1:, 0] = col0
+    # window n - j of [c(n-1), ..., c(0), 0, ..., 0] is row j past column 0
+    W[1:, 1:] = sliding_window_view(np.concatenate((c[::-1], np.zeros(n))), n)[n - 1::-1]
+    return W
+
+
+def weighted_sup_norm(x, lam, L_f, t_N):
+    """sup_j |x(t_j)| / omega(t_j) with omega(t) = exp(lam L_f max(t, t_N)),
+    as one plain expression; the solve computes the same norm in place."""
+    t = x.grid.points()
+    return np.max(np.abs(x.values) * np.exp(-lam * L_f * np.maximum(t, t_N)))
 
 
 def brute_force_kernel_integral(t, q, phi, panels=1_000_000):

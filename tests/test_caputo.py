@@ -16,13 +16,11 @@ from coincidia.caputo import (
     picard_step,
     snap_nonlocal_points,
     volterra_operator,
-    weight_matrix,
-    weighted_sup_norm,
 )
 from coincidia.errors import CertificateError, ConfigurationError, DomainError
 from coincidia.numerics import NODES, Grid, GridFunction, gamma, mittag_leffler, sup_norm
 from coincidia.registry import caputo_constant, caputo_linear, caputo_nonlocal
-from scalar_kernels import brute_force_kernel_integral
+from scalar_kernels import brute_force_kernel_integral, weight_matrix, weighted_sup_norm
 
 GRID = Grid(0.0, 1.0, 256, NODES)
 
@@ -349,20 +347,30 @@ class TestCertificate:
         assert rep.constants["limit_value"] == 0.0
 
 
+def solve_norm(x, lam, L_f, t_N):
+    """The weighted sup norm as the solve computes it, in one buffer."""
+    return caputo._weighted_sup(x.values, x.grid.points(), lam, L_f, t_N)
+
+
 class TestWeightedNorm:
     def test_constant_inside_plateau(self):
         g = Grid(0.0, 2.0, 10, NODES)
         x = GridFunction.constant(g, 2.5)
-        val = weighted_sup_norm(x, 50.0, 1.0, 2.0)
+        val = solve_norm(x, 50.0, 1.0, 2.0)
         assert val == pytest.approx(2.5 * math.exp(-100.0), rel=1e-12)
 
     def test_zero(self):
-        assert weighted_sup_norm(GridFunction.zeros(GRID), 1.0, 1.0, 0.5) == 0.0
+        assert solve_norm(GridFunction.zeros(GRID), 1.0, 1.0, 0.5) == 0.0
 
     def test_exponential_cancels(self):
         g = Grid(0.0, 2.0, 10, NODES)
         x = GridFunction.sample(g, lambda t: np.exp(3.0 * t))
-        assert weighted_sup_norm(x, 3.0, 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert solve_norm(x, 3.0, 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("t_N", [0.0, 0.5])
+    def test_one_buffer_matches_the_plain_expression(self, t_N):
+        x = GridFunction(GRID, np.random.default_rng(3).uniform(-2.0, 2.0, GRID.size))
+        assert solve_norm(x, 3.0, 1.5, t_N) == weighted_sup_norm(x, 3.0, 1.5, t_N)
 
 
 class TestSolve:

@@ -1,0 +1,169 @@
+"""Trust flags and certified numbers checked against measurements, with the
+mutants that those checks kill.
+
+A mutant is a one-line change to the library that makes one of its claims
+false.  A byte pin such as a golden digest notices that the output changed,
+not that the claim became false, so each claim here has a check that is
+neither a byte pin nor a recomputation of the library's own formula.  Each
+check is a plain function.  ``test_<claim>`` runs it on the library as it
+is, and ``test_<claim>_kills_<mutant>`` applies the mutant with
+``monkeypatch`` and asserts that the same check then fails.
+
+====================================================  ========================================
+mutant                                                killed by
+====================================================  ========================================
+``SolveReport.converged`` accepts ``10 * tol``        ``test_converged_at_its_edge``, each of
+                                                      caputo-linear, pendulum-Pa, bvp3-example
+``StabilityRow.localized`` is ``sup_distance <=       ``test_localized_at_its_edge``
+2 psi``
+pendulum modulus 1/8 claimed as 1/16                  ``test_modulus_bounds_the_measured_ratio
+                                                      [pendulum-Pa]`` (measured 0.1010)
+Caputo ``rho`` with half its ``L_f`` term             ``test_modulus_bounds_the_measured_ratio
+(0.354 on caputo-linear)                              [caputo-linear]`` (measured 0.6207)
+====================================================  ========================================
+
+The halved ``rho`` of caputo-nonlocal is 0.615, above its measured ratio
+0.500, so that case does not kill the Caputo mutant; caputo-linear does.
+"""
+
+import json
+
+import pytest
+
+from coincidia import caputo, engine, pendulum
+from coincidia.caputo import VolterraKernel, picard_step
+from coincidia.cli import EXIT_NUMERIC, main
+from coincidia.numerics import NODES, Grid, GridFunction
+from coincidia.pendulum import StabilityRow
+from coincidia.registry import caputo_linear, caputo_nonlocal, pendulum_pa
+from scalar_kernels import weighted_sup_norm
+
+# --max-iter at which each family's solve at n=256 stops with its residual
+# in (tol, 10 tol]
+CONVERGED_EDGE = {"caputo-linear": 24, "pendulum-Pa": 9, "bvp3-example": 16}
+
+
+def check_converged_at_its_edge(out_dir, problem: str) -> None:
+    """A solve stopped just above tol exits 4 and reports ``converged: false``
+    with a ``NotConverged`` block."""
+    code = main(["solve", "--problem", problem, "--grid-n", "256",
+                 "--max-iter", str(CONVERGED_EDGE[problem]), "--out", str(out_dir)])
+    report = json.loads((out_dir / "report.json").read_text())
+    result = report["result"]
+    assert result["tol"] < result["final_residual"] <= 10.0 * result["tol"]
+    assert code == EXIT_NUMERIC
+    assert result["converged"] is False
+    assert report["error"]["type"] == "NotConverged"
+    assert report["error"]["exit_code"] == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("problem", list(CONVERGED_EDGE))
+def test_converged_at_its_edge(tmp_path, problem):
+    check_converged_at_its_edge(tmp_path, problem)
+
+
+@pytest.mark.parametrize("problem", list(CONVERGED_EDGE))
+def test_converged_at_its_edge_kills_the_10_tol_mutant(tmp_path, monkeypatch, problem):
+    monkeypatch.setattr(engine.SolveReport, "converged",
+                        property(lambda report: report.final_residual <= 10.0 * report.tol))
+    with pytest.raises(AssertionError):
+        check_converged_at_its_edge(tmp_path, problem)
+
+
+def check_localized_at_its_edge() -> None:
+    """A row inside its radius is localized; a row with
+    psi < sup_distance <= 2 psi is not."""
+    # the defect and radius of Table 1's w3
+    inside = StabilityRow(epsilon=0.1011479123607, psi=1.354285018462, sup_distance=0.05)
+    outside = StabilityRow(epsilon=inside.epsilon, psi=inside.psi, sup_distance=1.5 * inside.psi)
+    assert inside.localized is True
+    assert outside.localized is False
+
+
+def test_localized_at_its_edge():
+    check_localized_at_its_edge()
+
+
+def test_localized_at_its_edge_kills_the_2_psi_mutant(monkeypatch):
+    monkeypatch.setattr(StabilityRow, "localized",
+                        property(lambda row: row.sup_distance <= 2.0 * row.psi))
+    with pytest.raises(AssertionError):
+        check_localized_at_its_edge()
+
+
+def test_stability_report_reads_the_row_flag(tmp_path, monkeypatch):
+    # every table1 row lies inside its radius, so a flag that reads false
+    # can only come from the row's property
+    monkeypatch.setattr(StabilityRow, "localized", property(lambda row: False))
+    assert main(["stability", "--problem", "pendulum-Pa", "--grid-n", "64",
+                 "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["result"]["rows"]
+    assert len(rows) == 4
+    assert all(row["localized"] is False for row in rows)
+
+
+def largest_ratio(residuals) -> float:
+    """The largest ratio of successive residuals above 1e-12."""
+    above = [r for r in residuals if r > 1e-12]
+    assert len(above) >= 3
+    return max(b / a for a, b in zip(above, above[1:]))
+
+
+def pendulum_ratio():
+    """The sup-norm residuals of the pendulum solve at a = 1, n = 256."""
+    report = pendulum.solve(pendulum_pa(1.0), Grid(0.0, 1.0, 256, NODES))
+    assert report.certificate.norm == "sup"
+    return largest_ratio(report.residual_history), report.certificate
+
+
+def caputo_ratio(build):
+    """The Picard steps of the solve at n = 4096, repeated from its start
+    and measured in the certificate's weighted sup norm."""
+    p, grid = build(), Grid(0.0, 1.0, 4096, NODES)
+    report = caputo.solve(p, grid)
+    certificate = report.certificate
+    assert certificate.norm == "weighted_sup"
+    lam = certificate.check.constants["lambda"]
+    kernel = VolterraKernel.build(grid, p.q)
+    x, steps = GridFunction.constant(grid, p.x0), []
+    for _ in range(report.iterations + 1):
+        nxt = picard_step(p, x, kernel)
+        steps.append(weighted_sup_norm(nxt - x, lam, p.L_f, p.t_N))
+        x = nxt
+    return largest_ratio(steps), certificate
+
+
+MEASURED = {
+    "pendulum-Pa": pendulum_ratio,
+    "caputo-linear": lambda: caputo_ratio(caputo_linear),
+    "caputo-nonlocal": lambda: caputo_ratio(caputo_nonlocal),
+}
+
+
+def check_modulus_bounds_the_measured_ratio(problem: str) -> None:
+    """No ratio of successive residuals exceeds the certified modulus."""
+    ratio, certificate = MEASURED[problem]()
+    assert ratio <= certificate.modulus
+
+
+@pytest.mark.parametrize("problem", list(MEASURED))
+def test_modulus_bounds_the_measured_ratio(problem):
+    check_modulus_bounds_the_measured_ratio(problem)
+
+
+def test_modulus_kills_the_pendulum_1_16_mutant(monkeypatch):
+    monkeypatch.setattr(pendulum, "GREEN_MODULUS", 1.0 / 16.0)
+    with pytest.raises(AssertionError):
+        check_modulus_bounds_the_measured_ratio("pendulum-Pa")
+
+
+def test_modulus_kills_the_caputo_half_L_f_term_mutant(monkeypatch):
+    def halved(p, _original=caputo.contraction_certificate):
+        check = _original(p)
+        rho, limit = check.constants["rho"], check.constants["limit_value"]
+        check.constants["rho"] = limit + 0.5 * (rho - limit)
+        return check
+
+    monkeypatch.setattr(caputo, "contraction_certificate", halved)
+    with pytest.raises(AssertionError):
+        check_modulus_bounds_the_measured_ratio("caputo-linear")

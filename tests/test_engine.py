@@ -302,12 +302,15 @@ class TestErrorBound:
 
     def test_roundtrip_on_builtin_phis(self):
         from coincidia.pendulum import phi_pendulum
-        from coincidia.stability import geraghty_phi
 
+        # phi(t) = (1 - alpha(t)) t for the Geraghty moduli alpha = 1/2 and
+        # alpha(t) = 1 / (1 + t), each bracketed by phi(t) >= t / 2 for t >= 1
         phis = [
             phi_pendulum(),
-            geraghty_phi(lambda t: 0.5),
-            geraghty_phi(lambda t: 1.0 / (1.0 + t)),
+            PhiFunction(eval=lambda t: (1.0 - 0.5) * t,
+                        upper_bracket=lambda eps: max(1.0, eps / 0.5 + 1.0)),
+            PhiFunction(eval=lambda t: (1.0 - 1.0 / (1.0 + t)) * t,
+                        upper_bracket=lambda eps: max(1.0, eps / 0.5 + 1.0)),
         ]
         rng = np.random.default_rng(5)
         for phi in phis:

@@ -19,12 +19,11 @@ from coincidia.pendulum import (
     green_apply_with_derivative,
     invert_A,
     phi_pendulum,
-    sqrt_linear_A,
-    sqrt_linear_f,
     stability_table,
     table1_candidates,
 )
-from coincidia.registry import pendulum_pa, pendulum_sqrt_linear
+from coincidia.registry import pendulum_pa
+from problems import pendulum_sqrt_linear, sqrt_linear_A, sqrt_linear_f
 from scalar_kernels import green_apply_reference, invert_A_scalar
 
 GRID = Grid(0.0, 1.0, 1000, NODES)

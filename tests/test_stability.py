@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coincidia.errors import ConfigurationError, DomainError, NumericError, RangeError
-from coincidia.stability import PhiFunction, geraghty_phi, invert
+from coincidia.stability import PhiFunction, invert
 
 
 class TestPhiFunction:
@@ -30,37 +30,6 @@ class TestPhiFunction:
         with pytest.raises(NumericError, match="^phi evaluated to a non-finite value"):
             PhiFunction(eval=lambda r: np.where(r == 0.0, np.nan, r),
                         upper_bracket=lambda e: e + 1.0)
-
-
-class TestGeraghtyPhi:
-    def test_constant_modulus(self):
-        phi = geraghty_phi(lambda t: 0.5)
-        assert phi.eval(2.0) == pytest.approx(1.0)
-        assert phi.eval(0.0) == 0.0
-
-    def test_decaying_modulus(self):
-        phi = geraghty_phi(lambda t: 1.0 / (1.0 + t))
-        assert phi.eval(1.0) == pytest.approx(0.5)
-        assert phi.eval(0.0) == 0.0
-
-    def test_rejects_modulus_reaching_one(self):
-        with pytest.raises(ConfigurationError):
-            geraghty_phi(lambda t: 1.0)
-
-    def test_rejects_increasing_modulus(self):
-        with pytest.raises(ConfigurationError):
-            geraghty_phi(lambda t: t / (1.0 + t))
-
-
-    def test_alpha_raising_at_one_becomes_numeric_error_naming_alpha(self):
-        def alpha(t):
-            if t == 1.0:
-                raise ZeroDivisionError("alpha is undefined at 1")
-            return 0.5
-
-        with pytest.raises(NumericError, match="^alpha raised ZeroDivisionError") as info:
-            geraghty_phi(alpha)
-        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 class TestInvert:
@@ -138,7 +107,9 @@ class TestInvert:
 
     def test_continuity_at_zero_guard(self):
         from coincidia.pendulum import phi_pendulum
-        from coincidia.stability import geraghty_phi
 
-        for phi in (phi_pendulum(), geraghty_phi(lambda t: 0.5)):
+        # phi(t) = (1 - 1/2) t, the comparison function of the Geraghty modulus 1/2
+        half = PhiFunction(eval=lambda t: (1.0 - 0.5) * t,
+                           upper_bracket=lambda eps: max(1.0, eps / 0.5 + 1.0))
+        for phi in (phi_pendulum(), half):
             assert invert(phi, 1e-12, 1e-15) <= 1e-3

@@ -5,7 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from coincidia import bvp3, caputo, pendulum
 from coincidia.numerics import MIDPOINTS, NODES, Grid, GridFunction
-from coincidia.registry import bvp3_example, caputo_linear, pendulum_pa, pendulum_sqrt_linear
+from coincidia.registry import bvp3_example, caputo_linear, pendulum_pa
+from problems import pendulum_sqrt_linear
 
 SOLVES = {
     "pendulum": lambda: pendulum.solve(pendulum_pa(), Grid(0.0, 1.0, 2000, NODES)),
