@@ -246,15 +246,6 @@ def check_h2(p: Bvp3Problem, rng_seed: int = 0) -> HypothesisReport:
         rng_seed)
 
 
-def snap_eta(grid: Grid, eta: float) -> tuple[int, float, float]:
-    """Snap eta to the nearest cell edge so that int_0^eta is an exact
-    partial sum.  Returns (edge index, snapped value, snap distance); the
-    distance never exceeds half a cell."""
-    k = grid.nearest_edge(eta)
-    snapped = k * grid.spacing
-    return k, snapped, abs(snapped - eta)
-
-
 def _require_problem_grid(grid: Grid) -> None:
     if grid.style != MIDPOINTS or (grid.a, grid.b) != (0.0, 1.0):
         raise ConfigurationError("second-derivative iterates live on midpoints grids over [0, 1]")
@@ -267,8 +258,9 @@ def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float, eta: float,
     ``points()`` may be passed in as ``points``.
 
     Uses v(t) = t int_0^t y - int_0^t s y(s) ds + c t with the boundary
-    constant c built from exact partial sums at cell edges, so the
-    identity v'(1) = delta v'(eta) holds to rounding by construction.
+    constant c built from exact partial sums at cell edges, eta taken at
+    the edge ``grid.snap(eta)`` names, so the identity v'(1) = delta v'(eta)
+    holds to rounding by construction.
     Non-finite samples propagate; the caller's GridFunction rejects them.
 
     ``y`` is only read, and the function computes in three buffers it
@@ -290,7 +282,7 @@ def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float, eta: float,
     running_sy = _add_half_cells(ty, h, _cell_sums(ty, np.empty(grid.n)), scratch)
     cells = _cell_sums(y, ty)  # cells[j] = S_{j-1} for S = np.cumsum(y)
     total = cells[-1] + y[-1]  # S_{n-1}
-    k, _, _ = snap_eta(grid, eta)
+    k, _ = grid.snap(eta)
     edge_k = 0.0 if k == 0 else h * (cells[k] if k < grid.n else total)
     c = (delta * edge_k - h * total) / (1.0 - delta)
     running = _add_half_cells(y, h, cells, scratch)
@@ -304,15 +296,12 @@ def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float, eta: float,
 
 def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = None) -> OperatorHandle:
     """The iterated map h(y)(t) = g(t, v(t), v'(t), y(t)) in the L2 norm;
-    ``preimage`` is :func:`apply_T_inverse`, kept for the last application.
-    ``evaluate`` scans g's samples for finiteness, so the GridFunction of
-    them is built without a second scan."""
+    ``preimage`` is :func:`apply_T_inverse`, kept for the last application."""
     _require_problem_grid(grid)
     pts = grid.points()
     preimage = engine.remember_last(lambda y: apply_T_inverse(grid, y.values, p.delta, p.eta, pts))
     return OperatorHandle(
-        apply=lambda y: GridFunction._of_finite(
-            grid, evaluate(p.g, pts, *preimage(y), y.values, name="g")),
+        apply=lambda y: GridFunction(grid, evaluate(p.g, pts, *preimage(y), y.values, name="g")),
         norm_kind="l2", modulus=modulus, preimage=preimage)
 
 
@@ -363,9 +352,9 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
     report = getattr(engine, engine.SOLVERS[chosen])(handle, start, tol, max_iter)
 
     u, u_prime = handle.preimage(report.solution)
-    _, snapped, snap_dist = snap_eta(grid, p.eta)
+    k, snap_dist = grid.snap(p.eta)
     report.extras.update({"u": GridFunction(grid, u), "u_prime": GridFunction(grid, u_prime),
-                          "eta_snapped_to": snapped, "eta_snap_distance": snap_dist})
+                          "eta_snapped_to": k * grid.spacing, "eta_snap_distance": snap_dist})
     report.certificate = Certificate(h1, handle.norm_kind, handle.modulus)
     return report
 

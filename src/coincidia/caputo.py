@@ -175,21 +175,12 @@ class VolterraKernel:
         return out
 
 
-def snap_nonlocal_points(p: CaputoProblem, grid: Grid) -> list[tuple[int, float]]:
-    """Snap each nonlocal point to its nearest grid node; the snap distance
-    is at most half a cell."""
-    out = []
-    for term in p.nonlocal_terms:
-        idx = grid.nearest_edge(term.t)
-        out.append((idx, abs(idx * grid.spacing - term.t)))
-    return out
-
-
 def picard_step(p: CaputoProblem, x: GridFunction, kernel: VolterraKernel) -> GridFunction:
     """One Volterra iteration
     x+(t_j) = x0 + sum_i g_i(x(t_i)) + (1/Gamma(q)) sum_i W[j, i] f(t_i, x(t_i))
     with the weights W applied by ``kernel`` as a convolution; the points
-    t_i are the kernel's, which must be built on ``x``'s grid.
+    t_i are the kernel's, which must be built on ``x``'s grid.  Each g_i
+    reads x at the node ``grid.snap`` gives for its point.
     """
     grid = x.grid
     _require_volterra_grid(grid)
@@ -197,7 +188,8 @@ def picard_step(p: CaputoProblem, x: GridFunction, kernel: VolterraKernel) -> Gr
         raise ConfigurationError("weights do not match the grid")
     fv = evaluate(p.f, kernel.t, x.values, name="f")
     nonlocal_sum = 0.0
-    for (idx, _), term in zip(snap_nonlocal_points(p, grid), p.nonlocal_terms):
+    for term in p.nonlocal_terms:
+        idx, _ = grid.snap(term.t)
         nonlocal_sum += float(evaluate(term.g, x.values[idx:idx + 1], name="g")[0])
     return GridFunction(grid, p.x0 + nonlocal_sum + kernel.integrate(fv) / gamma(p.q))
 
@@ -298,7 +290,7 @@ def solve(
     handle = volterra_operator(p, kernel)
     start = engine.start_or(grid, start, lambda g: GridFunction.constant(g, p.x0))
     report = engine.solve_picard(handle, start, tol, max_iter)
-    report.extras["nonlocal_snap_distances"] = [d for _, d in snap_nonlocal_points(p, grid)]
+    report.extras["nonlocal_snap_distances"] = [grid.snap(term.t)[1] for term in p.nonlocal_terms]
     rho, lam = certificate.constants["rho"], certificate.constants["lambda"]
     step = handle.apply(report.solution) - report.solution
     d_w = _weighted_sup(step.values, kernel.t, lam, p.L_f, p.t_N)

@@ -45,7 +45,10 @@ class Grid:
 
     ``nodes`` style samples the ``n + 1`` cell boundaries; ``midpoints``
     style samples the ``n`` cell centers, which keeps integrands that are
-    singular at the interval ends away from the endpoints.
+    singular at the interval ends away from the endpoints.  Both styles
+    share the ``n + 1`` cell edges ``a + k h``; :meth:`snap` is the one
+    place that maps a point such as bvp3's eta or a Caputo nonlocal point
+    to its nearest edge.
     """
 
     a: float
@@ -75,10 +78,13 @@ class Grid:
             return np.linspace(self.a, self.b, self.n + 1)
         return self.a + (np.arange(self.n) + 0.5) * self.spacing
 
-    def nearest_edge(self, t: float) -> int:
-        """Index k of the cell edge a + k h nearest to ``t``, clamped to
-        0..n."""
-        return min(max(int(round((t - self.a) / self.spacing)), 0), self.n)
+    def snap(self, t: float) -> tuple[int, float]:
+        """The index k of the cell edge a + k h nearest to ``t``, clamped to
+        0..n, and the snap distance ``|a + k h - t|``, at most half a cell
+        for ``t`` in [a, b].  A tie goes to the even index, as Python's
+        ``round`` does."""
+        k = min(max(int(round((t - self.a) / self.spacing)), 0), self.n)
+        return k, abs(self.a + k * self.spacing - t)
 
 
 def evaluate(fn: Callable, x: np.ndarray | float, *args: np.ndarray,
@@ -121,40 +127,27 @@ def _require_samples(grid: Grid, values: np.ndarray) -> None:
         raise ConfigurationError(f"expected {grid.size} samples for this grid, got {values.size}")
 
 
-def _read_only_copy(grid: Grid, values) -> np.ndarray:
-    """A read-only float copy of the samples of a function on ``grid``."""
-    vals = np.array(values, dtype=float, copy=True).reshape(-1)
-    _require_samples(grid, vals)
-    vals.flags.writeable = False
-    return vals
-
-
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real function sampled on a :class:`Grid`.
 
-    Values are stored as a read-only float array; all samples must be
-    finite.  Instances are immutable and safe to share between threads.
+    Values are stored as a read-only float copy; all samples must be
+    finite.  Every instance comes through this constructor, which copies,
+    checks the shape and scans for finiteness, also samples that
+    :func:`evaluate` has scanned already.  Instances are immutable and safe
+    to share between threads.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _read_only_copy(self.grid, self.values)
+        vals = np.array(self.values, dtype=float, copy=True).reshape(-1)
+        _require_samples(self.grid, vals)
         if not np.all(np.isfinite(vals)):
             raise NumericError("grid function contains non-finite samples")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def _of_finite(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
-        """The GridFunction of samples already scanned for finiteness, such
-        as the result of :func:`evaluate`: one copy and the shape check,
-        with no second scan."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _read_only_copy(grid, values))
-        return self
 
     @classmethod
     def sample(cls, grid: Grid, fn: Callable) -> "GridFunction":

@@ -11,7 +11,6 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from coincidia.bvp3 import snap_eta
 from coincidia.caputo import _trapezoid_coefficients
 from coincidia.errors import BracketingError, ConfigurationError, NumericError, RangeError
 from coincidia.numerics import MIDPOINTS
@@ -58,7 +57,7 @@ def apply_T_inverse_reference(grid, y, delta, eta):
     pts = grid.points()
     running = cumulative_integral_gather(grid, y)
     edges = np.concatenate(([0.0], grid.spacing * np.cumsum(y)))
-    k, _, _ = snap_eta(grid, eta)
+    k, _ = grid.snap(eta)
     c = (delta * edges[k] - edges[-1]) / (1.0 - delta)
     running_sy = cumulative_integral_gather(grid, pts * y)
     v = pts * running - running_sy + c * pts

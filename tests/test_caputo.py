@@ -14,7 +14,6 @@ from coincidia.caputo import (
     VolterraKernel,
     contraction_certificate,
     picard_step,
-    snap_nonlocal_points,
     volterra_operator,
 )
 from coincidia.errors import CertificateError, ConfigurationError, DomainError
@@ -99,8 +98,7 @@ class TestKernelWeights:
 def dense_step(p: CaputoProblem, x: GridFunction, W: np.ndarray) -> np.ndarray:
     """The Volterra step with the dense weights: the oracle of the FFT path."""
     t = x.grid.points()
-    nonlocal_sum = sum(term.g(x.values[idx])
-                       for (idx, _), term in zip(snap_nonlocal_points(p, x.grid), p.nonlocal_terms))
+    nonlocal_sum = sum(term.g(x.values[x.grid.snap(term.t)[0]]) for term in p.nonlocal_terms)
     return p.x0 + nonlocal_sum + (W @ p.f(t, x.values)) / gamma(p.q)
 
 
@@ -313,7 +311,8 @@ class TestPicardStep:
             q=0.5, f=lambda t, x: 0.0 * t, L_f=1.0, x0=0.0,
             nonlocal_terms=(NonlocalTerm(t=0.2341, g=lambda v: 0.0, c=0.0),),
         )
-        (idx, dist), = snap_nonlocal_points(p, GRID)
+        (term,) = p.nonlocal_terms
+        idx, dist = GRID.snap(term.t)
         assert dist <= GRID.spacing / 2.0
         assert abs(idx * GRID.spacing - 0.2341) == dist
 

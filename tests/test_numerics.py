@@ -49,9 +49,13 @@ class TestGrid:
         assert g.size == 4
         np.testing.assert_allclose(g.points(), [0.125, 0.375, 0.625, 0.875])
 
-    @pytest.mark.parametrize("t, k", [(-1.0, 0), (0.0, 0), (0.3, 1), (0.4, 2), (1.0, 4), (7.0, 4)])
-    def test_nearest_edge_is_clamped_to_the_grid(self, t, k):
-        assert Grid(0.0, 1.0, 4, MIDPOINTS).nearest_edge(t) == k
+    # a half-cell tie goes to the even edge, as round() sends it
+    @pytest.mark.parametrize("a, t, k, dist", [
+        (0.0, -1.0, 0, 1.0), (0.0, 0.0, 0, 0.0), (0.0, 0.3, 1, 0.05), (0.0, 0.4, 2, 0.1),
+        (0.0, 1.0, 4, 0.0), (0.0, 7.0, 4, 6.0), (0.0, 0.375, 2, 0.125), (0.0, 0.625, 2, 0.125),
+        (1.0, 1.3, 1, 0.05)])
+    def test_snap_is_clamped_to_the_grid(self, a, t, k, dist):
+        assert Grid(a, a + 1.0, 4, MIDPOINTS).snap(t) == (k, pytest.approx(dist, abs=1e-15))
 
     @pytest.mark.parametrize("bad", [dict(a=1.0, b=0.0), dict(n=1), dict(style="cells")])
     def test_invalid_grids(self, bad):
