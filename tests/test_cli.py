@@ -206,6 +206,17 @@ class TestSolveCommand:
         assert report["error"]["type"] == "NotConverged"
         assert report["error"]["exit_code"] == EXIT_NUMERIC
 
+    def test_failed_certificate_exits_3(self, tmp_path):
+        # L_f = 1e308 leaves rho >= 1 at the end of the lambda search
+        code = main(["solve", "--problem", "caputo-linear", "--lf", "1e308", "--grid-n", "64",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CERTIFICATE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        report = read_report(tmp_path)
+        assert "result" not in report
+        assert report["error"]["type"] == "CertificateError"
+        assert report["error"]["exit_code"] == EXIT_CERTIFICATE
+
     def test_unconverged_resolvent_exits_4(self, tmp_path):
         # three inner steps leave the first stage's outer residual near 0.6
         code = main(["solve", "--problem", "bvp3-example", "--scheme", "resolvent",

@@ -53,6 +53,7 @@ GOLDEN = [
     ('check --problem bvp3-example --seed 7', 0, {'report.json': 'cee32c0faec03508b46c02046c84fe9363243b6b47fc615e92698cd2bff7f9b1'}),
     ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '9297e7f53f79193a2776f0bb42bc24bae464a70fdd199d4194eeef457b4a814a', 'solution.csv': 'e3d0e332115438bc840ba85cc228a05deab986895be4cd5a0784d57aa626bb8a'}),
     ('solve --problem nope', 2, {'report.json': 'a3798dad0d22c4acc9c4c0592c4799fdee4888046fde2a55287dd2994fc52990'}),
+    ('solve --problem caputo-linear --lf 1e308 --grid-n 64', 3, {'report.json': '8a1498ea37fb8ed9e68655da10f20c34b265edcc8a8dc70438cb457e13490680'}),
 ]
 
 
