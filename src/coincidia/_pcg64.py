@@ -14,7 +14,8 @@ reproduce:
   Family of Simple Fast Space-Efficient Statistically Good Algorithms for
   Random Number Generation", HMC-CS-2014-0905); each draw steps the LCG and
   outputs the new state;
-* a double is the top 53 bits of an output times 2**-53.
+* a double ``d`` is the top 53 bits of an output times 2**-53, and
+  ``rng.uniform(low, high)`` maps it to ``low + (high - low) d``.
 
 The hashing and the LCG run on Python integers, the output function and
 the conversion to doubles on numpy ``uint64`` arrays.  NEP 19 does not
@@ -114,3 +115,9 @@ def random_doubles(seed: int, count: int) -> np.ndarray:
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     return _draw(seed, operator.index(count))
+
+
+def uniform(seed: int, shape, low, high) -> np.ndarray:
+    """``np.random.default_rng(seed).uniform(low, high, shape)``: the doubles of
+    :func:`random_doubles` in C order, with ``low`` and ``high`` broadcast."""
+    return low + (high - low) * random_doubles(seed, int(np.prod(shape))).reshape(shape)

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from ._pcg64 import random_doubles
+from ._pcg64 import uniform
 from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, DomainError
 from .numerics import (MIDPOINTS, Grid, GridFunction, _add_half_cells, _cell_sums, _require_samples,
@@ -170,10 +170,8 @@ def _check_sampled(p: Bvp3Problem, condition: str, weight: Callable, ell: float,
     ``bound = (name, margin)`` is nonnegative, and no sample violates the
     inequality ``lhs <= rhs`` of ``sampled = (name, sides, point names)``.
     Each sample draws ``t`` from [1e-9, 1] and one point of [-5, 5]^3 per
-    point name from the doubles ``d`` of
-    ``np.random.default_rng(rng_seed).random((200, width))``, each mapped to
-    ``low + (high - low) d`` as ``rng.uniform`` maps it, so the draws are
-    those of one ``rng.uniform`` call per coordinate, sample by sample;
+    point name: row ``i`` of :func:`_pcg64.uniform` of shape ``(200, width)``
+    with those bounds per column, one ``rng.uniform`` call per coordinate;
     ``sides(t, *points)`` returns both sides for all samples at once, each
     point as three coordinate rows.  A sample's margin is
     ``rhs - lhs + 1e-9 (1 + rhs)``; each violated sample is a witness.
@@ -184,8 +182,7 @@ def _check_sampled(p: Bvp3Problem, condition: str, weight: Callable, ell: float,
     width = 1 + 3 * len(names)
     low = np.array([1e-9] + [-5.0] * (width - 1))
     high = np.array([1.0] + [5.0] * (width - 1))
-    draws = random_doubles(rng_seed, _SAMPLE_COUNT * width).reshape(_SAMPLE_COUNT, width)
-    columns = np.ascontiguousarray((low + (high - low) * draws).T)
+    columns = np.ascontiguousarray(uniform(rng_seed, (_SAMPLE_COUNT, width), low, high).T)
     t, points = columns[0], [columns[1 + 3 * k: 4 + 3 * k] for k in range(len(names))]
     lhs, rhs = sides(t, *points)
     margins = rhs - lhs + 1e-9 * (1.0 + rhs)

@@ -14,8 +14,12 @@ the family's ``solve`` and the run's ``--scheme``, ``--tol`` and
 ``--max-iter``, so each refuses a scheme as ``solve`` does.  The pendulum
 oracle nests its two solves by one ``engine.coarse_to_fine`` step; every
 other solve starts from the family's cold start, a cascade of that step for
-a pendulum solve on a large even grid (see ``pendulum.solve``).  An oracle
-is ``ok`` when its error is within tolerance and all its solves converged.
+a pendulum solve on a large even grid (see ``pendulum.solve``).
+
+A run's outcome is settled once, in ``_run_in``: each unconverged solve is a
+``NotConverged`` failure, ``check`` adds a ``HypothesisFailure`` and ``oracle``
+an ``OracleMismatch`` ahead of all; the first is the run's error, and an
+oracle is ``ok`` when there is none.
 
 Every run writes ``report.json`` (schema 3, deterministic for a fixed
 config and seed).  Solves additionally write ``solution.csv``; stability
@@ -165,32 +169,21 @@ def _finish(config: RunConfig, out_dir: Path, result: dict | None, code: int = E
     return code
 
 
-def _solve_status(report) -> tuple[int, str, str]:
-    """Exit code, error type and message of a run whose reported solve is
-    ``report``: a solve that did not converge is a numeric failure."""
-    return (EXIT_OK if report.converged else EXIT_NUMERIC, "NotConverged",
-            f"the {report.scheme} iteration stopped after {report.iterations} iterations "
-            f"{'on stagnation ' if report.stagnated else ''}with residual "
-            f"{report.final_residual:.6g} above tol {report.tol}")
-
-
-def _run_check(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
+def _run_check(config: RunConfig, entry, problem, solve, out_dir: Path, failed: list) -> dict:
     reports = entry.family.check(problem, config.seed)
-    all_pass = all(r.passed for r in reports)
-    failed = ", ".join(r.condition for r in reports if not r.passed)
-    return _finish(config, out_dir, {"passed": all_pass, "checks": [r.to_dict() for r in reports]},
-                   EXIT_OK if all_pass else EXIT_CERTIFICATE,
-                   "HypothesisFailure", f"failed checks: {failed}")
+    if failing := [r.condition for r in reports if not r.passed]:
+        failed.append((EXIT_CERTIFICATE, "HypothesisFailure", f"failed checks: {', '.join(failing)}"))
+    return {"passed": not failing, "checks": [r.to_dict() for r in reports]}
 
 
-def _run_solve(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
+def _run_solve(config: RunConfig, entry, problem, solve, out_dir: Path, failed: list) -> dict:
     report = solve(entry.family.make_grid(problem, config.grid_n))
     columns = entry.family.columns(report)
     _write_csv(out_dir / "solution.csv", list(columns), list(columns.values()))
-    return _finish(config, out_dir, report.to_dict(), *_solve_status(report))
+    return report.to_dict()
 
 
-def _run_stability(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
+def _run_stability(config: RunConfig, entry, problem, solve, out_dir: Path, failed: list) -> dict:
     table1_stability = getattr(entry.family, "table1_stability", None)
     if table1_stability is None:
         raise ConfigurationError("stability tables are defined for the pendulum problem class")
@@ -209,7 +202,7 @@ def _run_stability(config: RunConfig, entry, problem, solve, out_dir: Path) -> i
         np.tile(solve_report.extras["u"].values, len(named)),
         np.repeat([r.psi for r in rows], t.size),
     ])
-    return _finish(config, out_dir, {
+    return {
         "rows": [
             {"name": name, "epsilon": r.epsilon, "psi": r.psi,
              "sup_distance_to_solution": r.sup_distance,
@@ -217,25 +210,19 @@ def _run_stability(config: RunConfig, entry, problem, solve, out_dir: Path) -> i
             for (name, _, _), r in zip(named, rows)
         ],
         "solver": solve_report.to_dict(),
-    }, *_solve_status(solve_report))
+    }
 
 
-def _run_oracle(config: RunConfig, entry, problem, solve, out_dir: Path) -> int:
-    """Compare solves against the problem's reference; fail on a mismatch,
-    else on the first unconverged solve, whose report is not kept."""
-    failed = []
-    def noted(grid, start=None):
-        report = solve(grid, start=start)
-        if not report.converged:
-            failed.append(_solve_status(report))
-        return report
+def _run_oracle(config: RunConfig, entry, problem, solve, out_dir: Path, failed: list) -> dict:
+    """Compare solves against the problem's reference; a mismatch is the
+    run's first failure, ahead of any unconverged solve."""
     grid = entry.family.make_grid(problem, config.grid_n)
-    result = {"problem": config.problem, **entry.oracle(problem, grid, noted)}
+    result = {"problem": config.problem, **entry.oracle(problem, grid, solve)}
     if not result["max_error"] <= result["tolerance"]:  # a NaN error is a mismatch
         failed.insert(0, (EXIT_NUMERIC, "OracleMismatch", f"max error {result['max_error']:.6g} "
                                                           f"exceeds tolerance {result['tolerance']:.6g}"))
     result["ok"] = not failed
-    return _finish(config, out_dir, result, *(failed[0] if failed else ()))
+    return result
 
 
 _RUNNERS = {"check": _run_check, "solve": _run_solve,
@@ -262,14 +249,21 @@ def _run_in(config: RunConfig, out_dir: Path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _finish(config, out_dir, None, code, type(exc).__name__, str(exc))
 
+    failed = []  # (exit code, error type, message) of each failure; the first is the run's
     try:
         config.validate()
         entry = registry.lookup(config.problem)
         problem = entry.make(**config.params)
         def solve(grid, start=None):  # every solve of the run goes through here
-            return entry.family.solve(problem, grid, config.scheme, tol=config.tol,
-                                      max_iter=config.max_iter, start=start)
-        return _RUNNERS[config.command](config, entry, problem, solve, out_dir)
+            report = entry.family.solve(problem, grid, config.scheme, tol=config.tol,
+                                        max_iter=config.max_iter, start=start)
+            if not report.converged:
+                why = "on stagnation " if report.stagnated else ""
+                failed.append((EXIT_NUMERIC, "NotConverged", f"the {report.scheme} iteration "
+                               f"stopped after {report.iterations} iterations {why}with residual "
+                               f"{report.final_residual:.6g} above tol {report.tol}"))
+            return report
+        result = _RUNNERS[config.command](config, entry, problem, solve, out_dir, failed)
     except (ConfigurationError, DomainError) as exc:
         return fail(exc, EXIT_CONFIG)
     except CertificateError as exc:
@@ -278,6 +272,7 @@ def _run_in(config: RunConfig, out_dir: Path) -> int:
         return fail(exc, EXIT_NUMERIC)
     except MemoryError as exc:
         return fail(MemoryError(str(exc) or "out of memory"), EXIT_NUMERIC)
+    return _finish(config, out_dir, result, *(failed[0] if failed else ()))
 
 
 @functools.cache

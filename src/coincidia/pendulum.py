@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import engine
-from ._pcg64 import random_doubles
+from ._pcg64 import uniform
 from .engine import OperatorHandle, SolveReport
 from .errors import ConfigurationError, RangeError
 from .numerics import (NODES, Grid, GridFunction, _require_samples, bracket_root,
@@ -52,13 +52,9 @@ _CHECK_PROBE_PAIRS = 500
 
 
 def _probe_pairs(A: Callable, seed: int, pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random pairs x, y in [-5, 5] with their image distances |A(x) - A(y)|.
-
-    x and y are the draws of ``rng.uniform(-5.0, 5.0, pairs)`` twice on
-    ``rng = np.random.default_rng(seed)``: the first and second ``pairs``
-    doubles of that generator's stream, each mapped to ``-5 + 10 d``."""
-    d = -5.0 + 10.0 * random_doubles(seed, 2 * pairs)
-    x, y = d[:pairs], d[pairs:]
+    """Random pairs x, y in [-5, 5] with their image distances |A(x) - A(y)|:
+    the two rows of :func:`_pcg64.uniform` of shape ``(2, pairs)``."""
+    x, y = uniform(seed, (2, pairs), -5.0, 5.0)
     return x, y, np.abs(evaluate(A, x, name="A") - evaluate(A, y, name="A"))
 
 

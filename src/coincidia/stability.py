@@ -25,12 +25,11 @@ _PROBE_SPAN = 100.0
 def _probe(fn: Callable[[float], float], name: str) -> tuple[np.ndarray, np.ndarray]:
     """The 1000 sorted probe points in [0, 100] and the finite values of ``fn``.
 
-    The points are ``np.random.default_rng(180451).uniform(0, 100, 1000)``:
-    that generator's first 1000 doubles, each mapped to ``0 + 100 d``.  The
-    generator is imported here, not with the module, because a caputo
-    command imports this module through the engine and draws nothing."""
-    from ._pcg64 import random_doubles
-    probes = np.sort(0.0 + _PROBE_SPAN * random_doubles(_PROBE_SEED, _PROBE_SAMPLES))
+    The points are :func:`_pcg64.uniform` draws on [0, 100].  The generator
+    is imported here, not with the module, because a caputo command imports
+    this module through the engine and draws nothing."""
+    from ._pcg64 import uniform
+    probes = np.sort(uniform(_PROBE_SEED, _PROBE_SAMPLES, 0.0, _PROBE_SPAN))
     return probes, evaluate(fn, probes, name=name)
 
 

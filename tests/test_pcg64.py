@@ -1,5 +1,7 @@
 """The package's generator against numpy's: ``random_doubles(seed, count)``
-must be ``np.random.default_rng(seed).random(count)`` bit for bit.
+must be ``np.random.default_rng(seed).random(count)`` bit for bit, and
+``uniform(seed, shape, low, high)`` must be
+``np.random.default_rng(seed).uniform(low, high, shape)``.
 
 NEP 19 does not promise that numpy's stream stays the same across
 releases.  The goldens pin the reports built from it; these tests pin the
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from coincidia import _pcg64
-from coincidia._pcg64 import MEMO_SIZE, random_doubles
+from coincidia._pcg64 import MEMO_SIZE, random_doubles, uniform
 from coincidia.bvp3 import check_h1, check_h2
 from coincidia.errors import ConfigurationError
 from coincidia.pendulum import (_CHECK_PROBE_PAIRS, _EXPANSIVE_PROBE_PAIRS, _EXPANSIVE_PROBE_SEED,
@@ -42,6 +44,26 @@ class TestStream:
     def test_numpy_and_bool_integers_are_seeds(self, seed):
         np.testing.assert_array_equal(bits(random_doubles(seed, 9)),
                                       bits(np.random.default_rng(seed).random(9)))
+
+    @pytest.mark.parametrize("seed", [0, 5, _PROBE_SEED, 2 ** 64 + 1])
+    @pytest.mark.parametrize("shape, low, high", [
+        (1000, 0.0, _PROBE_SPAN),
+        ((3, 7), -2.5, 0.75),
+        ((200, 7), np.array([1e-9] + [-5.0] * 6), np.array([1.0] + [5.0] * 6)),
+        ((2, _CHECK_PROBE_PAIRS), -5.0, 5.0),
+    ])
+    def test_uniform_matches_default_rng(self, seed, shape, low, high):
+        expected = np.random.default_rng(seed).uniform(low, high, shape)
+        drawn = uniform(seed, shape, low, high)
+        assert drawn.shape == expected.shape
+        np.testing.assert_array_equal(bits(drawn), bits(expected))
+
+    def test_uniform_halves_are_consecutive_calls(self):
+        rng = np.random.default_rng(3)
+        first, second = rng.uniform(-5.0, 5.0, 50), rng.uniform(-5.0, 5.0, 50)
+        x, y = uniform(3, (2, 50), -5.0, 5.0)
+        np.testing.assert_array_equal(bits(x), bits(first))
+        np.testing.assert_array_equal(bits(y), bits(second))
 
     @pytest.mark.parametrize("seed", [0, 3, _EXPANSIVE_PROBE_SEED])
     @pytest.mark.parametrize("pairs", [_EXPANSIVE_PROBE_PAIRS, _CHECK_PROBE_PAIRS])
