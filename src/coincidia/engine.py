@@ -192,9 +192,9 @@ def _apply(h: OperatorHandle, y: GridFunction) -> GridFunction:
     return out
 
 
-def _guard_growth(y: GridFunction) -> None:
-    if sup_norm(y) > _GROWTH_LIMIT:
-        raise NumericError("iterate norm grew beyond 1e14; the iteration is diverging")
+def _guard_growth(y: GridFunction, limit: float) -> None:
+    if sup_norm(y) > limit:
+        raise NumericError(f"iterate norm grew beyond {limit:.6g}; the iteration is diverging")
 
 
 def _distance(h: OperatorHandle, y: GridFunction, hy: GridFunction) -> float:
@@ -230,8 +230,10 @@ def _iterate(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int, sch
     the residual has failed to improve by 1e-15 over 50 consecutive steps.
     With ``tighten`` one more image step follows the first residual at or
     below ``tol``.  A starting point within tolerance is returned unchanged.
+    An iterate of sup norm above ``1e14 max(1, |y0|)`` raises NumericError.
     """
     _validate_stopping(tol, max_iter)
+    limit = _GROWTH_LIMIT * max(1.0, sup_norm(y0))
     y = y0
     hy = _apply(h, y)
     history = [_distance(h, y, hy)]
@@ -241,7 +243,7 @@ def _iterate(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int, sch
     while history[-1] > tol and iterations < max_iter:
         y = relax(y, hy)
         iterations += 1
-        _guard_growth(y)
+        _guard_growth(y, limit)
         hy = _apply(h, y)
         r = _distance(h, y, hy)
         history.append(r)

@@ -206,6 +206,16 @@ class TestSolveCommand:
         assert report["error"]["type"] == "NotConverged"
         assert report["error"]["exit_code"] == EXIT_NUMERIC
 
+    def test_large_start_is_no_divergence(self, tmp_path):
+        # the iterates grow from 1e15 by 2 sqrt(t / pi), far below 1e14 times the start
+        code = main(["solve", "--problem", "caputo-constant", "--x0", "1e15", "--grid-n", "64",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        result = read_report(tmp_path)["result"]
+        assert result["converged"] is True and result["iterations"] == 2
+        header, rows = read_csv(tmp_path / "solution.csv")
+        assert float(rows[0][1]) == 1e15
+
     def test_failed_certificate_exits_3(self, tmp_path):
         # L_f = 1e308 leaves rho >= 1 at the end of the lambda search
         code = main(["solve", "--problem", "caputo-linear", "--lf", "1e308", "--grid-n", "64",

@@ -85,6 +85,17 @@ class TestPicard:
         with pytest.raises(NumericError):
             solve_picard(h, GridFunction.constant(GRID, 1e13), 1e-10, 50)
 
+    def test_growth_limit_is_relative_to_the_start(self):
+        # an image 1e16 from a start at 1e15 is no divergence
+        h = OperatorHandle(apply=lambda y: GridFunction.constant(GRID, 1e16), norm_kind="sup")
+        rep = solve_picard(h, GridFunction.constant(GRID, 1e15), 1e-10, 5)
+        assert rep.converged and sup_norm(rep.solution) == 1e16
+        # doubling from 1e13 passes 1e27 = 1e14 * 1e13 at step 47
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, 2.0 * y.values), norm_kind="sup")
+        with pytest.raises(NumericError, match="grew beyond 1e"):
+            solve_picard(h, GridFunction.constant(GRID, 1e13), 1e-10, 47)
+        assert not solve_picard(h, GridFunction.constant(GRID, 1e13), 1e-10, 46).converged
+
     def test_stagnation_flag_without_modulus(self):
         # map with an isolated non-origin fixed structure: h(y) = -y is
         # nonexpansive and Picard just flips signs forever

@@ -54,6 +54,7 @@ GOLDEN = [
     ('solve --problem caputo-linear --grid-n 333', 0, {'report.json': '9297e7f53f79193a2776f0bb42bc24bae464a70fdd199d4194eeef457b4a814a', 'solution.csv': 'e3d0e332115438bc840ba85cc228a05deab986895be4cd5a0784d57aa626bb8a'}),
     ('solve --problem nope', 2, {'report.json': 'a3798dad0d22c4acc9c4c0592c4799fdee4888046fde2a55287dd2994fc52990'}),
     ('solve --problem caputo-linear --lf 1e308 --grid-n 64', 3, {'report.json': '8a1498ea37fb8ed9e68655da10f20c34b265edcc8a8dc70438cb457e13490680'}),
+    ('solve --problem caputo-constant --x0 1e15 --grid-n 64', 0, {'report.json': 'a8b5897de4dbaba160f015c959844172c1d64447339b7ee4e635290bf41435ee', 'solution.csv': '621a1f255eaa7213888cf56978ce31d823dd9cff6fe9df14a8fa44f31dbfcc3e'}),
 ]
 
 
