@@ -87,8 +87,8 @@ class H1Data:
     ell: float
 
     def __post_init__(self) -> None:
-        if min(self.K2, self.K3, self.ell) < 0.0:
-            raise ConfigurationError("K2, K3 and ell must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (self.K2, self.K3, self.ell)):
+            raise ConfigurationError("K2, K3 and ell must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ class H2Data:
     m: float
 
     def __post_init__(self) -> None:
-        if min(self.A2, self.A3, self.m) < 0.0:
-            raise ConfigurationError("A2, A3 and m must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (self.A2, self.A3, self.m)):
+            raise ConfigurationError("A2, A3 and m must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ class Bvp3Problem:
     h2_data: H2Data | None = None
 
     def __post_init__(self) -> None:
-        if self.delta == 1.0:
-            raise ConfigurationError("delta must differ from 1")
+        if self.delta == 1.0 or not math.isfinite(self.delta):
+            raise ConfigurationError(f"delta must be finite and differ from 1, got {self.delta}")
         if not 0.0 < self.eta < 1.0:
             raise ConfigurationError(f"eta must lie in (0, 1), got {self.eta}")
 

@@ -60,10 +60,10 @@ class NonlocalTerm:
     c: float
 
     def __post_init__(self) -> None:
-        if self.t <= 0.0:
-            raise ConfigurationError("nonlocal points must be positive")
-        if self.c < 0.0:
-            raise ConfigurationError("nonlocal Lipschitz constants must be nonnegative")
+        if not 0.0 < self.t < np.inf:
+            raise ConfigurationError(f"nonlocal points must be positive and finite, got {self.t}")
+        if not 0.0 <= self.c < np.inf:
+            raise ConfigurationError("nonlocal Lipschitz constants must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,12 @@ class CaputoProblem:
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
             raise ConfigurationError(f"the order q must lie in (0, 1), got {self.q}")
-        if self.L_f <= 0.0:
-            raise ConfigurationError("L_f must be positive")
-        if self.horizon <= 0.0:
-            raise ConfigurationError("the horizon must be positive")
+        if not 0.0 < self.L_f < np.inf:
+            raise ConfigurationError(f"L_f must be positive and finite, got {self.L_f}")
+        if not 0.0 < self.horizon < np.inf:
+            raise ConfigurationError(f"the horizon must be positive and finite, got {self.horizon}")
+        if not np.isfinite(self.x0):
+            raise ConfigurationError(f"x0 must be finite, got {self.x0}")
         ts = [term.t for term in self.nonlocal_terms]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigurationError("nonlocal points must be strictly increasing")

@@ -10,6 +10,7 @@ from coincidia import bvp3, engine
 from coincidia.bvp3 import (
     Bvp3Problem,
     H1Data,
+    H2Data,
     apply_T_inverse,
     c_constant,
     check_h1,
@@ -31,6 +32,7 @@ from coincidia.numerics import (
     l2_norm,
 )
 from coincidia.registry import bvp3_example
+from coincidia.reports import HypothesisReport
 from scalar_kernels import apply_T_inverse_reference
 
 KAPPA_CRITICAL = (4.0 * math.pi - 6.0) / (9.0 * math.sqrt(3.0))
@@ -187,6 +189,52 @@ class TestHypothesisChecks:
             check_h1(p)
         with pytest.raises(ConfigurationError):
             check_h2(p)
+
+
+    def test_failing_report_needs_a_margin_or_a_witness(self):
+        with pytest.raises(ValueError, match="non-positive margin or a witness"):
+            HypothesisReport(condition="c", passed=False, margins={"m": 0.5})
+        assert not HypothesisReport(condition="c", passed=False, margins={"m": 0.0}).passed
+        assert not HypothesisReport(condition="c", passed=False, witnesses=[{"t": 1.0}]).passed
+
+
+NOT_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestProblemValidation:
+    """Every numeric field of the bvp3 dataclasses is refused as a
+    configuration error when it is outside its range or not finite."""
+
+    @pytest.mark.parametrize("value", [-1.0, *NOT_FINITE])
+    @pytest.mark.parametrize("name", ["K2", "K3", "ell"])
+    def test_h1_data_constant(self, name, value):
+        fields = {"k1": lambda t: t, "K2": 0.5, "K3": 0.5, "ell": 0.1, name: value}
+        with pytest.raises(ConfigurationError, match="K2, K3 and ell"):
+            H1Data(**fields)
+
+    @pytest.mark.parametrize("value", [-1.0, *NOT_FINITE])
+    @pytest.mark.parametrize("name", ["A2", "A3", "m"])
+    def test_h2_data_constant(self, name, value):
+        fields = {"a1": lambda t: t, "A2": 0.5, "A3": 0.5, "a4": lambda t: t, "m": 0.1, name: value}
+        with pytest.raises(ConfigurationError, match="A2, A3 and m"):
+            H2Data(**fields)
+
+    @pytest.mark.parametrize("name, value", [
+        *(("delta", v) for v in [1.0, *NOT_FINITE]),
+        *(("eta", v) for v in [0.0, 1.0, -0.5, 2.0, *NOT_FINITE]),
+    ])
+    def test_problem_constant(self, name, value):
+        fields = {"delta": -0.1, "eta": 0.5, "g": lambda t, u1, u2, u3: 0.0 * t, name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            Bvp3Problem(**fields)
+
+    def test_z_membership_needs_nonnegative_ell(self):
+        with pytest.raises(DomainError, match="ell must be nonnegative"):
+            check_z_membership(lambda t: t, -1e-3, PROBE)
+
+    def test_solve_refuses_an_unknown_scheme(self):
+        with pytest.raises(ConfigurationError, match="unknown scheme 'newton'"):
+            bvp3.solve(bvp3_example(), Grid(0.0, 1.0, 64, MIDPOINTS), "newton")
 
 
 class TestApplyTInverse:

@@ -484,6 +484,31 @@ class TestProblemValidation:
             )
 
 
+    @pytest.mark.parametrize("name, value", [
+        *(("t", v) for v in (0.0, -0.5, math.nan, math.inf)),
+        *(("c", v) for v in (-0.1, math.nan, math.inf)),
+    ])
+    def test_nonlocal_term_constant(self, name, value):
+        fields = {"t": 0.5, "g": lambda v: v, "c": 0.1, name: value}
+        with pytest.raises(ConfigurationError, match="nonlocal"):
+            NonlocalTerm(**fields)
+
+    @pytest.mark.parametrize("name, value", [
+        *(("q", v) for v in (0.0, 1.0, math.nan, math.inf)),
+        *(("L_f", v) for v in (0.0, -1.0, math.nan, math.inf)),
+        *(("x0", v) for v in (math.nan, math.inf, -math.inf)),
+        *(("horizon", v) for v in (0.0, -1.0, math.nan, math.inf)),
+    ])
+    def test_problem_constant(self, name, value):
+        fields = {"q": 0.5, "f": lambda t, x: x, "L_f": 1.0, "x0": 0.0, "horizon": 1.0, name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            CaputoProblem(**fields)
+
+    def test_nonlocal_point_beyond_the_grid(self):
+        with pytest.raises(ConfigurationError, match="inside the grid interval"):
+            caputo.solve(caputo_nonlocal(), Grid(0.0, 0.25, 64, NODES))
+
+
 class TestTracerContract:
     """A wrapper installed the way the layer tracer does it
     (``dataclasses.replace`` on the handle ``volterra_operator`` returns)

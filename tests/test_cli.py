@@ -322,6 +322,17 @@ class TestStabilityCommand:
         assert header == ["name", "t", "w", "u_star", "band"]
         assert len(rows) == 4 * 101
 
+    def test_unknown_candidate_set_in_config_exits_2(self, tmp_path):
+        # the flag takes only table1, but a config can name any set
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"problem": "pendulum-Pa", "grid_n": 64, "candidates": "other"}))
+        out = tmp_path / "out"
+        assert main(["stability", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+        error = read_report(out)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert error["message"] == "unknown candidate set 'other'"
+
     def test_requires_pendulum(self, tmp_path):
         code = run(RunConfig(command="stability", problem="caputo-linear",
                              output_dir=str(tmp_path)))
@@ -576,6 +587,15 @@ class TestMainArgparse:
             assert error["type"] == "ConfigurationError" and error["exit_code"] == EXIT_CONFIG
         else:
             assert not out.exists()
+
+    def test_unreadable_config_exits_2_without_a_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for path in (tmp_path / "missing.json", tmp_path):  # absent, and a directory
+            assert main(["check", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot read config {path}: ")
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.json"

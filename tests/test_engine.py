@@ -35,6 +35,17 @@ def affine_handle():
                           norm_kind="sup", modulus=0.5)
 
 
+class TestOperatorHandle:
+    def test_unknown_norm_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="norm_kind must be one of"):
+            OperatorHandle(apply=lambda y: y, norm_kind="l1")
+
+    @pytest.mark.parametrize("modulus", [1.0, -0.5, math.nan])
+    def test_modulus_outside_the_unit_interval_rejected(self, modulus):
+        with pytest.raises(ConfigurationError, match="declared modulus must lie in"):
+            OperatorHandle(apply=lambda y: y, norm_kind="sup", modulus=modulus)
+
+
 class TestResidual:
     def test_identity(self):
         y = GridFunction.sample(GRID, lambda t: np.sin(t))

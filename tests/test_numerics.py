@@ -403,6 +403,11 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(-1.5)
 
+    def test_overflow_is_a_numeric_error(self):
+        # 1 / 1e-320 exceeds the largest double
+        with pytest.raises(NumericError, match="overflows double precision"):
+            gamma(1e-320)
+
     def test_recurrence(self):
         rng = np.random.default_rng(11)
         for x in rng.uniform(0.5, 10.0, 100):

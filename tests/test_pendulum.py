@@ -104,6 +104,11 @@ class TestInvertA:
             ref = np.array([invert_A_scalar(p.A, float(y), tol) for y in ys])
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12])
+    def test_tolerance_must_be_positive(self, pa, tol):
+        with pytest.raises(ConfigurationError, match="inversion tolerance must be positive"):
+            invert_A(pa, 0.7, tol)
+
     def test_unreached_element_raises_range_error(self):
         # expansive on the probe range [-5, 5], but bounded by 6
         p = PendulumProblem(A=lambda x: np.clip(np.asarray(x, dtype=float), -6.0, 6.0),
@@ -630,6 +635,12 @@ class TestStabilityTable:
     def test_candidates_validated(self, pa, pa_solution):
         with pytest.raises(ConfigurationError):
             stability_table(pa, [], u_star=pa_solution.extras["u"])
+
+    def test_candidates_on_two_grids_rejected(self, pa, pa_solution):
+        _, w, w2 = table1_candidates(GRID)[1]
+        _, v, v2 = table1_candidates(Grid(0.0, 1.0, 500, NODES))[1]
+        with pytest.raises(ConfigurationError, match="share one grid"):
+            stability_table(pa, [(w, w2), (v, v2)], u_star=pa_solution.extras["u"])
 
     def test_u_star_on_another_grid_rejected(self, pa, pa_solution):
         other = Grid(0.0, 1.0, 500, NODES)

@@ -47,6 +47,12 @@ class TestInvert:
         phi = PhiFunction(eval=lambda t: t, upper_bracket=lambda e: e + 1.0)
         assert invert(phi, 0.0, 1e-10) == 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_tolerance_must_be_positive(self, tol):
+        phi = PhiFunction(eval=lambda t: t, upper_bracket=lambda e: e + 1.0)
+        with pytest.raises(ConfigurationError, match="inversion tolerance must be positive"):
+            invert(phi, 1.0, tol)
+
     def test_negative_eps(self):
         phi = PhiFunction(eval=lambda t: t, upper_bracket=lambda e: e + 1.0)
         with pytest.raises(DomainError):
