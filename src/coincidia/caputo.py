@@ -138,8 +138,10 @@ class VolterraKernel:
     equal to the kept ones bit for bit (``-0.0`` and ``+0.0`` differ) get
     the kept integral back, which is exact because the integral depends on
     the samples only; any other samples drop the pair before their
-    convolution runs.  The kept pair is replaced in one assignment, so
-    threads sharing a kernel at worst convolve again.
+    convolution runs.  The samples are kept by reference only when no view
+    can change them, such as a :class:`GridFunction`'s values, and copied
+    otherwise (:func:`_kept`).  The kept pair is replaced in one
+    assignment, so threads sharing a kernel at worst convolve again.
     """
 
     grid: Grid
@@ -160,9 +162,7 @@ class VolterraKernel:
         entry j >= 1 is col0[j-1] fv[0] + sum_{i=1..j} c[j-i] fv[i].
 
         The result is read-only; it is the kept integral when ``fv`` repeats
-        the last samples.  Read-only samples (such as those of
-        :func:`picard_step`) are kept by reference and must not change
-        through another view; writable ones are kept as a copy.
+        the last samples.
         """
         fv = np.asarray(fv, dtype=float)
         kept = self._last[0]
@@ -173,8 +173,17 @@ class VolterraKernel:
         conv = np.fft.irfft(np.fft.rfft(fv[1:], 2 * n) * self.spectrum, 2 * n)[:n]
         out = np.concatenate(([0.0], self.col0 * fv[0] + conv))
         out.flags.writeable = False
-        self._last[0] = (fv.copy() if fv.flags.writeable else fv, out)
+        self._last[0] = (_kept(fv), out)
         return out
+
+
+def _kept(fv: np.ndarray) -> np.ndarray:
+    """``fv`` itself if it and all it views are read-only down to an owner of
+    memory, else a copy: ``evaluate`` views a buffer ``f`` may write again."""
+    base = fv
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return fv if base is None else fv.copy()
 
 
 def picard_step(p: CaputoProblem, x: GridFunction, kernel: VolterraKernel) -> GridFunction:

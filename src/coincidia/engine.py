@@ -23,8 +23,9 @@ operator's declared norm, and the reported solution always satisfies
 taken on the plain difference of the samples, and one that is not finite
 raises :class:`NumericError`; each relaxed step is validated once, as one
 GridFunction.  The kernels that compute in buffers they allocate
-themselves are ``numerics.cumulative_integral`` and the inverse maps
-``pendulum.green_apply_with_derivative`` and ``bvp3.apply_T_inverse``.
+themselves are ``numerics.cumulative_integral``, the inverse maps
+``pendulum.green_apply_with_derivative`` and ``bvp3.apply_T_inverse``, and
+the averaged and resolvent relaxations, which never write to their inputs.
 
 Each family module (``bvp3``, ``pendulum``, ``caputo``) is a problem class:
 ``make_grid(p, n)``, ``check(p, seed)``, ``columns(report)`` and
@@ -43,6 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .numerics import NODES, Grid, GridFunction, _l2_norm, _sup_norm, prolong, sup_norm
@@ -187,7 +190,7 @@ def remember_last(fn: Callable) -> Callable:
 
 def _apply(h: OperatorHandle, y: GridFunction) -> GridFunction:
     out = h.apply(y)
-    if not isinstance(out, GridFunction) or out.grid != y.grid:
+    if not isinstance(out, GridFunction) or (out.grid is not y.grid and out.grid != y.grid):
         raise ConfigurationError("operator must map a grid function to the same grid")
     return out
 
@@ -271,6 +274,13 @@ def _image(y: GridFunction, hy: GridFunction) -> GridFunction:
     return hy
 
 
+def _average(y: GridFunction, hy: GridFunction) -> GridFunction:
+    """Relaxation 1/2: ``(y + h(y)) / 2``, built in one buffer."""
+    mean = np.add(y.values, hy.values)
+    mean *= 0.5
+    return GridFunction(y.grid, mean)
+
+
 def solve_picard(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int) -> SolveReport:
     """Iterate ``y <- h(y)`` until the residual drops to ``tol``.
 
@@ -289,8 +299,7 @@ def solve_averaged(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: in
     For nonexpansive ``h`` the recorded residuals ``|y - h(y)|`` are
     nonincreasing; no rate is claimed, so the stagnation stop always applies.
     """
-    return _iterate(h, y0, tol, max_iter, AVERAGED,
-                    lambda y, hy: GridFunction(y.grid, 0.5 * (y.values + hy.values)),
+    return _iterate(h, y0, tol, max_iter, AVERAGED, _average,
                     tighten=False, watch_stagnation=True)
 
 
@@ -302,9 +311,14 @@ def resolvent_stage(h: OperatorHandle, y0: GridFunction, n: int) -> OperatorHand
     ``|(w - h(w)) - (y0 - w) / n| <= (n + 1) / n * tol <= 2 tol``.
     """
     m = float(n)
-    return OperatorHandle(
-        apply=lambda w: GridFunction(y0.grid, (y0.values + m * _apply(h, w).values) / (m + 1.0)),
-        norm_kind=h.norm_kind, modulus=m / (m + 1.0))
+
+    def apply(w: GridFunction) -> GridFunction:
+        image = np.multiply(_apply(h, w).values, m)  # (y0 + m h(w)) / (m + 1) in one buffer
+        image += y0.values
+        image /= m + 1.0
+        return GridFunction(y0.grid, image)
+
+    return OperatorHandle(apply=apply, norm_kind=h.norm_kind, modulus=m / (m + 1.0))
 
 
 def solve_resolvent(h: OperatorHandle, y0: GridFunction, tol: float, max_iter: int) -> SolveReport:

@@ -93,20 +93,24 @@ def evaluate(fn: Callable, x: np.ndarray | float, *args: np.ndarray,
     shaped ``args``), returning one finite value per sample; a float ``x``
     is one sample, passed to ``fn`` as it is, and returns a float.
 
-    A scalar result is broadcast.  A map that only accepts scalars (it
-    raises TypeError/ValueError on arrays, or returns a shape that does not
-    broadcast to ``x``) is applied element by element.  Any other exception
-    the callable raises becomes a :class:`NumericError` naming it; package
-    errors and ``MemoryError`` pass through unchanged.
+    An array result is read-only: a read-only view of what ``fn`` returned,
+    which may be a buffer ``fn`` writes again, or of a scalar broadcast.  A
+    map that only accepts scalars (it raises TypeError/ValueError on arrays,
+    or returns a shape that does not broadcast to ``x``) is applied element
+    by element.  Any other exception the callable raises becomes a
+    :class:`NumericError` naming it; package errors and ``MemoryError``
+    pass through unchanged.
     """
     try:
         if isinstance(x, float):
             vals = float(fn(x, *args))
         else:
             try:
-                vals = np.broadcast_to(np.asarray(fn(x, *args), dtype=float), x.shape)
+                vals = np.asarray(fn(x, *args), dtype=float)
+                vals = vals.view() if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
             except (TypeError, ValueError):
                 vals = np.array([float(fn(*map(float, point))) for point in zip(x, *args)])
+            vals.flags.writeable = False
     except (CoincidiaError, MemoryError):
         raise
     except Exception as exc:
@@ -131,20 +135,20 @@ def _require_samples(grid: Grid, values: np.ndarray) -> None:
 class GridFunction:
     """A real function sampled on a :class:`Grid`.
 
-    Values are stored as a read-only float copy; all samples must be
-    finite.  Every instance comes through this constructor, which copies,
-    checks the shape and scans for finiteness, also samples that
-    :func:`evaluate` has scanned already.  Instances are immutable and safe
-    to share between threads.
+    Values are stored as a read-only float copy that owns its memory, so
+    no view can change them; all samples must be finite.  Every instance
+    comes through this constructor, which copies, checks the shape and
+    scans for finiteness, also samples that :func:`evaluate` has scanned
+    already.  Instances are immutable and safe to share between threads.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, copy=True).reshape(-1)
+        vals = np.array(np.reshape(self.values, -1), dtype=float)
         _require_samples(self.grid, vals)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NumericError("grid function contains non-finite samples")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -249,11 +253,12 @@ def _add_half_cells(values: np.ndarray, h: float, F: np.ndarray,
     """Finish a midpoints running integral in place: with ``F`` from
     :func:`_cell_sums`, ``F <- h (F + corr)``, where the half-cell
     correction ``corr_0 = (5 v_0 - v_1) / 8`` and
-    ``corr_j = (v_{j-1} + 3 v_j) / 8`` is built in ``scratch``."""
+    ``corr_j = (v_{j-1} + 3 v_j) / 8`` is built in ``scratch`` (times 0.125:
+    the bits of the division, at a third of its cost)."""
     v = values
     np.multiply(v[1:], 3.0, out=scratch[1:])
     scratch[1:] += v[:-1]
-    scratch[1:] /= 8.0
+    scratch[1:] *= 0.125
     scratch[0] = (5.0 * v[0] - v[1]) / 8.0
     F += scratch
     F *= h

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coincidia import bvp3, engine
+from coincidia._pcg64 import uniform
 from coincidia.bvp3 import (
     Bvp3Problem,
     H1Data,
@@ -346,6 +349,80 @@ class TestTInverseBuffers:
         finally:
             tracemalloc.stop()
         assert peak - entry <= 5 * 8 * n
+
+
+def plain_g(kappa, t, u1, u2, u3):
+    """The example's g as written, with no memo."""
+    t = np.asarray(t, dtype=float)
+    saturating = 2.0 * u1 * u1 / (1.0 + u1 * u1)
+    soft = 0.5 * np.logaddexp(math.log(2.0) + np.asarray(u2, dtype=float), 0.0)
+    damped = u3 / (u3 * u3 + 3.0)
+    return (kappa / (2.0 * t)) * saturating + soft + damped + np.log(t)
+
+
+class TestExampleNonlinearity:
+    """The example's g keeps ``kappa / (2 t)`` and ``log t`` for the last t,
+    matched by content, and gives the bits of the plain formula."""
+
+    GRID = Grid(0.0, 1.0, 4096, MIDPOINTS)
+
+    def arguments(self):
+        """(t, u1, u2, u3) at the operator's points, on the 200 rows that
+        check_h2 draws, and at one point in floats."""
+        pts = self.GRID.points()
+        y = np.random.default_rng(3).standard_normal(self.GRID.size)
+        v, v_prime = apply_T_inverse(self.GRID, y, -0.1, 0.5, pts)
+        low, high = np.array([1e-9, -5.0, -5.0, -5.0]), np.array([1.0, 5.0, 5.0, 5.0])
+        drawn = tuple(uniform(0, (200, 4), low, high).T)
+        return [(pts, v, v_prime, y), drawn, (0.3, -1.5, 2.0, 0.25)]
+
+    @pytest.mark.parametrize("kappa", [0.4, -0.45])
+    def test_bits_of_the_plain_formula(self, kappa):
+        g = bvp3_example(kappa).g
+        points, drawn, floats = self.arguments()
+        for args in (points, points, drawn, drawn, floats, floats, points):
+            np.testing.assert_array_equal(bits(g(*args)), bits(plain_g(kappa, *args)))
+
+    def test_t_changed_in_place_between_calls(self):
+        g = bvp3_example(0.4).g
+        t, v, v_prime, y = self.arguments()[0]
+        g(t, v, v_prime, y)
+        t *= 0.5
+        np.testing.assert_array_equal(bits(g(t, v, v_prime, y)), bits(plain_g(0.4, t, v, v_prime, y)))
+
+    def test_t_only_terms_once_per_distinct_t(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np, "log", lambda x, _log=np.log: calls.append(1) or _log(x))
+        g = bvp3_example(0.4).g
+        pts = self.GRID.points()
+        u = np.zeros(pts.size)
+        for t in (pts, pts, pts.copy(), pts[::-1], pts):
+            g(t, u, u, u)
+        assert len(calls) == 3
+
+    def test_threads_sharing_g_get_their_own_terms(self):
+        g = bvp3_example(0.4).g
+        cases = [self.arguments()[0], self.arguments()[1]]
+        expected = [bits(plain_g(0.4, *args)) for args in cases]
+
+        # alternating points: every call replaces the terms the other
+        # threads are reading
+        def work(start):
+            for i in range(300):
+                k = (start + i) % 2
+                if not np.array_equal(bits(g(*cases[k])), expected[k]):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, start) for start in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(results)
 
 
 class TestApplicationResult:

@@ -175,6 +175,20 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
+def check_buffer_reusing_f_gives_the_plain_bits() -> None:
+    """A solve whose f returns one buffer, written again on every call,
+    takes the steps and gives the bits of the same solve with a plain f."""
+    grid = Grid(0.0, 1.0, 64, NODES)
+    buf = np.empty(grid.size)
+    reusing = caputo.solve(CaputoProblem(q=0.5, f=lambda t, x: np.multiply(x, 1.0, out=buf),
+                                         L_f=1.0, x0=1.0), grid)
+    plain = caputo.solve(CaputoProblem(q=0.5, f=lambda t, x: x, L_f=1.0, x0=1.0), grid)
+    assert plain.iterations == 27
+    assert reusing.iterations == plain.iterations
+    assert reusing.residual_history == plain.residual_history
+    np.testing.assert_array_equal(bits(reusing.solution.values), bits(plain.solution.values))
+
+
 class TestKernelMemo:
     """The kernel keeps its last (samples, integral) pair and hands the
     integral back for samples equal to the kept ones bit for bit."""
@@ -265,6 +279,25 @@ class TestKernelMemo:
         fv *= 2.0  # written in place after the call: the memo must not see it
         np.testing.assert_array_equal(kernel.integrate(fv),
                                       VolterraKernel.build(GRID, 0.5).integrate(fv))
+
+    def test_read_only_view_of_a_writable_buffer_is_kept_as_a_copy(self):
+        kernel = VolterraKernel.build(GRID, 0.5)
+        buf = np.ones(GRID.size)
+        view = buf.view()
+        view.flags.writeable = False
+        kernel.integrate(view)
+        buf *= 2.0  # written through the buffer after the call
+        np.testing.assert_array_equal(kernel.integrate(view),
+                                      VolterraKernel.build(GRID, 0.5).integrate(buf))
+
+    def test_grid_function_values_are_kept_by_reference(self):
+        kernel = VolterraKernel.build(GRID, 0.5)
+        x = GridFunction(GRID, np.sin(GRID.points()))
+        kernel.integrate(x.values[:])
+        assert kernel._last[0][0].base is x.values
+
+    def test_buffer_reusing_f_gives_the_plain_bits(self):
+        check_buffer_reusing_f_gives_the_plain_bits()
 
     @pytest.mark.parametrize("build", [caputo_constant, caputo_linear, caputo_nonlocal])
     def test_peak_memory_at_2_17(self, build):

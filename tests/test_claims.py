@@ -24,6 +24,9 @@ Caputo ``rho`` with half its ``L_f`` term             ``test_modulus_bounds_the_
                                                       (w1: 0.0920, halved 0.0460)
 Caputo ``bound`` halved                               ``test_caputo_bound_covers_the_next_iterate
                                                       [caputo-nonlocal]`` (distance/bound 0.537)
+``VolterraKernel`` keeps every read-only sample       ``test_buffer_reusing_f_kills_the_by_reference_mutant``
+array by reference                                    (2 steps, x(1) = 2.128, against 27
+                                                      steps, x(1) = 5.007)
 pendulum bound ``psi(r)`` claimed as ``psi(r/2)``     survives: radius 2.4e-4 against a
                                                       distance of 1.0e-13 in
                                                       ``test_pendulum_bound_covers_a_tighter_solve``
@@ -33,6 +36,10 @@ The halved ``rho`` of caputo-nonlocal is 0.615, above its measured ratio
 0.500, so that case does not kill the Caputo mutant; caputo-linear does.
 The halved Caputo bound still covers caputo-linear (distance/bound 0.145)
 and caputo-constant (0/0), so caputo-nonlocal kills it.
+
+The check of the Volterra memo row is the Caputo test of an ``f`` that
+returns one reused buffer; ``numerics.evaluate`` hands the kernel a
+read-only view of that buffer, which the mutant keeps by reference.
 
 The pendulum's ``psi(r/2)`` mutant leaves every claim about the discrete
 solve true: its radius is about ``(12 r)^(1/3)``, which stays far above the
@@ -56,6 +63,7 @@ from coincidia.numerics import NODES, Grid, GridFunction, sup_norm
 from coincidia.pendulum import StabilityRow
 from coincidia.registry import caputo_constant, caputo_linear, caputo_nonlocal, pendulum_pa
 from scalar_kernels import weighted_sup_norm
+from test_caputo import check_buffer_reusing_f_gives_the_plain_bits
 
 # --max-iter at which each family's solve at n=256 stops with its residual
 # in (tol, 10 tol]
@@ -246,6 +254,12 @@ def test_caputo_bound_kills_the_halved_mutant(monkeypatch):
     monkeypatch.setattr(caputo, "solve", halved)
     with pytest.raises(AssertionError):
         check_caputo_bound_covers_the_next_iterate("caputo-nonlocal")
+
+
+def test_buffer_reusing_f_kills_the_by_reference_mutant(monkeypatch):
+    monkeypatch.setattr(caputo, "_kept", lambda fv: fv.copy() if fv.flags.writeable else fv)
+    with pytest.raises(AssertionError):
+        check_buffer_reusing_f_gives_the_plain_bits()
 
 
 def check_pendulum_bound_covers_a_tighter_solve() -> None:

@@ -235,6 +235,37 @@ class TestResolvent:
             solve_resolvent(identity_handle(), y0, 1e-9, 0)
 
 
+class TestRelaxationBuffers:
+    """The averaged step and the resolvent's stage map give the bits of the
+    plain expression and leave ``y``, ``h(y)`` and ``y0`` as they were, even
+    where those samples are writable."""
+
+    @staticmethod
+    def writable(values):
+        f = GridFunction(GRID, values)
+        f.values.flags.writeable = True  # allowed: the values own their memory
+        return f
+
+    def test_averaged_step(self):
+        y, hy = self.writable(np.sin(GRID.points())), self.writable(np.cos(GRID.points()))
+        before = [f.values.copy() for f in (y, hy)]
+        rep = solve_averaged(OperatorHandle(apply=lambda _: hy), y, 1e-300, 1)
+        assert rep.iterations == 1
+        np.testing.assert_array_equal(bits(rep.solution.values), bits(0.5 * (before[0] + before[1])))
+        for f, b in zip((y, hy), before):
+            np.testing.assert_array_equal(bits(f.values), bits(b))
+
+    @pytest.mark.parametrize("n", [1, 3, 1024])
+    def test_resolvent_stage_map(self, n):
+        y0, w, hw = (self.writable(fn(GRID.points())) for fn in (np.sin, np.square, np.cos))
+        before = [f.values.copy() for f in (y0, w, hw)]
+        out = resolvent_stage(OperatorHandle(apply=lambda _: hw), y0, n).apply(w)
+        m = float(n)
+        np.testing.assert_array_equal(bits(out.values), bits((before[0] + m * before[2]) / (m + 1.0)))
+        for f, b in zip((y0, w, hw), before):
+            np.testing.assert_array_equal(bits(f.values), bits(b))
+
+
 class TestResidualOnPlainDifference:
     """The loop takes ``|y - h(y)|`` on the plain difference of the samples,
     with no validated copy: a difference that overflows still raises, and a

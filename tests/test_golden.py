@@ -4,18 +4,24 @@ Each command runs through ``cli.main`` inside a fresh directory with the
 relative ``--out out`` (``report.json`` embeds the output directory), and
 the sha256 of every file it writes must match the recorded digest.  Any
 refactoring of the problem classes must leave these bytes unchanged.
+The digests also pin the bits of numpy's ufuncs, which depend on the numpy
+version and the SIMD extensions it dispatches to (``np.exp`` and ``np.log``
+differ from libm on some inputs on AVX-512 hosts), so a failure names both.
 
 ``PYTHONPATH=src python tests/test_golden.py [COMMAND ...]`` prints the
 exit code and digests of each given command, or else of every recorded
 one, as lines of ``GOLDEN``.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coincidia.cli import main
@@ -66,10 +72,26 @@ def _run(command):
                   for p in sorted(Path("out").iterdir())}
 
 
+def runtime() -> str:
+    """What ``np.show_runtime()`` prints: the numpy version and the SIMD
+    extensions found and not found on this host."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        np.show_runtime()
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("command, exit_code, digests", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_outputs_are_byte_identical(tmp_path, monkeypatch, command, exit_code, digests):
     monkeypatch.chdir(tmp_path)
-    assert _run(command) == (exit_code, digests)
+    assert _run(command) == (exit_code, digests), (
+        f"the bits were recorded with numpy 2.4.6 on an AVX-512 host; this runtime is\n{runtime()}")
+
+
+def test_the_runtime_names_the_numpy_version_and_simd_extensions():
+    text = runtime()
+    assert f"'numpy_version': '{np.__version__}'" in text
+    assert "'simd_extensions'" in text and "'found'" in text
 
 
 if __name__ == "__main__":

@@ -82,6 +82,13 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 2.0, 3.0, 4.0], np.arange(10.0)[::2],
+                                        np.arange(5.0).reshape(1, 5)])
+    def test_values_own_their_memory(self, values):
+        f = GridFunction(Grid(0.0, 1.0, 4, NODES), values)
+        assert f.values.base is None and not f.values.flags.writeable
+        np.testing.assert_array_equal(f.values, np.reshape(values, -1))
+
     def test_arithmetic_checks_grid(self):
         f = GridFunction.zeros(Grid(0.0, 1.0, 4, NODES))
         h = GridFunction.zeros(Grid(0.0, 1.0, 8, NODES))
@@ -513,6 +520,21 @@ class TestEvaluate:
         with pytest.raises(type(exc)) as info:
             evaluate(raising, np.zeros(3))
         assert info.value is exc
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: 2.0 * x,  # a result of the sample shape
+        lambda x: 1.5,  # a scalar, broadcast
+        lambda x: float(x),  # scalars only: applied element by element
+    ], ids=["sample shape", "broadcast", "element by element"])
+    def test_array_results_are_read_only(self, fn):
+        out = evaluate(fn, np.linspace(0.0, 1.0, 5))
+        assert out.shape == (5,) and not out.flags.writeable
+
+    def test_a_returned_buffer_is_viewed_not_frozen(self):
+        buf = np.arange(5.0)
+        out = evaluate(lambda x: buf, np.zeros(5))
+        assert not out.flags.writeable and np.shares_memory(out, buf)
+        assert buf.flags.writeable
 
     def test_float_sample_returns_a_float(self):
         assert evaluate(lambda r: r * r, 3.0) == 9.0
