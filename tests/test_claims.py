@@ -37,9 +37,10 @@ The halved ``rho`` of caputo-nonlocal is 0.615, above its measured ratio
 The halved Caputo bound still covers caputo-linear (distance/bound 0.145)
 and caputo-constant (0/0), so caputo-nonlocal kills it.
 
-The check of the Volterra memo row is the Caputo test of an ``f`` that
-returns one reused buffer; ``numerics.evaluate`` hands the kernel a
-read-only view of that buffer, which the mutant keeps by reference.
+The check of the Volterra memo row, a solve whose ``f`` returns one reused
+buffer, lives in ``test_caputo.py``, whose ``TestKernelMemo`` runs it on the
+library as it is.  ``numerics.evaluate`` hands the kernel a read-only view
+of that buffer, which the mutant keeps by reference.
 
 The pendulum's ``psi(r/2)`` mutant leaves every claim about the discrete
 solve true: its radius is about ``(12 r)^(1/3)``, which stays far above the
