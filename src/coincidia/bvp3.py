@@ -212,7 +212,7 @@ def check_h1(p: Bvp3Problem, rng_seed: int = 0) -> HypothesisReport:
     lam = lambda_constant(d.ell, d.K2, d.K3, p.delta, p.eta)
 
     def sides(t, u, v):
-        lhs = np.abs(evaluate(p.g, t, *u, name="g") - evaluate(p.g, t, *v, name="g"))
+        lhs = np.abs(evaluate(p.g, t, *u, name="g").copy() - evaluate(p.g, t, *v, name="g"))
         return lhs, (evaluate(d.k1, t, name="k1") * np.abs(u[0] - v[0])
                      + d.K2 * np.abs(u[1] - v[1]) + d.K3 * np.abs(u[2] - v[2]))
 
@@ -308,9 +308,6 @@ def make_grid(p: Bvp3Problem, n: int) -> Grid:
 
 def check(p: Bvp3Problem, seed: int) -> list[HypothesisReport]:
     return [check_h1(p, rng_seed=seed), check_h2(p, rng_seed=seed)]
-
-
-columns = engine.solution_columns
 
 
 def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,

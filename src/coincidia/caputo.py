@@ -134,14 +134,13 @@ class VolterraKernel:
     circular convolution of length 2n is the linear one.  ``t`` holds the
     grid points, sampled once for every step, read-only.
 
-    :meth:`integrate` keeps its last ``(samples, integral)`` pair.  Samples
-    equal to the kept ones bit for bit (``-0.0`` and ``+0.0`` differ) get
-    the kept integral back, which is exact because the integral depends on
-    the samples only; any other samples drop the pair before their
-    convolution runs.  The samples are kept by reference only when no view
-    can change them, such as a :class:`GridFunction`'s values, and copied
-    otherwise (:func:`_kept`).  The kept pair is replaced in one
-    assignment, so threads sharing a kernel at worst convolve again.
+    :meth:`integrate` keeps its last ``(samples, integral)`` pair, with a
+    copy of the samples.  Samples equal to the kept ones bit for bit
+    (``-0.0`` and ``+0.0`` differ) get the kept integral back, which is
+    exact because the integral depends on the samples only; any other
+    samples drop the pair before their convolution runs.  The kept pair is
+    replaced in one assignment, so threads sharing a kernel at worst
+    convolve again.
     """
 
     grid: Grid
@@ -173,17 +172,8 @@ class VolterraKernel:
         conv = np.fft.irfft(np.fft.rfft(fv[1:], 2 * n) * self.spectrum, 2 * n)[:n]
         out = np.concatenate(([0.0], self.col0 * fv[0] + conv))
         out.flags.writeable = False
-        self._last[0] = (_kept(fv), out)
+        self._last[0] = (fv.copy(), out)
         return out
-
-
-def _kept(fv: np.ndarray) -> np.ndarray:
-    """``fv`` itself if it and all it views are read-only down to an owner of
-    memory, else a copy: ``evaluate`` views a buffer ``f`` may write again."""
-    base = fv
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    return fv if base is None else fv.copy()
 
 
 def picard_step(p: CaputoProblem, x: GridFunction, kernel: VolterraKernel) -> GridFunction:
@@ -258,11 +248,6 @@ def check(p: CaputoProblem, seed: int) -> list[HypothesisReport]:
     return [contraction_certificate(p)]
 
 
-def columns(report: SolveReport) -> dict:
-    x = report.solution
-    return {"t": x.grid.points(), "u": x.values, "y": x.values}
-
-
 def solve(
     p: CaputoProblem,
     grid: Grid,
@@ -302,6 +287,7 @@ def solve(
     start = engine.start_or(grid, start, lambda g: GridFunction.constant(g, p.x0))
     report = engine.solve_picard(handle, start, tol, max_iter)
     report.extras["nonlocal_snap_distances"] = [grid.snap(term.t)[1] for term in p.nonlocal_terms]
+    report.extras["u"] = report.solution
     rho, lam = certificate.constants["rho"], certificate.constants["lambda"]
     step = handle.apply(report.solution) - report.solution
     d_w = _weighted_sup(step.values, kernel.t, lam, p.L_f, p.t_N)

@@ -22,7 +22,8 @@ an ``OracleMismatch`` ahead of all; the first is the run's error, and an
 oracle is ``ok`` when there is none.
 
 Every run writes ``report.json`` (schema 3, deterministic for a fixed
-config and seed).  Solves additionally write ``solution.csv``; stability
+config and seed).  Solves additionally write ``solution.csv``: ``t``, each
+grid function of the report's ``extras`` in order, and ``y``; stability
 runs write ``table.csv`` plus ``localization.csv`` with the band data for
 plotting.  Per-point arrays are written only to these CSV files;
 ``report.json`` holds the scalars, residual histories, stages, hypothesis
@@ -59,6 +60,7 @@ from .errors import (
     NumericError,
     RangeError,
 )
+from .numerics import GridFunction
 
 SCHEMA_VERSION = 3
 
@@ -178,8 +180,10 @@ def _run_check(config: RunConfig, entry, problem, solve, out_dir: Path, failed: 
 
 def _run_solve(config: RunConfig, entry, problem, solve, out_dir: Path, failed: list) -> dict:
     report = solve(entry.family.make_grid(problem, config.grid_n))
-    columns = entry.family.columns(report)
-    _write_csv(out_dir / "solution.csv", list(columns), list(columns.values()))
+    y = report.solution
+    named = {key: f.values for key, f in report.extras.items() if isinstance(f, GridFunction)}
+    _write_csv(out_dir / "solution.csv", ["t", *named, "y"],
+               [y.grid.points(), *named.values(), y.values])
     return report.to_dict()
 
 

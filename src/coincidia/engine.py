@@ -28,11 +28,11 @@ themselves are ``numerics.cumulative_integral``, the inverse maps
 the averaged and resolvent relaxations, which never write to their inputs.
 
 Each family module (``bvp3``, ``pendulum``, ``caputo``) is a problem class:
-``make_grid(p, n)``, ``check(p, seed)``, ``columns(report)`` and
+``make_grid(p, n)``, ``check(p, seed)`` and
 ``solve(p, grid, scheme, tol, max_iter, start=None)``, which raises
 :class:`ConfigurationError` for a scheme the family does not run.  A
 ``start`` replaces the family's cold first iterate; it must live on the
-solve's grid.
+solve's grid.  A family's report carries its solution ``u`` in ``extras``.
 
 A loop's last application of ``h`` is at its solution; :func:`remember_last`
 keeps it, so a family reads back the handle's ``preimage`` ``T^{-1}(y)``
@@ -107,7 +107,8 @@ class SolveReport:
     ``outer_residual``.  A family's ``solve`` sets ``certificate``;
     ``extras`` holds only family data.  The per-point arrays (``solution``
     and every :class:`GridFunction` in ``extras``, such as ``u``) stay on the
-    object; front ends write them as columns, see the family's ``columns``.
+    object; front ends write them as columns: ``t``, each grid function of
+    ``extras`` in insertion order, then ``y``, the solution.
     """
 
     solution: GridFunction
@@ -145,16 +146,6 @@ class SolveReport:
         payload.update((key, value) for key, value in self.extras.items()
                        if not isinstance(value, GridFunction))
         return payload
-
-
-def solution_columns(report: SolveReport) -> dict:
-    """Columns t, u, u', y of a solve that reconstructs u from y = T(u)."""
-    return {
-        "t": report.solution.grid.points(),
-        "u": report.extras["u"].values,
-        "u_prime": report.extras["u_prime"].values,
-        "y": report.solution.values,
-    }
 
 
 def start_or(grid: Grid, start: GridFunction | None,

@@ -94,7 +94,8 @@ def evaluate(fn: Callable, x: np.ndarray | float, *args: np.ndarray,
     is one sample, passed to ``fn`` as it is, and returns a float.
 
     An array result is read-only: a read-only view of what ``fn`` returned,
-    which may be a buffer ``fn`` writes again, or of a scalar broadcast.  A
+    which may be a buffer ``fn`` writes again, or of a scalar broadcast.
+    Code that holds a result across the next call of ``fn`` copies it.  A
     map that only accepts scalars (it raises TypeError/ValueError on arrays,
     or returns a shape that does not broadcast to ``x``) is applied element
     by element.  Any other exception the callable raises becomes a
@@ -367,7 +368,7 @@ def bracket_root(g: Callable, target, lo, hi, tol: float, name: str = "function"
     if one:
         glo, ghi = (np.array([evaluate(g, float(a[0]), name=name)]) for a in (lo, hi))
     else:
-        glo, ghi = evaluate(g, lo, name=name), evaluate(g, hi, name=name)
+        glo, ghi = evaluate(g, lo, name=name).copy(), evaluate(g, hi, name=name)
     bad = np.flatnonzero(~((glo <= target) & (target <= ghi)))
     if bad.size:
         i = bad[0]

@@ -55,7 +55,7 @@ def _probe_pairs(A: Callable, seed: int, pairs: int) -> tuple[np.ndarray, np.nda
     """Random pairs x, y in [-5, 5] with their image distances |A(x) - A(y)|:
     the two rows of :func:`_pcg64.uniform` of shape ``(2, pairs)``."""
     x, y = uniform(seed, (2, pairs), -5.0, 5.0)
-    return x, y, np.abs(evaluate(A, x, name="A") - evaluate(A, y, name="A"))
+    return x, y, np.abs(evaluate(A, x, name="A").copy() - evaluate(A, y, name="A"))
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,6 @@ def make_grid(p: PendulumProblem, n: int) -> Grid:
 
 def check(p: PendulumProblem, seed: int) -> list[HypothesisReport]:
     return [check_expansive(p, seed)]
-
-
-columns = engine.solution_columns
 
 
 def _cascade_start(p: PendulumProblem, grid: Grid, tol: float, max_iter: int,

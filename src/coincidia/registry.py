@@ -1,21 +1,22 @@
 """Built-in problems with their default parameters and oracles.
 
-Each entry names the parameters a caller may override, builds a fully
-wired problem object, names the family module that grids, checks and
-solves it, and carries an oracle of this module that compares a solve
-against a reference.  A family module is imported when an entry first uses
-it, so a command imports only its own family.  Nonlinearities beyond these
-built-ins are a library concern: plain-text configuration cannot safely
-encode functions.
+Each entry's builder declares the parameters a caller may override, with
+their defaults, and builds a fully wired problem object; the entry names
+the family module that grids, checks and solves it, and carries an oracle
+of this module that compares a solve against a reference.  A family
+module is imported when an entry first uses it, so a command imports only
+its own family.  Nonlinearities beyond these built-ins are a library
+concern: plain-text configuration cannot safely encode functions.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import inspect
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import ModuleType
 from typing import TYPE_CHECKING, Callable
 
@@ -189,21 +190,25 @@ def refinement_oracle(p: PendulumProblem, grid: Grid,
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """A built-in problem: the name of its family module, builder, default
-    parameters and oracle ``oracle(problem, grid, solve)``, which solves only
-    by ``solve(grid)``, the run's bound family solve, and returns the
-    ``reference`` it compares with, the ``max_error`` and the ``tolerance``.
-    ``family`` imports the named module on first use."""
+    """A built-in problem: the name of its family module, builder and oracle
+    ``oracle(problem, grid, solve)``, which solves only by ``solve(grid)``,
+    the run's bound family solve, and returns the ``reference`` it compares
+    with, the ``max_error`` and the ``tolerance``.  ``family`` imports the
+    named module on first use; ``defaults`` are the builder's keyword
+    defaults, the parameters the problem takes."""
 
     name: str
     family_name: str
     build: Callable
     oracle: Callable
-    defaults: dict = field(default_factory=dict)
 
     @functools.cached_property
     def family(self) -> ModuleType:
         return importlib.import_module(f"{__package__}.{self.family_name}")
+
+    @functools.cached_property
+    def defaults(self) -> dict:
+        return {name: p.default for name, p in inspect.signature(self.build).parameters.items()}
 
     def make(self, **params):
         unknown = set(params) - set(self.defaults)
@@ -230,14 +235,12 @@ _ENTRIES = [
         family_name="bvp3",
         build=bvp3_example,
         oracle=defect_oracle,
-        defaults={"kappa": 0.4},
     ),
     RegistryEntry(
         name="pendulum-Pa",
         family_name="pendulum",
         build=pendulum_pa,
         oracle=refinement_oracle,
-        defaults={"a": 1.0},
     ),
     RegistryEntry(
         name="caputo-constant",
@@ -246,7 +249,6 @@ _ENTRIES = [
         oracle=_exact_oracle("closed form x0 + t^q/Gamma(q+1)",
                              lambda p, t: p.x0 + t ** p.q / math.gamma(p.q + 1.0),
                              lambda n, tol: 1e-8),
-        defaults={"q": 0.5, "x0": 0.0},
     ),
     RegistryEntry(
         name="caputo-linear",
@@ -256,7 +258,6 @@ _ENTRIES = [
         oracle=_exact_oracle("Mittag-Leffler series x0 E_q(t^q)",
                              lambda p, t: p.x0 * mittag_leffler(p.q, t ** p.q, 1e-14),
                              lambda n, tol: max(5e-4, 0.5 / n)),
-        defaults={"q": 0.5, "x0": 1.0, "lf": 1.0},
     ),
     RegistryEntry(
         name="caputo-nonlocal",
@@ -264,7 +265,6 @@ _ENTRIES = [
         build=caputo_nonlocal,
         oracle=_exact_oracle("scalar fixed point 2 x0", lambda p, t: 2.0 * p.x0,
                              lambda n, tol: 10.0 * tol),
-        defaults={"x0": 1.0},
     ),
 ]
 

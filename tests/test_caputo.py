@@ -290,12 +290,6 @@ class TestKernelMemo:
         np.testing.assert_array_equal(kernel.integrate(view),
                                       VolterraKernel.build(GRID, 0.5).integrate(buf))
 
-    def test_grid_function_values_are_kept_by_reference(self):
-        kernel = VolterraKernel.build(GRID, 0.5)
-        x = GridFunction(GRID, np.sin(GRID.points()))
-        kernel.integrate(x.values[:])
-        assert kernel._last[0][0].base is x.values
-
     def test_buffer_reusing_f_gives_the_plain_bits(self):
         check_buffer_reusing_f_gives_the_plain_bits()
 
@@ -507,6 +501,13 @@ class TestProblemValidation:
                     NonlocalTerm(t=0.8, g=lambda v: v, c=0.1),
                     NonlocalTerm(t=0.5, g=lambda v: v, c=0.1),
                 ),
+            )
+
+    def test_duplicate_nonlocal_points_rejected(self):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            CaputoProblem(
+                q=0.5, f=lambda t, x: x, L_f=1.0, x0=0.0,
+                nonlocal_terms=(NonlocalTerm(t=0.5, g=lambda v: v, c=0.1),) * 2,
             )
 
     def test_nonlocal_beyond_horizon(self):

@@ -27,6 +27,10 @@ Caputo ``bound`` halved                               ``test_caputo_bound_covers
 ``VolterraKernel`` keeps every read-only sample       ``test_buffer_reusing_f_kills_the_by_reference_mutant``
 array by reference                                    (2 steps, x(1) = 2.128, against 27
                                                       steps, x(1) = 5.007)
+``check_h1`` holds ``g``'s first result across its    ``test_buffer_reusing_g_kills_the_check_h1_mutant``
+second call                                           (H1 with K2 = K3 = 0 passes, margin
+                                                      +0.019, against a failure with 68
+                                                      witnesses)
 pendulum bound ``psi(r)`` claimed as ``psi(r/2)``     survives: radius 2.4e-4 against a
                                                       distance of 1.0e-13 in
                                                       ``test_pendulum_bound_covers_a_tighter_solve``
@@ -40,7 +44,10 @@ and caputo-constant (0/0), so caputo-nonlocal kills it.
 The check of the Volterra memo row, a solve whose ``f`` returns one reused
 buffer, lives in ``test_caputo.py``, whose ``TestKernelMemo`` runs it on the
 library as it is.  ``numerics.evaluate`` hands the kernel a read-only view
-of that buffer, which the mutant keeps by reference.
+of that buffer, which the mutant keeps by reference.  The check of the
+``check_h1`` row, the buffer-reusing twin of each problem callable, lives
+in ``test_numerics.py``; the mutant is ``check_h1`` with its ``.copy()``
+removed, compiled from the library's source.
 
 The pendulum's ``psi(r/2)`` mutant leaves every claim about the discrete
 solve true: its radius is about ``(12 r)^(1/3)``, which stays far above the
@@ -51,13 +58,15 @@ ROADMAP item on error bounds that cover the continuous solution;
 """
 
 import dataclasses
+import inspect
 import json
 import re
+import textwrap
 
 import numpy as np
 import pytest
 
-from coincidia import caputo, engine, pendulum
+from coincidia import bvp3, caputo, engine, pendulum
 from coincidia.caputo import VolterraKernel, picard_step
 from coincidia.cli import EXIT_NUMERIC, main
 from coincidia.numerics import NODES, Grid, GridFunction, sup_norm
@@ -65,6 +74,7 @@ from coincidia.pendulum import StabilityRow
 from coincidia.registry import caputo_constant, caputo_linear, caputo_nonlocal, pendulum_pa
 from scalar_kernels import weighted_sup_norm
 from test_caputo import check_buffer_reusing_f_gives_the_plain_bits
+from test_numerics import check_buffer_reusing_twin_gives_the_plain_results
 
 # --max-iter at which each family's solve at n=256 stops with its residual
 # in (tol, 10 tol]
@@ -258,9 +268,31 @@ def test_caputo_bound_kills_the_halved_mutant(monkeypatch):
 
 
 def test_buffer_reusing_f_kills_the_by_reference_mutant(monkeypatch):
-    monkeypatch.setattr(caputo, "_kept", lambda fv: fv.copy() if fv.flags.writeable else fv)
+    def by_reference(kernel, fv, _original=VolterraKernel.integrate):
+        out = _original(kernel, fv)
+        if not fv.flags.writeable:
+            kernel._last[0] = (fv, out)
+        return out
+
+    monkeypatch.setattr(VolterraKernel, "integrate", by_reference)
     with pytest.raises(AssertionError):
         check_buffer_reusing_f_gives_the_plain_bits()
+
+
+def mutant(module, name: str, old: str, new: str):
+    """The function ``module.name`` compiled from its source with the one
+    occurrence of ``old`` replaced by ``new``, in the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def test_buffer_reusing_g_kills_the_check_h1_mutant(monkeypatch):
+    monkeypatch.setattr(bvp3, "check_h1", mutant(bvp3, "check_h1", '"g").copy() -', '"g") -'))
+    with pytest.raises(AssertionError):
+        check_buffer_reusing_twin_gives_the_plain_results("g")
 
 
 def check_pendulum_bound_covers_a_tighter_solve() -> None:

@@ -2,6 +2,7 @@ import inspect
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from coincidia import bvp3, caputo, engine, pendulum, registry
@@ -61,6 +62,11 @@ class TestRegistry:
     def test_unknown_problem(self):
         with pytest.raises(ConfigurationError):
             lookup("missing-problem")
+
+    def test_pendulum_a_zero_refused(self, tmp_path):
+        # 0 < |a| <= 1: A(r) = r / a^2 is then expansive
+        assert main(["check", "--problem", "pendulum-Pa", "--a", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "0 < |a| <= 1" in read_report(tmp_path)["error"]["message"]
 
     def test_unknown_parameter(self):
         with pytest.raises(ConfigurationError):
@@ -131,8 +137,15 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig.from_json_dict({"command": "solve", "problem": "x", "output_dir": 5})
 
+    def test_documented_minima_accepted(self, tmp_path):
+        RunConfig(command="solve", problem="pendulum-Pa", grid_n=8, max_iter=1).validate()
+        assert main(["solve", "--problem", "caputo-constant", "--grid-n", "8",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["check", "--problem", "caputo-constant", "--max-iter", "1",
+                     "--out", str(tmp_path)]) == EXIT_OK
+
     @pytest.mark.parametrize("patch", [
-        {"grid_n": 4}, {"tol": 2.0}, {"tol": 0.0}, {"scheme": "newton"},
+        {"grid_n": 4}, {"grid_n": 7}, {"tol": 2.0}, {"tol": 0.0}, {"scheme": "newton"},
         {"command": "plot"}, {"max_iter": 0}, {"seed": -1}, {"seed": True},
         {"grid_n": 100.0}, {"tol": "1e-9"}, {"params": [1]}, {"problem": None},
     ])
@@ -155,6 +168,30 @@ class TestSolveCommand:
         report = read_report(tmp_path)
         assert report["result"]["converged"] is True
         assert report["schema_version"] == 3
+
+    @pytest.mark.parametrize("problem, scheme", [
+        *((name, "auto") for name in REGISTRY if name != "bvp3-example"),
+        *(("bvp3-example", scheme) for scheme in _SCHEMES),
+    ])
+    def test_solution_columns_are_the_report_grid_functions(self, tmp_path, monkeypatch,
+                                                            problem, scheme):
+        family, reports = lookup(problem).family, []
+
+        def recording(*args, _solve=family.solve, **kwargs):
+            reports.append(_solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(family, "solve", recording)
+        assert main(["solve", "--problem", problem, "--scheme", scheme, "--grid-n", "64",
+                     "--tol", "1e-8", "--out", str(tmp_path)]) == EXIT_OK
+        (report,) = reports
+        named = {key: f for key, f in report.extras.items() if isinstance(f, GridFunction)}
+        header, rows = read_csv(tmp_path / "solution.csv")
+        assert header == ["t", *named, "y"]
+        assert header == (["t", "u", "y"] if family is caputo else ["t", "u", "u_prime", "y"])
+        columns = [report.solution.grid.points(), *(f.values for f in named.values()),
+                   report.solution.values]
+        assert [[float(cell) for cell in row] for row in rows] == np.array(columns).T.tolist()
 
     @pytest.mark.parametrize("command, problem", [
         ("solve", "pendulum-Pa"),

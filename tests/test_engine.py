@@ -45,6 +45,13 @@ class TestOperatorHandle:
         with pytest.raises(ConfigurationError, match="declared modulus must lie in"):
             OperatorHandle(apply=lambda y: y, norm_kind="sup", modulus=modulus)
 
+    def test_modulus_zero_accepted(self):
+        # the lower end of [0, 1): a constant map
+        c = GridFunction.constant(GRID, 2.0)
+        h = OperatorHandle(apply=lambda y: c, norm_kind="sup", modulus=0.0)
+        assert h.modulus == 0.0
+        assert solve_picard(h, GridFunction.zeros(GRID), 1e-12, 5).solution is c
+
 
 class TestResidual:
     def test_identity(self):
@@ -59,6 +66,13 @@ class TestResidual:
         c = GridFunction.sample(GRID, lambda t: np.cos(3 * t))
         h = OperatorHandle(apply=lambda y: c, norm_kind="sup")
         assert residual(h, GridFunction.zeros(GRID)) == pytest.approx(sup_norm(c))
+
+    def test_equal_but_distinct_grid_accepted(self):
+        h = OperatorHandle(apply=lambda y: GridFunction(Grid(0.0, 1.0, 16, MIDPOINTS), y.values),
+                           norm_kind="sup")
+        y = GridFunction.constant(GRID, 1.0)
+        assert h.apply(y).grid is not GRID
+        assert residual(h, y) == 0.0
 
     def test_grid_change_rejected(self):
         other = Grid(0.0, 1.0, 8, MIDPOINTS)
@@ -113,6 +127,19 @@ class TestPicard:
         h = OperatorHandle(apply=lambda y: GridFunction(GRID, -y.values), norm_kind="sup")
         rep = solve_picard(h, GridFunction.constant(GRID, 1.0), 1e-12, 500)
         assert rep.stagnated and not rep.converged
+
+    @pytest.mark.parametrize("max_iter, stagnated", [(500, True), (50, True), (49, False)])
+    def test_stagnation_stop_after_exactly_50_flat_steps(self, max_iter, stagnated):
+        # every residual of h(y) = -y from 1 is 2: no step improves on the first
+        h = OperatorHandle(apply=lambda y: GridFunction(GRID, -y.values), norm_kind="sup")
+        rep = solve_picard(h, GridFunction.constant(GRID, 1.0), 1e-12, max_iter)
+        assert rep.stagnated is stagnated
+        assert rep.iterations == min(50, max_iter)
+
+    @pytest.mark.parametrize("solver", [solve_picard, solve_averaged, solve_resolvent])
+    def test_zero_tolerance_rejected(self, solver):
+        with pytest.raises(ConfigurationError, match="tolerance must be positive"):
+            solver(affine_handle(), GridFunction.zeros(GRID), 0.0, 10)
 
     def test_final_residual_recomputes(self):
         h = affine_handle()

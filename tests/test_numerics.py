@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coincidia import bvp3, caputo, pendulum
+from coincidia import bvp3, caputo, engine, pendulum, stability
 from coincidia.errors import (
     BracketingError,
     ConfigurationError,
@@ -29,7 +29,7 @@ from coincidia.numerics import (
     sup_norm,
 )
 from coincidia.pendulum import phi_pendulum
-from coincidia.registry import caputo_linear, caputo_nonlocal, pendulum_pa
+from coincidia.registry import bvp3_example, caputo_linear, caputo_nonlocal, pendulum_pa
 from scalar_kernels import (bracket_root_scalar, cumulative_integral_gather,
                             mittag_leffler_per_term)
 
@@ -57,7 +57,7 @@ class TestGrid:
     def test_snap_is_clamped_to_the_grid(self, a, t, k, dist):
         assert Grid(a, a + 1.0, 4, MIDPOINTS).snap(t) == (k, pytest.approx(dist, abs=1e-15))
 
-    @pytest.mark.parametrize("bad", [dict(a=1.0, b=0.0), dict(n=1), dict(style="cells")])
+    @pytest.mark.parametrize("bad", [dict(a=1.0, b=0.0), dict(b=0.0), dict(n=1), dict(style="cells")])
     def test_invalid_grids(self, bad):
         kwargs = dict(a=0.0, b=1.0, n=4, style=NODES)
         kwargs.update(bad)
@@ -494,6 +494,109 @@ def _divide_by_zero(*args):
     return 1.0 / 0.0
 
 
+def reusing(fn):
+    """A twin of ``fn`` that copies each result into one buffer per shape
+    and returns that buffer, which its next call of that shape writes again."""
+    buffers = {}
+
+    def twin(*args):
+        value = np.asarray(fn(*args), dtype=float)
+        out = buffers.setdefault(value.shape, np.empty(value.shape))
+        out[...] = value
+        return out
+
+    return twin
+
+
+def as_data(result):
+    """A check, solve, table or bisection result as plain data, with every
+    array as its bits."""
+    if isinstance(result, GridFunction):
+        result = result.values
+    if isinstance(result, np.ndarray):
+        return bits(result).tolist()
+    if isinstance(result, (list, tuple)):
+        return [as_data(item) for item in result]
+    if isinstance(result, engine.SolveReport):
+        return [result.to_dict(), as_data(result.solution),
+                {key: as_data(f) for key, f in result.extras.items() if isinstance(f, GridFunction)}]
+    if hasattr(result, "to_dict"):
+        return result.to_dict()
+    return dataclasses.asdict(result) if dataclasses.is_dataclass(result) else result
+
+
+def _bvp3_lipschitz_only_in_u1(wrap):
+    """bvp3-example with H1's K2 = K3 = 0, which its g violates: the check
+    fails and the solve runs averaged, uncertified."""
+    p = bvp3_example()
+    p = dataclasses.replace(p, g=wrap(p.g), h1_data=dataclasses.replace(p.h1_data, K2=0.0, K3=0.0))
+    return [*bvp3.check(p, 0), bvp3.solve(p, Grid(0.0, 1.0, 64, MIDPOINTS))]
+
+
+def _bvp3_data(field, name):
+    def run(wrap):
+        p = bvp3_example()
+        data = getattr(p, field)
+        p = dataclasses.replace(p, **{field: dataclasses.replace(data, **{name: wrap(getattr(data, name))})})
+        return [*bvp3.check(p, 0), bvp3.solve(p, Grid(0.0, 1.0, 64, MIDPOINTS))]
+    return run
+
+
+def _caputo(build, wrap_problem):
+    def run(wrap):
+        p = wrap_problem(build(), wrap)
+        return [caputo.check(p, 0), caputo.solve(p, Grid(0.0, 1.0, 64, NODES))]
+    return run
+
+
+def _pendulum(wrap_problem):
+    """Construction, check, stability table and, with A^{-1} found by
+    bisection, the inverse of A on a few values."""
+    def run(wrap):
+        p = wrap_problem(pendulum_pa(0.8), wrap)
+        grid = Grid(0.0, 1.0, 32, NODES)
+        table = pendulum.table1_stability(p, grid, lambda g: pendulum.solve(p, g))
+        inverse = pendulum.invert_A(dataclasses.replace(p, A_inverse=None), np.linspace(-3.0, 3.0, 7), 1e-12)
+        return [pendulum.check(p, 0), table, inverse]
+    return run
+
+
+def _phi(wrap):
+    p = pendulum_pa(0.8)
+    phi = stability.PhiFunction(eval=wrap(p.f_lower.eval), upper_bracket=p.f_lower.upper_bracket)
+    return [pendulum.check(dataclasses.replace(p, f_lower=phi), 0), stability.invert(phi, 0.3, 1e-12),
+            bracket_root(phi.eval, np.array([0.25, 2.0]), np.zeros(2), np.full(2, 4.0), 1e-12)]
+
+
+def _cube(wrap):
+    return bracket_root(wrap(lambda r: r ** 3), np.array([1.0, 8.0]), np.zeros(2), np.full(2, 4.0), 1e-12)
+
+
+# each case runs the checks, solves and bisections that call its callable,
+# with the callable passed through ``wrap``
+REUSING_CASES = {
+    "g": _bvp3_lipschitz_only_in_u1,
+    "k1": _bvp3_data("h1_data", "k1"),
+    "a1": _bvp3_data("h2_data", "a1"),
+    "a4": _bvp3_data("h2_data", "a4"),
+    "f": _caputo(caputo_linear, lambda p, wrap: dataclasses.replace(p, f=wrap(p.f))),
+    "nonlocal g": _caputo(caputo_nonlocal, lambda p, wrap: dataclasses.replace(p, nonlocal_terms=tuple(
+        dataclasses.replace(term, g=wrap(term.g)) for term in p.nonlocal_terms))),
+    "A": _pendulum(lambda p, wrap: dataclasses.replace(p, A=wrap(p.A))),
+    "A_inverse": _pendulum(lambda p, wrap: dataclasses.replace(p, A_inverse=wrap(p.A_inverse))),
+    "driving": _pendulum(lambda p, wrap: dataclasses.replace(p, driving=wrap(p.driving))),
+    "phi": _phi,
+    "r^3": _cube,
+}
+
+
+def check_buffer_reusing_twin_gives_the_plain_results(name: str) -> None:
+    """A callable that returns one buffer, written again by its next call,
+    gives the checks, solves and bisections of the plain callable."""
+    run = REUSING_CASES[name]
+    assert as_data(run(reusing)) == as_data(run(lambda fn: fn))
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("name, run", [
         ("driving", lambda: pendulum.solve(
@@ -535,6 +638,15 @@ class TestEvaluate:
         out = evaluate(lambda x: buf, np.zeros(5))
         assert not out.flags.writeable and np.shares_memory(out, buf)
         assert buf.flags.writeable
+
+    @pytest.mark.parametrize("name", list(REUSING_CASES))
+    def test_buffer_reusing_twin_gives_the_plain_results(self, name):
+        check_buffer_reusing_twin_gives_the_plain_results(name)
+
+    def test_h1_without_K2_and_K3_fails_and_solves_averaged(self):
+        h1, _, report = _bvp3_lipschitz_only_in_u1(lambda fn: fn)
+        assert not h1.passed and h1.witnesses
+        assert report.scheme == engine.AVERAGED and report.certificate.modulus is None
 
     def test_float_sample_returns_a_float(self):
         assert evaluate(lambda r: r * r, 3.0) == 9.0

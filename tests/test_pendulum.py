@@ -642,6 +642,12 @@ class TestStabilityTable:
         with pytest.raises(ConfigurationError, match="share one grid"):
             stability_table(pa, [(w, w2), (v, v2)], u_star=pa_solution.extras["u"])
 
+    def test_second_derivative_alone_on_another_grid_rejected(self, pa, pa_solution):
+        _, w, _ = table1_candidates(GRID)[1]
+        _, _, v2 = table1_candidates(Grid(0.0, 1.0, 500, NODES))[1]
+        with pytest.raises(ConfigurationError, match="share one grid"):
+            stability_table(pa, [(w, v2)], u_star=pa_solution.extras["u"])
+
     def test_u_star_on_another_grid_rejected(self, pa, pa_solution):
         other = Grid(0.0, 1.0, 500, NODES)
         candidates = [(w, w2) for _, w, w2 in table1_candidates(other)]
