@@ -65,7 +65,8 @@ class TestRegistry:
 
     def test_pendulum_a_zero_refused(self, tmp_path):
         # 0 < |a| <= 1: A(r) = r / a^2 is then expansive
-        assert main(["check", "--problem", "pendulum-Pa", "--a", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
+        argv = ["check", "--problem", "pendulum-Pa", "--a", "0", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
         assert "0 < |a| <= 1" in read_report(tmp_path)["error"]["message"]
 
     def test_unknown_parameter(self):

@@ -537,7 +537,8 @@ def _bvp3_data(field, name):
     def run(wrap):
         p = bvp3_example()
         data = getattr(p, field)
-        p = dataclasses.replace(p, **{field: dataclasses.replace(data, **{name: wrap(getattr(data, name))})})
+        wrapped = dataclasses.replace(data, **{name: wrap(getattr(data, name))})
+        p = dataclasses.replace(p, **{field: wrapped})
         return [*bvp3.check(p, 0), bvp3.solve(p, Grid(0.0, 1.0, 64, MIDPOINTS))]
     return run
 
@@ -556,7 +557,8 @@ def _pendulum(wrap_problem):
         p = wrap_problem(pendulum_pa(0.8), wrap)
         grid = Grid(0.0, 1.0, 32, NODES)
         table = pendulum.table1_stability(p, grid, lambda g: pendulum.solve(p, g))
-        inverse = pendulum.invert_A(dataclasses.replace(p, A_inverse=None), np.linspace(-3.0, 3.0, 7), 1e-12)
+        bisected = dataclasses.replace(p, A_inverse=None)
+        inverse = pendulum.invert_A(bisected, np.linspace(-3.0, 3.0, 7), 1e-12)
         return [pendulum.check(p, 0), table, inverse]
     return run
 
@@ -569,7 +571,8 @@ def _phi(wrap):
 
 
 def _cube(wrap):
-    return bracket_root(wrap(lambda r: r ** 3), np.array([1.0, 8.0]), np.zeros(2), np.full(2, 4.0), 1e-12)
+    return bracket_root(wrap(lambda r: r ** 3), np.array([1.0, 8.0]), np.zeros(2), np.full(2, 4.0),
+                        1e-12)
 
 
 # each case runs the checks, solves and bisections that call its callable,
