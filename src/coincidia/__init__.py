@@ -18,7 +18,6 @@ from .errors import (
     ConfigurationError,
     DomainError,
     NumericError,
-    RangeError,
 )
 from .numerics import (
     MIDPOINTS,
@@ -54,7 +53,6 @@ __all__ = [
     "NumericError",
     "OperatorHandle",
     "PhiFunction",
-    "RangeError",
     "SolveReport",
     "bracket_root",
     "cell_edge_cumulative",

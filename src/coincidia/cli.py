@@ -32,7 +32,10 @@ that ran, and its ``certificate`` is the one record of the hypothesis check,
 norm, certified modulus and labelled error bound its claim rests on.
 Exit codes: 0 ok, 2 configuration error (an unusable output directory
 among them, reported on stderr only), 3 certificate/hypothesis failure,
-4 numeric failure (including running out of memory).
+4 numeric failure (including running out of memory).  An exception's code
+is its family's: ``_run_in`` catches the three family bases of
+``coincidia.errors``, ``ConfigurationError`` (2), ``CertificateError`` (3)
+and ``NumericError`` (4), so every subclass exits with its family's code.
 """
 
 from __future__ import annotations
@@ -52,14 +55,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import engine, registry
-from .errors import (
-    BracketingError,
-    CertificateError,
-    ConfigurationError,
-    DomainError,
-    NumericError,
-    RangeError,
-)
+from .errors import CertificateError, ConfigurationError, NumericError
 from .numerics import GridFunction
 
 SCHEMA_VERSION = 3
@@ -268,11 +264,11 @@ def _run_in(config: RunConfig, out_dir: Path) -> int:
                                f"{report.final_residual:.6g} above tol {report.tol}"))
             return report
         result = _RUNNERS[config.command](config, entry, problem, solve, out_dir, failed)
-    except (ConfigurationError, DomainError) as exc:
+    except ConfigurationError as exc:
         return fail(exc, EXIT_CONFIG)
     except CertificateError as exc:
         return fail(exc, EXIT_CERTIFICATE)
-    except (NumericError, BracketingError, RangeError) as exc:
+    except NumericError as exc:
         return fail(exc, EXIT_NUMERIC)
     except MemoryError as exc:
         return fail(MemoryError(str(exc) or "out of memory"), EXIT_NUMERIC)

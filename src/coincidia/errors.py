@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, in three families, one per
+exit code: ConfigurationError (2), CertificateError (3), NumericError (4)."""
 
 
 class CoincidiaError(Exception):
@@ -6,24 +7,20 @@ class CoincidiaError(Exception):
 
 
 class ConfigurationError(CoincidiaError):
-    """A precondition on arguments or problem setup was violated."""
+    """Family base, exit code 2: a precondition on arguments or problem setup was violated."""
 
 
-class DomainError(CoincidiaError, ValueError):
-    """A numeric argument lies outside the mathematical domain of an operation."""
-
-
-class BracketingError(CoincidiaError):
-    """A root bracket does not enclose the requested target value."""
-
-
-class RangeError(CoincidiaError):
-    """A requested value is outside the reachable range of a map."""
+class DomainError(ConfigurationError, ValueError):
+    """ConfigurationError family: a numeric argument lies outside the domain of an operation."""
 
 
 class NumericError(CoincidiaError):
-    """A computation produced non-finite values or failed to converge."""
+    """Family base, exit code 4: a computation produced non-finite values or failed to converge."""
+
+
+class BracketingError(NumericError):
+    """NumericError family: no bracket encloses the requested target value of a map."""
 
 
 class CertificateError(CoincidiaError):
-    """A contraction or hypothesis certificate required for a solve failed."""
+    """Family base, exit code 3: a contraction or hypothesis certificate a solve needs failed."""

@@ -35,7 +35,7 @@ import numpy as np
 from . import engine
 from ._pcg64 import uniform
 from .engine import OperatorHandle, SolveReport
-from .errors import ConfigurationError, RangeError
+from .errors import BracketingError, ConfigurationError
 from .numerics import (NODES, Grid, GridFunction, _require_samples, bracket_root,
                        cumulative_integral, evaluate, sup_norm)
 from .reports import Certificate, HypothesisReport
@@ -61,7 +61,8 @@ def _probe_pairs(A: Callable, seed: int, pairs: int) -> tuple[np.ndarray, np.nda
 @dataclass(frozen=True)
 class PendulumProblem:
     """Problem data: the nonlinearity A, the driving force, and optionally a
-    closed-form inverse of A plus the lower comparison bound of A."""
+    closed-form inverse of A (spot-checked against A, as A's expansiveness
+    is) plus the lower comparison bound of A."""
 
     A: Callable
     driving: Callable
@@ -77,6 +78,12 @@ class PendulumProblem:
             raise ConfigurationError(
                 f"A is not expansive: |A({x[bad]}) - A({y[bad]})| < |{x[bad]} - {y[bad]}|"
             )
+        if self.A_inverse is not None:  # every solve trusts it: spot-checked on the same x
+            back = evaluate(self.A_inverse, evaluate(self.A, x, name="A"), name="A_inverse")
+            if np.any(off := np.abs(back - x) > 1e-9 * np.maximum(1.0, np.abs(x))):
+                bad = int(np.argmax(off))
+                raise ConfigurationError(f"A_inverse does not invert A: "
+                                         f"A_inverse(A({x[bad]})) = {back[bad]}")
 
 
 def _double_brackets(oriented: Callable, target: np.ndarray,
@@ -94,7 +101,8 @@ def _double_brackets(oriented: Callable, target: np.ndarray,
                 break
             other[pending], end[pending] = end[pending], 2.0 * end[pending]
         else:
-            raise RangeError(f"A does not appear to reach {ys[pending[0]]} {side} the start bracket")
+            raise BracketingError(
+                f"A does not appear to reach {ys[pending[0]]} {side} the start bracket")
     return lo, hi
 
 

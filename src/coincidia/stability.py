@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, RangeError
+from .errors import BracketingError, ConfigurationError, DomainError
 from .numerics import bracket_root, evaluate
 
 _PROBE_SEED = 180451
@@ -69,7 +69,7 @@ def invert(phi: PhiFunction, eps: float, tol: float) -> float:
         return 0.0
     hi = evaluate(phi.upper_bracket, float(eps), name="upper_bracket")
     if hi <= 0.0:
-        raise RangeError(f"bracket generator returned an unusable upper end {hi}")
+        raise BracketingError(f"bracket generator returned an unusable upper end {hi}")
     if evaluate(phi.eval, hi, name="phi") < eps:
-        raise RangeError(f"eps={eps} exceeds the reachable range of phi on [0, {hi}]")
+        raise BracketingError(f"eps={eps} exceeds the reachable range of phi on [0, {hi}]")
     return bracket_root(phi.eval, eps, 0.0, hi, tol, name="phi")

@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from coincidia.caputo import _trapezoid_coefficients
-from coincidia.errors import BracketingError, ConfigurationError, NumericError, RangeError
+from coincidia.errors import BracketingError, ConfigurationError, NumericError
 from coincidia.numerics import MIDPOINTS
 
 
@@ -112,13 +112,13 @@ def invert_A_scalar(A, y, tol):
             break
         lo, hi = hi, hi * 2.0
     else:
-        raise RangeError(f"A does not appear to reach {y} above the start bracket")
+        raise BracketingError(f"A does not appear to reach {y} above the start bracket")
     for _ in range(60):
         if oriented(lo) <= target:
             break
         lo, hi = lo * 2.0, lo
     else:
-        raise RangeError(f"A does not appear to reach {y} below the start bracket")
+        raise BracketingError(f"A does not appear to reach {y} below the start bracket")
     return bracket_root_scalar(oriented, target, lo, hi, tol)
 
 

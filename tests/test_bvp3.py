@@ -52,8 +52,9 @@ class TestConstants:
     def test_f_domain(self):
         with pytest.raises(DomainError):
             f_constant(1.0, 0.5)
-        with pytest.raises(DomainError):
-            f_constant(0.5, 1.5)
+        for eta in (0.0, 1.0, 1.5):  # eta must lie in the open (0, 1)
+            with pytest.raises(DomainError):
+                f_constant(0.5, eta)
 
     def test_c_example_values(self):
         assert c_constant(-0.1, 0.5) == pytest.approx(2.0 / math.pi, abs=1e-12)

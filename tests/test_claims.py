@@ -31,6 +31,9 @@ array by reference                                    (2 steps, x(1) = 2.128, ag
 second call                                           (H1 with K2 = K3 = 0 passes, margin
                                                       +0.019, against a failure with 68
                                                       witnesses)
+``PendulumProblem`` accepts any ``A_inverse`` (its    ``test_a_certified_pendulum_solve_inverts_A``
+check deleted)                                        (half the inverse of ``A(r) = r``: u(0.5)
+                                                      = -0.0482 against -0.0920, bound 3.7e-4)
 pendulum bound ``psi(r)`` claimed as ``psi(r/2)``     survives: radius 2.4e-4 against a
                                                       distance of 1.0e-13 in
                                                       ``test_pendulum_bound_covers_a_tighter_solve``
@@ -69,6 +72,7 @@ import pytest
 from coincidia import bvp3, caputo, engine, pendulum
 from coincidia.caputo import VolterraKernel, picard_step
 from coincidia.cli import EXIT_NUMERIC, main
+from coincidia.errors import ConfigurationError
 from coincidia.numerics import NODES, Grid, GridFunction, sup_norm
 from coincidia.pendulum import StabilityRow
 from coincidia.registry import caputo_constant, caputo_linear, caputo_nonlocal, pendulum_pa
@@ -279,13 +283,15 @@ def test_buffer_reusing_f_kills_the_by_reference_mutant(monkeypatch):
         check_buffer_reusing_f_gives_the_plain_bits()
 
 
-def mutant(module, name: str, old: str, new: str):
-    """The function ``module.name`` compiled from its source with the one
-    occurrence of ``old`` replaced by ``new``, in the module's namespace."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def mutant(owner, name: str, old: str, new: str):
+    """The function ``owner.name``, of a module or a class, compiled from its
+    source with the one occurrence of ``old`` replaced by ``new``, in the
+    namespace of its module."""
+    fn = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1
-    namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), fn.__code__.co_filename, "exec"), namespace)
     return namespace[name]
 
 
@@ -293,6 +299,38 @@ def test_buffer_reusing_g_kills_the_check_h1_mutant(monkeypatch):
     monkeypatch.setattr(bvp3, "check_h1", mutant(bvp3, "check_h1", '"g").copy() -', '"g") -'))
     with pytest.raises(AssertionError):
         check_buffer_reusing_twin_gives_the_plain_results("g")
+
+
+def check_a_certified_pendulum_solve_inverts_A() -> None:
+    """A problem whose ``A_inverse`` is half the inverse of ``A(r) = r`` is
+    refused, or else its certified solve at n = 256 lies within its bound
+    of a solve at tol = 1e-14 with the true inverse."""
+    def identity(r):
+        return np.asarray(r, dtype=float)
+
+    true = pendulum.PendulumProblem(A=identity, A_inverse=identity,
+                                    driving=lambda t: np.sin(np.pi * identity(t)))
+    grid = Grid(0.0, 1.0, 256, NODES)
+    try:
+        wrong = dataclasses.replace(true, A_inverse=lambda y: 0.5 * identity(y))
+    except ConfigurationError:
+        return
+    report = pendulum.solve(wrong, grid)
+    reference = pendulum.solve(true, grid, tol=1e-14)
+    assert report.converged
+    assert sup_norm(report.extras["u"] - reference.extras["u"]) <= report.certificate.bound
+
+
+def test_a_certified_pendulum_solve_inverts_A():
+    check_a_certified_pendulum_solve_inverts_A()
+
+
+def test_a_certified_pendulum_solve_kills_the_unchecked_inverse_mutant(monkeypatch):
+    unchecked = mutant(pendulum.PendulumProblem, "__post_init__",
+                       "if self.A_inverse is not None:", "if False:")
+    monkeypatch.setattr(pendulum.PendulumProblem, "__post_init__", unchecked)
+    with pytest.raises(AssertionError):
+        check_a_certified_pendulum_solve_inverts_A()
 
 
 def check_pendulum_bound_covers_a_tighter_solve() -> None:

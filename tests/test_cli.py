@@ -1,11 +1,12 @@
 import inspect
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from coincidia import bvp3, caputo, engine, pendulum, registry
+from coincidia import bvp3, caputo, engine, errors, pendulum, registry
 from coincidia.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -29,6 +30,14 @@ TABLE1 = {
     "w3": (0.1011479123607, 1.354285018462),
     "w4": (0.0103862353036, 0.630389524267),
 }
+
+
+FAMILY_CODES = {errors.ConfigurationError: EXIT_CONFIG, errors.CertificateError: EXIT_CERTIFICATE,
+                errors.NumericError: EXIT_NUMERIC}
+# every error class of the package but their common base, found by inspection
+ERROR_CLASSES = [value for value in vars(errors).values()
+                 if isinstance(value, type) and issubclass(value, errors.CoincidiaError)
+                 and value is not errors.CoincidiaError]
 
 
 def read_report(out_dir):
@@ -86,6 +95,9 @@ class TestRegistry:
 
     def test_int_parameter_accepted(self):
         assert lookup("pendulum-Pa").make(a=1) is not None
+
+    def test_the_largest_double_is_finite(self):
+        assert lookup("caputo-constant").make(x0=sys.float_info.max).x0 == sys.float_info.max
 
     def test_int_beyond_the_doubles_is_not_finite(self):
         with pytest.raises(ConfigurationError, match="finite"):
@@ -146,8 +158,8 @@ class TestRunConfig:
                      "--out", str(tmp_path)]) == EXIT_OK
 
     @pytest.mark.parametrize("patch", [
-        {"grid_n": 4}, {"grid_n": 7}, {"tol": 2.0}, {"tol": 0.0}, {"scheme": "newton"},
-        {"command": "plot"}, {"max_iter": 0}, {"seed": -1}, {"seed": True},
+        {"grid_n": 4}, {"grid_n": 7}, {"tol": 2.0}, {"tol": 1.0}, {"tol": 0.0},
+        {"scheme": "newton"}, {"command": "plot"}, {"max_iter": 0}, {"seed": -1}, {"seed": True},
         {"grid_n": 100.0}, {"tol": "1e-9"}, {"params": [1]}, {"problem": None},
     ])
     def test_validation(self, patch):
@@ -300,6 +312,21 @@ class TestSolveCommand:
         assert "result" not in report
         assert report["error"] == {"type": "MemoryError", "message": expected,
                                    "exit_code": EXIT_NUMERIC}
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+    def test_each_error_class_exits_with_its_family_code(self, tmp_path, monkeypatch, error):
+        codes = [code for family, code in FAMILY_CODES.items() if issubclass(error, family)]
+        assert len(codes) == 1
+
+        def raising(*args, **kwargs):
+            raise error("raised inside the solve")
+
+        monkeypatch.setattr(engine, "solve_picard", raising)
+        code = main(["solve", "--problem", "caputo-linear", "--grid-n", "64",
+                     "--out", str(tmp_path)])
+        assert code == codes[0]
+        assert read_report(tmp_path)["error"] == {
+            "type": error.__name__, "message": "raised inside the solve", "exit_code": code}
 
     def test_deterministic_reports(self, tmp_path):
         config = RunConfig(command="solve", problem="bvp3-example", grid_n=64,
@@ -600,8 +627,9 @@ class TestMainArgparse:
                      "--out", str(tmp_path)])
         assert code == EXIT_CERTIFICATE
 
-    def test_missing_problem(self):
+    def test_missing_problem(self, capsys):
         assert main(["solve"]) == EXIT_CONFIG
+        assert "pass --problem or set it in --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config, args, reported", [
         (None, ["--problem", "bvp3-example", "--seed", "-1"], True),

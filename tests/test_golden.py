@@ -5,18 +5,28 @@ relative ``--out out`` (``report.json`` embeds the output directory), and
 the sha256 of every file it writes must match the recorded digest.  Any
 refactoring of the problem classes must leave these bytes unchanged.
 The digests also pin the bits of numpy's ufuncs, which depend on the numpy
-version and the SIMD extensions it dispatches to (``np.exp`` and ``np.log``
-differ from libm on some inputs on AVX-512 hosts), so a failure names both.
+version and the SIMD extensions it dispatches to: on AVX-512 hosts,
+``np.exp``, ``np.log`` and ``np.power`` differ from libm on some inputs.
+``GOLDEN`` holds the digests of numpy 2.4.6 with its AVX-512 kernels, and
+``LIBM`` those of the commands whose bits differ where numpy's results are
+libm's, as on a host without AVX-512 or under
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``.  A process
+checks each command against exactly one digest set, chosen by whether
+``np.exp`` gives libm's bits (:func:`numpy_is_libm`); a failure names the
+numpy version and the SIMD extensions.
 
 ``PYTHONPATH=src python tests/test_golden.py [COMMAND ...]`` prints the
 exit code and digests of each given command, or else of every recorded
 one, as lines of ``GOLDEN``.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
+import math
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coincidia
 from coincidia.cli import main
 
 GOLDEN = [
@@ -63,6 +74,33 @@ GOLDEN = [
     ('solve --problem caputo-constant --x0 1e15 --grid-n 64', 0, {'report.json': 'a8b5897de4dbaba160f015c959844172c1d64447339b7ee4e635290bf41435ee', 'solution.csv': '621a1f255eaa7213888cf56978ce31d823dd9cff6fe9df14a8fa44f31dbfcc3e'}),
 ]
 
+# the digests of GOLDEN's commands whose bits move when numpy computes exp,
+# log and power with libm's bits
+LIBM = {
+    'solve --problem bvp3-example --grid-n 256': (0, {'report.json': 'a4e96fdf2d83f40b044a43f57e811fa93355f2a162ae8c6d75b69385ad4749fb', 'solution.csv': '95f5ad19ebd05a560f6041869936e2fcae7b14a34a609acd2141d2fd3e4ffdb2'}),
+    'solve --problem caputo-constant --grid-n 256': (0, {'report.json': 'f5569b98bd5b59ca4984949e232b52fdcc7693d2f83e4d6d245c7097fc602bdc', 'solution.csv': 'b6899e3e0e078dc50ab505d809a12d3eb459a0c3044e842680b51e981de822df'}),
+    'solve --problem caputo-linear --grid-n 256': (0, {'report.json': 'baf1edd15cd5f24499a3eb4a7ddd555efa4fd7eb9873e9380209cbad948f0cf2', 'solution.csv': '9d82d47e5a310259fdc8ff937c7ebc1ce66f3171128ff2e073a0a936b5fee474'}),
+    'solve --problem bvp3-example --grid-n 256 --scheme averaged': (0, {'report.json': 'dfa0476498aff8f7ac38d8466c4acc3b61ec3d289b3983b54ccc4599beb862f0', 'solution.csv': '95c32423618ccba2f5f300db69d0a93d8f2dcc955749cbd13d53f35d8d8209dc'}),
+    'solve --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4': (0, {'report.json': '5a57cc463bb87b76e5bdbd71e6caf26910becc3114219ac6b31a5ad79115505f', 'solution.csv': '928d6cbab49539db0882d098b02b0cb73fa6a3dc7b54b967022883e401b221cc'}),
+    'solve --problem bvp3-example --grid-n 256 --scheme resolvent': (0, {'report.json': '0d63cb7afc202e28c34f5eaafe0db1b3e73ce2546d256aeb455ba57a999036e3', 'solution.csv': '5b000fd7d4ef104b0e457b434a0e2d41bbc3edff016f64c088c7a63c0c3d9827'}),
+    'oracle --problem caputo-linear --grid-n 1024': (0, {'report.json': '5a3761c2b6500f7f862bd1a765e175fea78d63a69308b87bb89f23b4a9c2b0da'}),
+    'oracle --problem caputo-linear --grid-n 4096': (0, {'report.json': 'b8937ee24847eb8f8412cfefa24e8a7f66af4e58efb1f9da5278042331af7f9b'}),
+    'solve --problem caputo-linear --grid-n 333': (0, {'report.json': '9b99a48070debbaf0c0f2d58f3dee4219c74dcf1571d6d7e08fcf80839de8b56', 'solution.csv': '91a934609c3490cbf37024061a4fdcedee8a6ea2be008ee3419fc258a4e88133'}),
+}
+
+
+def numpy_is_libm() -> bool:
+    """Whether ``np.exp`` gives ``math.exp``'s bits on 10001 points of
+    [-5, 5]; numpy 2.4.6 with its AVX-512 kernels differs on 457 of them."""
+    x = np.linspace(-5.0, 5.0, 10001)
+    libm = np.array([math.exp(v) for v in x.tolist()])
+    return np.array_equal(np.exp(x).view(np.uint64), libm.view(np.uint64))
+
+
+# the one digest set this process checks each command against
+_MOVED = LIBM if numpy_is_libm() else {}
+EXPECTED = {command: _MOVED.get(command, (code, digests)) for command, code, digests in GOLDEN}
+
 
 def _run(command):
     """Exit code of ``command`` run with ``--out out`` in the working
@@ -81,11 +119,33 @@ def runtime() -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("command, exit_code, digests", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_outputs_are_byte_identical(tmp_path, monkeypatch, command, exit_code, digests):
+@pytest.mark.parametrize("command", list(EXPECTED))
+def test_outputs_are_byte_identical(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
-    assert _run(command) == (exit_code, digests), (
-        f"the bits were recorded with numpy 2.4.6 on an AVX-512 host; this runtime is\n{runtime()}")
+    assert _run(command) == EXPECTED[command], (
+        f"the bits were recorded with numpy 2.4.6, with and without its AVX-512 kernels; "
+        f"this runtime is\n{runtime()}")
+
+
+def test_without_avx512_kernels_the_libm_digests_hold(tmp_path):
+    """Two of the LIBM commands, run by this file's ``__main__`` in a child
+    process with numpy's AVX-512 kernels switched off.  numpy refuses the
+    variable at import when it names a baseline feature, and warns when it
+    names a feature it does not dispatch; the child turns that warning into
+    an error, and either refusal skips the test with numpy's message."""
+    commands = ['solve --problem caputo-constant --grid-n 256',
+                'solve --problem bvp3-example --grid-n 256']
+    path = [str(Path(coincidia.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run(
+        [sys.executable, "-W", "error:During parsing environment variable:ImportWarning",
+         __file__, *commands], cwd=tmp_path, env=env, capture_output=True, text=True)
+    if child.returncode and "NPY_DISABLE_CPU_FEATURES" in child.stderr:
+        pytest.skip(f"numpy refuses the variable here: {child.stderr.strip().splitlines()[-1]}")
+    assert child.returncode == 0, child.stderr
+    seen = [ast.literal_eval(line.strip().rstrip(",")) for line in child.stdout.splitlines()]
+    assert seen == [(command, *LIBM[command]) for command in commands]
 
 
 def test_the_runtime_names_the_numpy_version_and_simd_extensions():

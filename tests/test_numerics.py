@@ -437,8 +437,9 @@ class TestMittagLeffler:
         assert mittag_leffler(0.5, 1.0, 1e-14) == pytest.approx(brute, rel=1e-12)
 
     def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            mittag_leffler(1.5, 1.0, 1e-10)
+        for q in (0.0, 1.5):  # q must lie in (0, 1]
+            with pytest.raises(DomainError):
+                mittag_leffler(q, 1.0, 1e-10)
         with pytest.raises(DomainError):
             mittag_leffler(0.5, 31.0, 1e-10)
 

@@ -11,7 +11,7 @@ import pytest
 from coincidia import pendulum, registry
 from coincidia.cli import EXIT_NUMERIC, main
 from coincidia.engine import error_bound
-from coincidia.errors import ConfigurationError, NumericError, RangeError
+from coincidia.errors import BracketingError, ConfigurationError, NumericError
 from coincidia.numerics import MIDPOINTS, NODES, Grid, GridFunction, prolong, sup_norm
 from coincidia.pendulum import (
     PendulumProblem,
@@ -66,6 +66,28 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             pendulum_pa(1.5)
 
+    def test_wrong_A_inverse_rejected(self):
+        # half the inverse of A(r) = r; unchecked, its solve at n = 256 was
+        # certified with u(0.5) = -0.0482, where the true inverse gives -0.0920
+        with pytest.raises(ConfigurationError, match=r"A_inverse does not invert A"):
+            PendulumProblem(A=_identity, A_inverse=lambda y: 0.5 * _identity(y),
+                            driving=_sin_driving)
+
+    @pytest.mark.parametrize("A_inverse, accepted", [
+        (lambda y: (1.0 + 1e-10) * _identity(y), True),
+        (lambda y: (1.0 + 1e-8) * _identity(y), False),
+        (lambda y: _identity(y) + 5e-10, True),
+        (lambda y: _identity(y) + 2e-9, False),  # off by more than 1e-9 where |x| < 1
+    ], ids=["relative 1e-10", "relative 1e-8", "absolute 5e-10", "absolute 2e-9"])
+    def test_A_inverse_tolerance_is_1e_9_max_1_abs_x(self, A_inverse, accepted):
+        build = functools.partial(PendulumProblem, A=_identity, A_inverse=A_inverse,
+                                  driving=_sin_driving)
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ConfigurationError, match="A_inverse does not invert A"):
+                build()
+
 
 class TestInvertA:
     def test_identity_A(self, pa):
@@ -109,14 +131,14 @@ class TestInvertA:
         with pytest.raises(ConfigurationError, match="inversion tolerance must be positive"):
             invert_A(pa, 0.7, tol)
 
-    def test_unreached_element_raises_range_error(self):
+    def test_unreached_element_raises_bracketing_error(self):
         # expansive on the probe range [-5, 5], but bounded by 6
         p = PendulumProblem(A=lambda x: np.clip(np.asarray(x, dtype=float), -6.0, 6.0),
                             driving=lambda t: 0.0 * t)
         assert invert_A(p, np.array([0.5, -5.5]), 1e-12) == pytest.approx([0.5, -5.5])
-        with pytest.raises(RangeError, match="reach 7.0 above"):
+        with pytest.raises(BracketingError, match="reach 7.0 above"):
             invert_A(p, np.array([0.5, 7.0]), 1e-12)
-        with pytest.raises(RangeError, match="reach -7.0 below"):
+        with pytest.raises(BracketingError, match="reach -7.0 below"):
             invert_A(p, np.array([-7.0, 0.5]), 1e-12)
 
 
@@ -394,6 +416,10 @@ class TestNestedStart:
         assert warm.final_residual <= 1e-10
 
 
+def _identity(r):
+    return np.asarray(r, dtype=float)
+
+
 def _sin_driving(t):
     return np.sin(math.pi * np.asarray(t, dtype=float))
 
@@ -496,7 +522,7 @@ class TestCascade:
                                                              grid_n):
         def invert(p, y, tol, _original=pendulum.invert_A):
             if np.size(y) == COARSEST + 1:
-                raise RangeError("A does not reach the iterate")
+                raise BracketingError("A does not reach the iterate")
             return _original(p, y, tol)
 
         monkeypatch.setattr(pendulum, "invert_A", invert)
@@ -504,7 +530,7 @@ class TestCascade:
         argv = ["solve", "--problem", "pendulum-Pa", "--grid-n", str(grid_n), "--out", str(tmp_path)]
         assert main(argv) == EXIT_NUMERIC
         error = json.loads((tmp_path / "report.json").read_text())["error"]
-        assert error["type"] == "RangeError" and error["exit_code"] == EXIT_NUMERIC
+        assert error["type"] == "BracketingError" and error["exit_code"] == EXIT_NUMERIC
 
 
 class TestTracerContract:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coincidia.errors import ConfigurationError, DomainError, NumericError, RangeError
+from coincidia.errors import BracketingError, ConfigurationError, DomainError, NumericError
 from coincidia.stability import PhiFunction, invert
 
 
@@ -58,9 +58,14 @@ class TestInvert:
         with pytest.raises(DomainError):
             invert(phi, -1.0, 1e-10)
 
-    def test_range_error_on_bad_bracket(self):
+    def test_bracket_end_at_the_target_is_accepted(self):
+        # upper_bracket may return any hi with phi(hi) >= eps, equality included
+        phi = PhiFunction(eval=lambda t: t, upper_bracket=lambda e: e)
+        assert invert(phi, 0.75, 1e-12) == pytest.approx(0.75, abs=1e-12)
+
+    def test_bracketing_error_on_bad_bracket(self):
         phi = PhiFunction(eval=lambda t: min(t, 1.0), upper_bracket=lambda e: 10.0)
-        with pytest.raises(RangeError):
+        with pytest.raises(BracketingError):
             invert(phi, 5.0, 1e-9)
 
     def test_raising_bracket_becomes_numeric_error_naming_it(self):
@@ -70,9 +75,9 @@ class TestInvert:
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     @pytest.mark.parametrize("end", [0.0, -1.0])
-    def test_non_positive_bracket_end_is_a_range_error(self, end):
+    def test_non_positive_bracket_end_is_a_bracketing_error(self, end):
         phi = PhiFunction(eval=lambda t: t, upper_bracket=lambda e: end)
-        with pytest.raises(RangeError, match="unusable upper end"):
+        with pytest.raises(BracketingError, match="unusable upper end"):
             invert(phi, 1.0, 1e-9)
 
     @pytest.mark.parametrize("end", [math.inf, math.nan])
