@@ -58,12 +58,14 @@ def bvp3_example(kappa: float = 0.4) -> Bvp3Problem:
         if kept is None or not np.array_equal(kept[0].view(np.int64), t.view(np.int64)):
             last[0] = kept = (t.copy(), kappa / (2.0 * t), np.log(t))
         # kappa / (2 t) 2 u1^2 / (1 + u1^2) + log(sqrt(1 + 2 e^{u2})) + u3 / (u3^2 + 3)
-        # + log t, summed left to right in one buffer; logaddexp cannot overflow
+        # + log t, summed left to right in one buffer; the soft term is the softplus
+        # max(x, 0) + log1p(exp(-|x|)) of x = log 2 + u2, whose exp cannot overflow
         u1_sq = u1 * u1
         value = 2.0 * u1_sq
         value /= 1.0 + u1_sq
         value *= kept[1]
-        value += 0.5 * np.logaddexp(math.log(2.0) + np.asarray(u2, dtype=float), 0.0)
+        x = math.log(2.0) + np.asarray(u2, dtype=float)
+        value += 0.5 * (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
         value += u3 / (u3 * u3 + 3.0)
         value += kept[2]
         return value

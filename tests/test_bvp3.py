@@ -37,6 +37,7 @@ from coincidia.numerics import (
 from coincidia.registry import bvp3_example
 from coincidia.reports import HypothesisReport
 from scalar_kernels import apply_T_inverse_reference
+from test_golden import without_avx512_kernels
 
 KAPPA_CRITICAL = (4.0 * math.pi - 6.0) / (9.0 * math.sqrt(3.0))
 PROBE = Grid(0.0, 1.0, 512, MIDPOINTS)
@@ -356,7 +357,8 @@ def plain_g(kappa, t, u1, u2, u3):
     """The example's g as written, with no memo."""
     t = np.asarray(t, dtype=float)
     saturating = 2.0 * u1 * u1 / (1.0 + u1 * u1)
-    soft = 0.5 * np.logaddexp(math.log(2.0) + np.asarray(u2, dtype=float), 0.0)
+    x = math.log(2.0) + np.asarray(u2, dtype=float)
+    soft = 0.5 * (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
     damped = u3 / (u3 * u3 + 3.0)
     return (kappa / (2.0 * t)) * saturating + soft + damped + np.log(t)
 
@@ -424,6 +426,36 @@ class TestExampleNonlinearity:
         finally:
             sys.setswitchinterval(interval)
         assert all(results)
+
+
+def soft_terms():
+    """Half the example's soft term ``log(sqrt(1 + 2 e^{u2}))``, as g computes
+    it (``g(1, 0, u2, 0)``, where every other term is an exact zero) and as
+    ``0.5 np.logaddexp(log 2 + u2, 0)``: on 10,001 points of [-5, 5], at
+    ``u2 = -log 2`` (``x = 0``) and at +-700 and +-800."""
+    u2 = np.concatenate([np.linspace(-5.0, 5.0, 10001), [-math.log(2.0), 700.0, -700.0, 800.0, -800.0]])
+    zero = np.zeros_like(u2)
+    ours = bvp3_example(0.4).g(np.ones_like(u2), zero, u2, zero)
+    return ours, 0.5 * np.logaddexp(math.log(2.0) + u2, 0.0)
+
+
+class TestSoftTerm:
+    """g's softplus has the algorithm of numpy's ``logaddexp(x, 0)``, on
+    numpy's vector ``exp`` and ``log1p``: within a few ulps of it whatever
+    kernels numpy dispatches to, and its bits where those are libm's."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_within_four_ulps_of_logaddexp(self):
+        ours, reference = soft_terms()
+        assert np.isfinite(ours).all()
+        # both are non-negative, so their bit patterns count ulps
+        assert np.abs(ours.view(np.int64) - reference.view(np.int64)).max() <= 4
+
+    def test_without_avx512_kernels_the_bits_of_logaddexp(self, tmp_path):
+        script = ("from test_bvp3 import soft_terms\n"
+                  "ours, reference = soft_terms()\n"
+                  "print((ours.view('i8') != reference.view('i8')).sum())")
+        assert without_avx512_kernels(["-c", script], tmp_path).split() == ["0"]
 
 
 class TestApplicationResult:

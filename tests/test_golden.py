@@ -6,14 +6,15 @@ the sha256 of every file it writes must match the recorded digest.  Any
 refactoring of the problem classes must leave these bytes unchanged.
 The digests also pin the bits of numpy's ufuncs, which depend on the numpy
 version and the SIMD extensions it dispatches to: on AVX-512 hosts,
-``np.exp``, ``np.log`` and ``np.power`` differ from libm on some inputs.
+``np.exp``, ``np.log``, ``np.power`` and ``np.log1p`` differ from libm on
+some inputs.
 ``GOLDEN`` holds the digests of numpy 2.4.6 with its AVX-512 kernels, and
 ``LIBM`` those of the commands whose bits differ where numpy's results are
 libm's, as on a host without AVX-512 or under
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``.  A process
 checks each command against exactly one digest set, chosen by whether
-``np.exp`` gives libm's bits (:func:`numpy_is_libm`); a failure names the
-numpy version and the SIMD extensions.
+``np.exp`` and ``np.log1p`` give libm's bits (:func:`numpy_is_libm`); a
+failure names the numpy version and the SIMD extensions.
 
 ``PYTHONPATH=src python tests/test_golden.py [COMMAND ...]`` prints the
 exit code and digests of each given command, or else of every recorded
@@ -43,18 +44,18 @@ GOLDEN = [
     ('check --problem pendulum-Pa', 0, {'report.json': '19d5910848faedb748884bff691270046600d225544797521c74761bc5f5c74f'}),
     ('check --problem caputo-linear', 0, {'report.json': '5075caaff3105c905c5f97825c3c075f2142c92f2e55c80ee351000c11f534e1'}),
     ('check --problem caputo-linear --lf 1e308', 3, {'report.json': 'e821f87da8eed8db224852c112a435ee62919c0578c01da8544f7382fd1bb604'}),
-    ('solve --problem bvp3-example --grid-n 256', 0, {'report.json': '3be13b1a3a130534c43fca86640950116f9afbd10a5a81a3c4069b0e5d874597', 'solution.csv': '433573726616e52b7956cebd843be41a67fdc086df20c684d5f5eda97f9906d7'}),
+    ('solve --problem bvp3-example --grid-n 256', 0, {'report.json': '8731a777e8334e47c1e8821ad4719b46c0efb5ff83c2c8fde68e60fa568c65af', 'solution.csv': 'd5547be5d2e886b305cdc94bff8da979c182819bc0befc424ed731b40ee4f63e'}),
     ('solve --problem pendulum-Pa --grid-n 256', 0, {'report.json': 'a3dc90107c18c0eb0df7e955bb8833154e17f9b4ef33f91cae67002e2fcadcc4', 'solution.csv': '25d2827be875feee7294f2133cce23b954ee22c27674f4569a1c32583de01990'}),
     ('solve --problem caputo-constant --grid-n 256', 0, {'report.json': 'f5569b98bd5b59ca4984949e232b52fdcc7693d2f83e4d6d245c7097fc602bdc', 'solution.csv': '78d42479f1af3b2a403b2559e4ee2da6767b4aa6435e81e6462c845cdc0a46ea'}),
     ('solve --problem caputo-linear --grid-n 256', 0, {'report.json': 'ffeeb965dabc7ff41cb3bdbeb5d98d4e73a2726578505e2c38035124d1dd5a8d', 'solution.csv': 'd0cfef5d32efac493084f2cafe55f9fc83fc1b7e395dcc5ecf7891ba9573ebb1'}),
     ('solve --problem caputo-nonlocal --grid-n 256', 0, {'report.json': '478c5cd181232da12faebab52e979dda98659a7768df07676fc2ebd54847b408', 'solution.csv': '5b932ceecc690ef281967ba7ab83b5df0d17fb7dac85ca3df1a54892e9e0320c'}),
-    ('solve --problem bvp3-example --grid-n 256 --scheme averaged', 0, {'report.json': '863e800acbf5410a3418f1fcf1d7d2213c84f69f933b81d3e2b07cfa621bad3b', 'solution.csv': 'a811b85d19b9a3a564dbbc2d657d459c1e8588f4bcc50cd894833a1807fb0749'}),
-    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': '5a57cc463bb87b76e5bdbd71e6caf26910becc3114219ac6b31a5ad79115505f', 'solution.csv': '48b14901a80fe39c0dd4cf59b98f3622326274f7e56880f265dc53c0326af728'}),
-    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent', 0, {'report.json': '2a69ed60a2de679dc293d4c0e606139af30a63b7520250fe4a13efa392d2e0c0', 'solution.csv': '16c62899f7628eeb038dd828346cd8d19b01fa2ef6d208f31b1dd47e11c93a49'}),
+    ('solve --problem bvp3-example --grid-n 256 --scheme averaged', 0, {'report.json': '46e6a1d44234c5f6408437be73b79639b3eb33c008055877163ebbb2ae49bb0d', 'solution.csv': '1b65cf768a85cd8ed48e8a98d3966c6c6b1181e892127fdef842d92f960013c2'}),
+    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': '7b1cc84d9e509d8545d2e41ef42613bab387cb032d41218650d5cab322320745', 'solution.csv': '8707f13cf21c45109f1a56a3fe6b956f1e60495fe8f840b507c83e9f4ca36481'}),
+    ('solve --problem bvp3-example --grid-n 256 --scheme resolvent', 0, {'report.json': '7c4372441c9eb14c815b61924f51e77224a697f2efc497789f3297363c9a222c', 'solution.csv': 'fe1d84be68f282b5caa305d6ddd3fdc7358726bd99aee9172f38ef40bf7f9cb7'}),
     ('solve --problem caputo-linear --grid-n 256 --scheme averaged', 2, {'report.json': '2bdded383567cf7b153639d060bb4b619990880b8aa85b005dacba3ecd7ccdff'}),
     ('stability --problem pendulum-Pa --grid-n 256', 0, {'localization.csv': 'ec37d364c9d9e56470b0b7b19db7695982ee2862ab7f81127c372d42c152646e', 'report.json': 'c221b85b33a175451fe3421123f77150fc154cf40d7f32c7198dfb828468b6a5', 'table.csv': 'f2ba3027fe443c333b3a6b40814ef1f3c665e3ca3121f0cbc6ab56bb5e313be2'}),
     ('stability --problem caputo-linear --grid-n 256', 2, {'report.json': 'b9869f3b4f967609dac6edd73a673017e505b45a80f349587544cb280ec630e2'}),
-    ('oracle --problem bvp3-example --grid-n 256', 0, {'report.json': '3b1b66cc2a55e4093e7baf4690bb71a635c27798d9cc85d72531351e93ac9776'}),
+    ('oracle --problem bvp3-example --grid-n 256', 0, {'report.json': 'b9880f6237d09abc907d5ce955c515f16e559a36d9331176c1dc6645fa97eb41'}),
     ('oracle --problem pendulum-Pa --grid-n 256', 0, {'report.json': '87d152af77d3b5130f3cd9de5b5919a15bb2dec5f90d1f4a48fe3659518abe30'}),
     ('oracle --problem caputo-constant --grid-n 256', 0, {'report.json': 'dcff0dba5d21bbfcddaca42817868c18b6bd54d165fe81f63f4a1c7a3cb264d7'}),
     ('oracle --problem caputo-nonlocal --grid-n 256', 0, {'report.json': 'd5108af75c84ae33d2dcf5e50be3d908fe99dea67cf684098685df76ef244d0c'}),
@@ -62,9 +63,9 @@ GOLDEN = [
     ('oracle --problem caputo-linear --grid-n 4096', 0, {'report.json': 'e87420743612324480adbf727b3a1bf4057f24070c09360615e6e1e4594efda7'}),
     ('oracle --problem caputo-nonlocal --grid-n 4096', 0, {'report.json': 'c5751b5b3732fbed474d021f488f5e5c190a3e333295d435252421db163b4730'}),
     ('oracle --problem caputo-constant --grid-n 4096', 0, {'report.json': '0cec3857951abd2389a3dce13ce294bd0ce3b32f3505ac35d8e3e0bcc1c26402'}),
-    ('oracle --problem bvp3-example --grid-n 256 --scheme averaged', 0, {'report.json': 'f3b2dec06830279343ec435ce27e18a0c62890d4868b15b56c75021a7c8d3b1b'}),
-    ('oracle --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': 'd229a067ad77ae5a0a9cd4f7a63c85e824f3474a2d46c1605bd9f56df31d8230'}),
-    ('oracle --problem bvp3-example --grid-n 64 --max-iter 3', 4, {'report.json': '77190c93f4071fc02fe397fe264bbdfed9c439e69feaa419c3e2e37bf7eac95f'}),
+    ('oracle --problem bvp3-example --grid-n 256 --scheme averaged', 0, {'report.json': 'a3cb2333acd23e56b4d92a6133b018d312033ee59efce04ef4e7f1d4ebe38c57'}),
+    ('oracle --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4', 0, {'report.json': '9f2d97e8967a85aafbba859910bbb4748937f6bfee390c5f03952a2928554699'}),
+    ('oracle --problem bvp3-example --grid-n 64 --max-iter 3', 4, {'report.json': '5a700ed286d143523924490e2811bbc1b6abf235332019c3b0913a27197080df'}),
     ('oracle --problem pendulum-Pa --grid-n 16384', 0, {'report.json': '1e6c14ad64f674f54ea9980d46d24dbbbb0fed08ccb7fa9b0df49e54e82b6e86'}),
     ('solve --problem pendulum-Pa --grid-n 16384', 0, {'report.json': '9a2c5aebd021a9149c37efe1c44a92d2414826321e69dfd97dab4115ef2e6031', 'solution.csv': 'afaa62996323890dc82a34e44e3816af11c7fec8131354fca1646ea935512f04'}),
     ('check --problem bvp3-example --seed 7', 0, {'report.json': 'cee32c0faec03508b46c02046c84fe9363243b6b47fc615e92698cd2bff7f9b1'}),
@@ -75,7 +76,7 @@ GOLDEN = [
 ]
 
 # the digests of GOLDEN's commands whose bits move when numpy computes exp,
-# log and power with libm's bits
+# log, power and log1p with libm's bits
 LIBM = {
     'solve --problem bvp3-example --grid-n 256': (0, {'report.json': 'a4e96fdf2d83f40b044a43f57e811fa93355f2a162ae8c6d75b69385ad4749fb', 'solution.csv': '95f5ad19ebd05a560f6041869936e2fcae7b14a34a609acd2141d2fd3e4ffdb2'}),
     'solve --problem caputo-constant --grid-n 256': (0, {'report.json': 'f5569b98bd5b59ca4984949e232b52fdcc7693d2f83e4d6d245c7097fc602bdc', 'solution.csv': 'b6899e3e0e078dc50ab505d809a12d3eb459a0c3044e842680b51e981de822df'}),
@@ -86,15 +87,22 @@ LIBM = {
     'oracle --problem caputo-linear --grid-n 1024': (0, {'report.json': '5a3761c2b6500f7f862bd1a765e175fea78d63a69308b87bb89f23b4a9c2b0da'}),
     'oracle --problem caputo-linear --grid-n 4096': (0, {'report.json': 'b8937ee24847eb8f8412cfefa24e8a7f66af4e58efb1f9da5278042331af7f9b'}),
     'solve --problem caputo-linear --grid-n 333': (0, {'report.json': '9b99a48070debbaf0c0f2d58f3dee4219c74dcf1571d6d7e08fcf80839de8b56', 'solution.csv': '91a934609c3490cbf37024061a4fdcedee8a6ea2be008ee3419fc258a4e88133'}),
+    'oracle --problem bvp3-example --grid-n 256': (0, {'report.json': '3b1b66cc2a55e4093e7baf4690bb71a635c27798d9cc85d72531351e93ac9776'}),
+    'oracle --problem bvp3-example --grid-n 256 --scheme averaged': (0, {'report.json': 'f3b2dec06830279343ec435ce27e18a0c62890d4868b15b56c75021a7c8d3b1b'}),
+    'oracle --problem bvp3-example --grid-n 256 --scheme resolvent --tol 1e-4': (0, {'report.json': 'd229a067ad77ae5a0a9cd4f7a63c85e824f3474a2d46c1605bd9f56df31d8230'}),
+    'oracle --problem bvp3-example --grid-n 64 --max-iter 3': (4, {'report.json': '77190c93f4071fc02fe397fe264bbdfed9c439e69feaa419c3e2e37bf7eac95f'}),
 }
 
 
 def numpy_is_libm() -> bool:
     """Whether ``np.exp`` gives ``math.exp``'s bits on 10001 points of
-    [-5, 5]; numpy 2.4.6 with its AVX-512 kernels differs on 457 of them."""
-    x = np.linspace(-5.0, 5.0, 10001)
-    libm = np.array([math.exp(v) for v in x.tolist()])
-    return np.array_equal(np.exp(x).view(np.uint64), libm.view(np.uint64))
+    [-5, 5], and ``np.log1p`` ``math.log1p``'s on 10001 points of [0, 5];
+    numpy 2.4.6 with its AVX-512 kernels differs on 457 and 928 of them."""
+    def same(ufunc, libm, x):
+        expected = np.array([libm(v) for v in x.tolist()])
+        return np.array_equal(ufunc(x).view(np.uint64), expected.view(np.uint64))
+    return (same(np.exp, math.exp, np.linspace(-5.0, 5.0, 10001))
+            and same(np.log1p, math.log1p, np.linspace(0.0, 5.0, 10001)))
 
 
 # the one digest set this process checks each command against
@@ -127,24 +135,34 @@ def test_outputs_are_byte_identical(tmp_path, monkeypatch, command):
         f"this runtime is\n{runtime()}")
 
 
-def test_without_avx512_kernels_the_libm_digests_hold(tmp_path):
-    """Two of the LIBM commands, run by this file's ``__main__`` in a child
-    process with numpy's AVX-512 kernels switched off.  numpy refuses the
-    variable at import when it names a baseline feature, and warns when it
-    names a feature it does not dispatch; the child turns that warning into
-    an error, and either refusal skips the test with numpy's message."""
-    commands = ['solve --problem caputo-constant --grid-n 256',
-                'solve --problem bvp3-example --grid-n 256']
-    path = [str(Path(coincidia.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+def without_avx512_kernels(args, cwd):
+    """The stdout of ``python args`` run in ``cwd``, in a child process with
+    numpy's AVX-512 kernels switched off and ``src`` and ``tests`` on its
+    path.  numpy refuses the variable at import when it names a baseline
+    feature, and warns when it names a feature it does not dispatch; the
+    child turns that warning into an error, and either refusal skips the
+    calling test with numpy's message."""
+    path = [str(Path(coincidia.__file__).parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
            "PYTHONPATH": os.pathsep.join(filter(None, path))}
     child = subprocess.run(
         [sys.executable, "-W", "error:During parsing environment variable:ImportWarning",
-         __file__, *commands], cwd=tmp_path, env=env, capture_output=True, text=True)
+         *args], cwd=cwd, env=env, capture_output=True, text=True)
     if child.returncode and "NPY_DISABLE_CPU_FEATURES" in child.stderr:
         pytest.skip(f"numpy refuses the variable here: {child.stderr.strip().splitlines()[-1]}")
     assert child.returncode == 0, child.stderr
-    seen = [ast.literal_eval(line.strip().rstrip(",")) for line in child.stdout.splitlines()]
+    return child.stdout
+
+
+def test_without_avx512_kernels_the_libm_digests_hold(tmp_path):
+    """Three of the LIBM commands, run by this file's ``__main__`` with
+    numpy's AVX-512 kernels switched off."""
+    commands = ['solve --problem caputo-constant --grid-n 256',
+                'solve --problem bvp3-example --grid-n 256',
+                'oracle --problem bvp3-example --grid-n 256 --scheme averaged']
+    stdout = without_avx512_kernels([__file__, *commands], tmp_path)
+    seen = [ast.literal_eval(line.strip().rstrip(",")) for line in stdout.splitlines()]
     assert seen == [(command, *LIBM[command]) for command in commands]
 
 
