@@ -131,8 +131,7 @@ def check_z_membership(h: Callable, ell: float, probe_grid: Grid) -> HypothesisR
     the right of each probe), which underestimate convex integrands such
     as the 1/t^2 family and therefore never fail them spuriously.
     """
-    if probe_grid.style != MIDPOINTS or (probe_grid.a, probe_grid.b) != (0.0, 1.0):
-        raise ConfigurationError("membership probing needs a midpoints grid on [0, 1]")
+    probe_grid.require(MIDPOINTS, "membership probing")
     if ell < 0.0:
         raise DomainError("ell must be nonnegative")
     pts = probe_grid.points()
@@ -243,11 +242,6 @@ def check_h2(p: Bvp3Problem, rng_seed: int = 0) -> HypothesisReport:
         rng_seed)
 
 
-def _require_problem_grid(grid: Grid) -> None:
-    if grid.style != MIDPOINTS or (grid.a, grid.b) != (0.0, 1.0):
-        raise ConfigurationError("second-derivative iterates live on midpoints grids over [0, 1]")
-
-
 def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float, eta: float,
                     points: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct the arrays (v, v') with v'' = y, v(0) = 0 and
@@ -270,7 +264,7 @@ def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float, eta: float,
     """
     if delta == 1.0:
         raise DomainError("delta = 1 makes the boundary condition degenerate")
-    _require_problem_grid(grid)
+    grid.require(MIDPOINTS, "second-derivative iteration")
     _require_samples(grid, y)
     pts = grid.points() if points is None else points
     h = grid.spacing
@@ -294,7 +288,7 @@ def apply_T_inverse(grid: Grid, y: np.ndarray, delta: float, eta: float,
 def coincidence_operator(p: Bvp3Problem, grid: Grid, modulus: float | None = None) -> OperatorHandle:
     """The iterated map h(y)(t) = g(t, v(t), v'(t), y(t)) in the L2 norm;
     ``preimage`` is :func:`apply_T_inverse`, kept for the last application."""
-    _require_problem_grid(grid)
+    grid.require(MIDPOINTS, "second-derivative iteration")
     pts = grid.points()
     preimage = engine.remember_last(lambda y: apply_T_inverse(grid, y.values, p.delta, p.eta, pts))
     return OperatorHandle(
@@ -327,7 +321,7 @@ def solve(p: Bvp3Problem, grid: Grid, scheme: str = "auto", tol: float = 1e-9,
     (``None`` without H1 data) in the L2 norm, with modulus Lambda when
     Picard ran certified and ``None`` otherwise, and no bound.
     """
-    _require_problem_grid(grid)
+    grid.require(MIDPOINTS, "second-derivative iteration")
     if scheme not in engine.SOLVERS and scheme != "auto":
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     h1 = check_h1(p) if p.h1_data is not None else None

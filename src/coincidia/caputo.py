@@ -100,11 +100,6 @@ class CaputoProblem:
         return self.nonlocal_terms[-1].t if self.nonlocal_terms else 0.0
 
 
-def _require_volterra_grid(grid: Grid) -> None:
-    if grid.style != NODES or grid.a != 0.0:
-        raise ConfigurationError("Volterra iterates live on nodes grids starting at 0")
-
-
 def _trapezoid_coefficients(grid: Grid, q: float) -> tuple[np.ndarray, np.ndarray]:
     """The product-trapezoidal weights in Toeplitz form ``(col0, c)``.
 
@@ -113,7 +108,7 @@ def _trapezoid_coefficients(grid: Grid, q: float) -> tuple[np.ndarray, np.ndarra
     with col0[m] = A(m), c[0] = B(0) and c[m] = A(m-1) + B(m), where A(m) and
     B(m) integrate the rising and falling hat over the cell [mh, (m+1)h].
     """
-    _require_volterra_grid(grid)
+    grid.require(NODES, "Volterra iteration", b=None)
     if not 0.0 < q < 1.0:
         raise DomainError(f"the order q must lie in (0, 1), got {q}")
     m = np.arange(grid.n, dtype=float)
@@ -184,7 +179,7 @@ def picard_step(p: CaputoProblem, x: GridFunction, kernel: VolterraKernel) -> Gr
     reads x at the node ``grid.snap`` gives for its point.
     """
     grid = x.grid
-    _require_volterra_grid(grid)
+    grid.require(NODES, "Volterra iteration", b=None)
     if kernel.grid != grid:
         raise ConfigurationError("weights do not match the grid")
     fv = evaluate(p.f, kernel.t, x.values, name="f")
@@ -271,7 +266,7 @@ def solve(
     """
     if scheme not in ("auto", engine.PICARD):
         raise ConfigurationError("Volterra solves support only the picard scheme")
-    _require_volterra_grid(grid)
+    grid.require(NODES, "Volterra iteration", b=None)
     for term in p.nonlocal_terms:
         if term.t > grid.b + 1e-12:
             raise ConfigurationError("nonlocal points must lie inside the grid interval")

@@ -12,9 +12,10 @@ commands call the functions of the entry's family module by name, and
 ``oracle`` calls the entry's oracle; those that solve make every solve with
 the family's ``solve`` and the run's ``--scheme``, ``--tol`` and
 ``--max-iter``, so each refuses a scheme as ``solve`` does.  The pendulum
-oracle nests its two solves by one ``engine.coarse_to_fine`` step; every
-other solve starts from the family's cold start, a cascade of that step for
-a pendulum solve on a large even grid (see ``pendulum.solve``).
+oracle nests its two solves by one ``engine.coarse_to_fine`` step (same grid
+style, prolonged on nodes grids only); every other solve starts from the
+family's cold start, a cascade of that step for a pendulum solve on a large
+even grid (see ``pendulum.solve``).
 
 A run's outcome is settled once, in ``_run_in``: each unconverged solve is a
 ``NotConverged`` failure, ``check`` adds a ``HypothesisFailure`` and ``oracle``

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .numerics import NODES, Grid, GridFunction, _l2_norm, _sup_norm, prolong, sup_norm
+from .numerics import Grid, GridFunction, _l2_norm, _sup_norm, prolong, sup_norm
 from .reports import Certificate
 from .stability import PhiFunction, invert
 
@@ -160,8 +160,9 @@ def start_or(grid: Grid, start: GridFunction | None,
 
 
 def coarse_to_fine(grid: Grid, solve: Callable[[Grid], SolveReport]) -> tuple[SolveReport, GridFunction]:
-    """One nested-iteration step: ``solve`` on n/2 cells, and its solution prolonged to ``grid``."""
-    coarse = solve(Grid(grid.a, grid.b, grid.n // 2, NODES))
+    """One nested-iteration step: ``solve`` on n/2 cells of ``grid``'s style, and its solution
+    prolonged to ``grid``, which :func:`numerics.prolong` takes only on nodes grids."""
+    coarse = solve(replace(grid, n=grid.n // 2))
     return coarse, prolong(grid, coarse.solution)
 
 
@@ -208,7 +209,7 @@ def residual(h: OperatorHandle, y: GridFunction) -> float:
 
 
 def _validate_stopping(tol: float, max_iter: int) -> None:
-    if tol <= 0.0:
+    if not 0.0 < tol < np.inf:
         raise ConfigurationError("tolerance must be positive")
     if max_iter < 1:
         raise ConfigurationError("max_iter must be at least 1")

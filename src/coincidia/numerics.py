@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -57,10 +58,10 @@ class Grid:
     style: str = NODES
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise ConfigurationError(f"grid endpoints must satisfy a < b, got [{self.a}, {self.b}]")
-        if self.n < 2:
-            raise ConfigurationError(f"grid needs at least 2 cells, got n={self.n}")
+        if not (all(isinstance(e, Real) and math.isfinite(e) for e in (self.a, self.b)) and self.a < self.b):
+            raise ConfigurationError(f"grid needs real endpoints a < b, got [{self.a!r}, {self.b!r}]")
+        if not isinstance(self.n, Integral) or self.n < 2:
+            raise ConfigurationError(f"grid needs an integer n of at least 2 cells, got n={self.n!r}")
         if self.style not in (NODES, MIDPOINTS):
             raise ConfigurationError(f"unknown grid style {self.style!r}")
 
@@ -77,6 +78,13 @@ class Grid:
         if self.style == NODES:
             return np.linspace(self.a, self.b, self.n + 1)
         return self.a + (np.arange(self.n) + 0.5) * self.spacing
+
+    def require(self, style: str, what: str, b: float | None = 1.0) -> None:
+        """Refuse, as a :class:`ConfigurationError` naming ``what``, a grid that
+        is not of ``style`` on ``[0, b]``; ``b=None`` accepts any end."""
+        if self.style != style or self.a != 0.0 or (b is not None and self.b != b):
+            end = "b" if b is None else f"{b:g}"
+            raise ConfigurationError(f"{what} needs a {style} grid on [0, {end}]")
 
     def snap(self, t: float) -> tuple[int, float]:
         """The index k of the cell edge a + k h nearest to ``t``, clamped to
@@ -356,7 +364,7 @@ def bracket_root(g: Callable, target, lo, hi, tol: float, name: str = "function"
     one float per step (a numpy call on one element costs more than its
     arithmetic); its steps are those of the array loop, bit for bit.
     """
-    if tol <= 0.0:
+    if not 0.0 < tol < np.inf:
         raise ConfigurationError("bisection tolerance must be positive")
     shape = np.broadcast_shapes(np.shape(target), np.shape(lo), np.shape(hi))
     target, lo, hi = (np.broadcast_to(np.asarray(a, dtype=float), shape).reshape(-1)
@@ -437,7 +445,7 @@ def mittag_leffler(q: float, z, tol: float, max_terms: int = 100_000):
     bad = ~(np.abs(z_arr) <= 30.0)
     if bad.any():
         raise DomainError(f"|z| <= 30 required, got {z_arr[bad].flat[0]}")
-    if tol <= 0.0:
+    if not 0.0 < tol < np.inf:
         raise ConfigurationError("series tolerance must be positive")
     flat = z_arr.reshape(-1)
     total = np.ones(flat.size)

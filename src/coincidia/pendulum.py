@@ -117,7 +117,7 @@ def invert_A(p: PendulumProblem, y, tol: float):
     :func:`evaluate`, so an exception raised inside A becomes a
     :class:`NumericError` that names it.
     """
-    if tol <= 0.0:
+    if not 0.0 < tol < np.inf:
         raise ConfigurationError("inversion tolerance must be positive")
     ys = np.asarray(y, dtype=float).reshape(-1)
     if p.A_inverse is not None:
@@ -133,11 +133,6 @@ def invert_A(p: PendulumProblem, y, tol: float):
         lo, hi = _double_brackets(oriented, target, ys)
         x = bracket_root(oriented, target, lo, hi, tol, name="A")
     return float(x[0]) if np.ndim(y) == 0 else x.reshape(np.shape(y))
-
-
-def _require_green_grid(grid: Grid) -> None:
-    if grid.style != NODES or (grid.a, grid.b) != (0.0, 1.0):
-        raise ConfigurationError("Green reconstruction needs a nodes grid on [0, 1]")
 
 
 def green_apply_with_derivative(grid: Grid, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +151,7 @@ def green_apply_with_derivative(grid: Grid, w: np.ndarray) -> tuple[np.ndarray, 
     becomes the tail.  Each in-place step keeps the operation order of
     the plain expression, so the bits are those of the out-of-place form.
     """
-    _require_green_grid(grid)
+    grid.require(NODES, "Green reconstruction")
     _require_samples(grid, w)
     t = grid.points()
     integrand = t * w
@@ -177,7 +172,7 @@ def green_apply_with_derivative(grid: Grid, w: np.ndarray) -> tuple[np.ndarray, 
 def coincidence_operator(p: PendulumProblem, grid: Grid, inversion_tol: float = 1e-12) -> OperatorHandle:
     """The sup-norm map h(y) = sin(Green(A^{-1} y)) + g with modulus 1/8;
     ``preimage`` is y -> (u, u') = Green(A^{-1} y), kept for the last application."""
-    _require_green_grid(grid)
+    grid.require(NODES, "Green reconstruction")
     g_vals = evaluate(p.driving, grid.points(), name="driving")
     preimage = engine.remember_last(
         lambda y: green_apply_with_derivative(grid, invert_A(p, y.values, inversion_tol)))
@@ -354,7 +349,7 @@ def table1_stability(
 
 def table1_candidates(grid: Grid) -> list[tuple[str, GridFunction, GridFunction]]:
     """The four built-in trial functions with hard-coded second derivatives."""
-    _require_green_grid(grid)
+    grid.require(NODES, "Green reconstruction")
     t = grid.points()
     s = np.sin(math.pi * t)
     pi2 = math.pi ** 2

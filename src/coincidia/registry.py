@@ -256,7 +256,7 @@ _ENTRIES = [
         name="caputo-linear",
         family_name="caputo",
         build=caputo_linear,
-        # the product-trapezoid error is first order, 0.15 / n to 0.2 / n
+        # first-order error: 0.15 / n to 0.2 / n near q = 0.5, more below q = 0.45 (ROADMAP item 5)
         oracle=_exact_oracle("Mittag-Leffler series x0 E_q(t^q)",
                              lambda p, t: p.x0 * mittag_leffler(p.q, t ** p.q, 1e-14),
                              lambda n, tol: max(5e-4, 0.5 / n)),

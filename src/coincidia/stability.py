@@ -63,7 +63,7 @@ def invert(phi: PhiFunction, eps: float, tol: float) -> float:
     calls ``phi`` and ``upper_bracket`` on one float at a time."""
     if eps < 0.0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
-    if tol <= 0.0:
+    if not 0.0 < tol < np.inf:
         raise ConfigurationError("inversion tolerance must be positive")
     if eps == 0.0:
         return 0.0

@@ -6,6 +6,7 @@ import pytest
 
 from coincidia.engine import (
     OperatorHandle,
+    coarse_to_fine,
     error_bound,
     remember_last,
     residual,
@@ -15,7 +16,7 @@ from coincidia.engine import (
     solve_resolvent,
 )
 from coincidia.errors import ConfigurationError, DomainError, NumericError
-from coincidia.numerics import MIDPOINTS, Grid, GridFunction, sup_norm
+from coincidia.numerics import MIDPOINTS, NODES, Grid, GridFunction, sup_norm
 from coincidia.stability import PhiFunction
 
 GRID = Grid(0.0, 1.0, 16, MIDPOINTS)
@@ -301,7 +302,8 @@ class TestResidualOnPlainDifference:
     @pytest.mark.parametrize("norm", ["sup", "l2"])
     def test_overflowing_difference_raises(self, norm):
         # h(y) = -y is finite wherever y is, but y - h(y) = 2e308 overflows;
-        # at tol = inf an inf residual would read as converged
+        # at the largest finite tol an unchecked inf residual would only
+        # stall the loop, which ends after max_iter steps without an error
         h = OperatorHandle(apply=lambda y: GridFunction(GRID, -y.values), norm_kind=norm)
         y = GridFunction.constant(GRID, 1e308)
         with np.errstate(over="ignore"):
@@ -309,7 +311,7 @@ class TestResidualOnPlainDifference:
                 residual(h, y)
             for solve in (solve_picard, solve_averaged, solve_resolvent):
                 with pytest.raises(NumericError, match="finite"):
-                    solve(h, y, math.inf, 10)
+                    solve(h, y, np.finfo(float).max, 10)
 
     @pytest.mark.parametrize("norm", ["sup", "l2"])
     @pytest.mark.parametrize("solve", [solve_picard, solve_averaged, solve_resolvent])
@@ -323,6 +325,23 @@ class TestResidualOnPlainDifference:
         assert bits(r) == bits(rep.final_residual)
         # the validated difference of the plain expression gives the same bits
         assert bits(r) == bits(h.norm(rep.solution - h.apply(rep.solution)))
+
+
+class TestCoarseToFine:
+    @pytest.mark.parametrize("style", [NODES, MIDPOINTS])
+    def test_the_coarse_solve_gets_the_halved_grid_in_the_input_style(self, style):
+        seen = []
+
+        class Halt(Exception):
+            pass
+
+        def solve(coarse):
+            seen.append(coarse)
+            raise Halt  # prolongation is nodes-only; the coarse grid is what is tested
+
+        with pytest.raises(Halt):
+            coarse_to_fine(Grid(-1.0, 2.0, 17, style), solve)
+        assert seen == [Grid(-1.0, 2.0, 8, style)]
 
 
 class TestRememberLast:

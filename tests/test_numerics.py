@@ -64,6 +64,79 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(**kwargs)
 
+    @pytest.mark.parametrize("bad", [dict(n=8.5), dict(n=np.float64(8)), dict(n="8"), dict(n=None),
+                                     dict(a="0"), dict(b="1"), dict(b=None), dict(a=1j),
+                                     dict(b=math.inf), dict(a=-math.inf), dict(a=math.nan)])
+    def test_a_count_that_is_no_integer_or_an_end_that_is_no_finite_real_is_refused(self, bad):
+        kwargs = dict(a=0.0, b=1.0, n=8, style=NODES)
+        kwargs.update(bad)
+        with pytest.raises(ConfigurationError, match="grid"):
+            Grid(**kwargs)
+
+    def test_numpy_integers_and_reals_are_accepted(self):
+        g = Grid(np.float64(-1.0), np.int64(1), np.int64(8), MIDPOINTS)
+        assert g.size == 8 and g.spacing == 0.25
+        np.testing.assert_array_equal(g.points(), Grid(-1.0, 1.0, 8, MIDPOINTS).points())
+
+    @pytest.mark.parametrize("grid, style, b", [
+        (Grid(0.0, 1.0, 4, NODES), NODES, 1.0), (Grid(0.0, 1.0, 4, MIDPOINTS), MIDPOINTS, 1.0),
+        (Grid(0.0, 2.5, 4, NODES), NODES, 2.5), (Grid(0.0, 2.5, 4, NODES), NODES, None),
+        (Grid(0.0, 1e-3, 4, MIDPOINTS), MIDPOINTS, None)])
+    def test_require_accepts_its_style_on_0_b(self, grid, style, b):
+        assert grid.require(style, "this kernel", b) is None
+
+    @pytest.mark.parametrize("grid, style, b, end", [
+        (Grid(0.0, 1.0, 4, MIDPOINTS), NODES, 1.0, "1"),
+        (Grid(0.0, 1.0, 4, NODES), MIDPOINTS, None, "b"),
+        (Grid(0.0, 2.0, 4, NODES), NODES, 1.0, "1"),
+        (Grid(0.0, 1.0, 4, NODES), NODES, 2.5, "2.5"),
+        (Grid(1.0, 2.0, 4, NODES), NODES, 2.0, "2"),
+        (Grid(-1.0, 1.0, 4, MIDPOINTS), MIDPOINTS, None, "b")])
+    def test_require_refuses_any_other_grid(self, grid, style, b, end):
+        with pytest.raises(ConfigurationError) as exc:
+            grid.require(style, "this kernel", b)
+        assert str(exc.value) == f"this kernel needs a {style} grid on [0, {end}]"
+
+
+# every family entry point that takes a grid: (style, b, call on a grid); picard_step's
+# kernel is built on the nodes grid on [0, g.b], so the check of x's grid is the one hit
+GRID_ENTRY_POINTS = {
+    "pendulum.green_apply_with_derivative":
+        (NODES, 1.0, lambda g: pendulum.green_apply_with_derivative(g, np.zeros(g.size))),
+    "pendulum.coincidence_operator": (NODES, 1.0, lambda g: pendulum.coincidence_operator(pendulum_pa(), g)),
+    "pendulum.table1_candidates": (NODES, 1.0, pendulum.table1_candidates),
+    "bvp3.coincidence_operator": (MIDPOINTS, 1.0, lambda g: bvp3.coincidence_operator(bvp3_example(), g)),
+    "bvp3.apply_T_inverse": (MIDPOINTS, 1.0, lambda g: bvp3.apply_T_inverse(g, np.zeros(g.size), 0.5, 0.5)),
+    "bvp3.check_z_membership":
+        (MIDPOINTS, 1.0, lambda g: bvp3.check_z_membership(lambda t: np.ones_like(t), 1.0, g)),
+    "bvp3.solve": (MIDPOINTS, 1.0, lambda g: bvp3.solve(bvp3_example(), g)),
+    "caputo.VolterraKernel.build": (NODES, None, lambda g: caputo.VolterraKernel.build(g, 0.5)),
+    "caputo.picard_step":
+        (NODES, None, lambda g: caputo.picard_step(caputo_linear(), GridFunction.zeros(g),
+                                                   caputo.VolterraKernel.build(Grid(0.0, g.b, g.n), 0.5))),
+    "caputo.solve": (NODES, None, lambda g: caputo.solve(caputo_linear(), g)),
+}
+
+
+class TestFamilyGridGuard:
+    """Each family entry point refuses, through ``Grid.require`` and with its
+    shared message, a grid of the other style, one that does not start at 0,
+    and, where the end is fixed, one on [0, 2]."""
+
+    @staticmethod
+    def wrong_grids(style, b):
+        other = MIDPOINTS if style == NODES else NODES
+        wrong = [Grid(0.0, 1.0, 8, other), Grid(1.0, 2.0, 8, style)]
+        return wrong if b is None else wrong + [Grid(0.0, 2.0, 8, style)]
+
+    @pytest.mark.parametrize("entry", GRID_ENTRY_POINTS)
+    def test_a_grid_of_another_style_or_span_is_refused(self, entry):
+        style, b, call = GRID_ENTRY_POINTS[entry]
+        end = "b" if b is None else "1"
+        for grid in self.wrong_grids(style, b):
+            with pytest.raises(ConfigurationError, match=rf" needs a {style} grid on \[0, {end}\]$"):
+                call(grid)
+
 
 class TestGridFunction:
     def test_length_mismatch(self):
@@ -666,3 +739,27 @@ class TestEvaluate:
             evaluate(_divide_by_zero, 2.0, name="phi")
         with pytest.raises(DomainError):
             evaluate(lambda r: (_ for _ in ()).throw(DomainError("outside")), 2.0)
+
+
+# the five tolerance guards, each through its entry point
+TOLERANCE_ENTRY_POINTS = {
+    "engine.solve_averaged": lambda tol: engine.solve_averaged(
+        engine.OperatorHandle(apply=lambda y: y, norm_kind="sup"),
+        GridFunction.zeros(Grid(0.0, 1.0, 4)), tol, 10),
+    "numerics.bracket_root": lambda tol: bracket_root(lambda x: x, 0.3, 0.0, 1.0, tol),
+    "numerics.mittag_leffler": lambda tol: mittag_leffler(0.5, 1.0, tol),
+    "pendulum.invert_A": lambda tol: pendulum.invert_A(pendulum_pa(), 0.3, tol),
+    "stability.invert": lambda tol: stability.invert(phi_pendulum(), 0.1, tol),
+}
+
+
+class TestToleranceGuards:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+    def test_a_tolerance_that_is_not_positive_and_finite_is_refused(self, entry, tol):
+        with pytest.raises(ConfigurationError, match="tolerance must be positive"):
+            TOLERANCE_ENTRY_POINTS[entry](tol)
+
+    @pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+    def test_a_large_finite_tolerance_is_accepted(self, entry):
+        TOLERANCE_ENTRY_POINTS[entry](1e300)
