@@ -741,25 +741,31 @@ class TestEvaluate:
             evaluate(lambda r: (_ for _ in ()).throw(DomainError("outside")), 2.0)
 
 
-# the five tolerance guards, each through its entry point
+# the five tolerance guards, each through its entry point: (its message, call)
 TOLERANCE_ENTRY_POINTS = {
-    "engine.solve_averaged": lambda tol: engine.solve_averaged(
+    "engine.solve_averaged": ("tolerance must be positive", lambda tol: engine.solve_averaged(
         engine.OperatorHandle(apply=lambda y: y, norm_kind="sup"),
-        GridFunction.zeros(Grid(0.0, 1.0, 4)), tol, 10),
-    "numerics.bracket_root": lambda tol: bracket_root(lambda x: x, 0.3, 0.0, 1.0, tol),
-    "numerics.mittag_leffler": lambda tol: mittag_leffler(0.5, 1.0, tol),
-    "pendulum.invert_A": lambda tol: pendulum.invert_A(pendulum_pa(), 0.3, tol),
-    "stability.invert": lambda tol: stability.invert(phi_pendulum(), 0.1, tol),
+        GridFunction.zeros(Grid(0.0, 1.0, 4)), tol, 10)),
+    "numerics.bracket_root":
+        ("bisection tolerance must be positive", lambda tol: bracket_root(lambda x: x, 0.3, 0.0, 1.0, tol)),
+    "numerics.mittag_leffler": ("series tolerance must be positive", lambda tol: mittag_leffler(0.5, 1.0, tol)),
+    "pendulum.invert_A":
+        ("inversion tolerance must be positive", lambda tol: pendulum.invert_A(pendulum_pa(), 0.3, tol)),
+    "stability.invert":
+        ("inversion tolerance must be positive", lambda tol: stability.invert(phi_pendulum(), 0.1, tol)),
 }
 
 
 class TestToleranceGuards:
+    # the message is matched whole: stability.invert hands its tol on to
+    # bracket_root, whose own guard would otherwise stand in for it
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
     def test_a_tolerance_that_is_not_positive_and_finite_is_refused(self, entry, tol):
-        with pytest.raises(ConfigurationError, match="tolerance must be positive"):
-            TOLERANCE_ENTRY_POINTS[entry](tol)
+        message, call = TOLERANCE_ENTRY_POINTS[entry]
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            call(tol)
 
     @pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
     def test_a_large_finite_tolerance_is_accepted(self, entry):
-        TOLERANCE_ENTRY_POINTS[entry](1e300)
+        TOLERANCE_ENTRY_POINTS[entry][1](1e300)
